@@ -25,7 +25,6 @@ from .contact import PhaseShiftModel, parse_model_literal
 from .errors import (
     DegenerateResonance,
     DivergentAmplitude,
-    InconsistentExpansion,
     InvalidInput,
     KindMismatch,
     NoBoundState,
@@ -33,7 +32,6 @@ from .errors import (
     ParseError,
     PoleAtResonance,
     PoleHit,
-    QuadratureFailure,
     ResokitError,
     SingularSystem,
     UnitError,
@@ -51,13 +49,7 @@ INPUT_ERRORS = (
     ParseError,
     UnitError,
 )
-NUMERICAL_ERRORS = (
-    DivergentAmplitude,
-    NoBoundState,
-    QuadratureFailure,
-    PoleHit,
-    InconsistentExpansion,
-)
+NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, PoleHit)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,6 +120,11 @@ def _write_output(args, columns, rows, report: RunReport) -> None:
         for row in rows:
             lines.append(",".join(fmt(v) if _is_number(v) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
+    _emit(args, text)
+
+
+def _emit(args, text: str) -> None:
+    """Write a command's whole output to ``--out`` or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -357,19 +354,9 @@ def _cmd_verify(args) -> int:
             for r in results
         ]
         text = report.to_json() + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     else:
-        stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            for r in results:
-                stream.write(r.line() + "\n")
-        finally:
-            if args.out:
-                stream.close()
+        text = "".join(r.line() + "\n" for r in results)
+    _emit(args, text)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -382,8 +369,6 @@ def _add_model_flags(parser) -> None:
 def _add_output_flags(parser) -> None:
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--units", choices=("natural", "si", "atomic"),
-                        default="natural")
 
 
 def _add_sweep_flags(parser) -> None:
@@ -457,14 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--species", required=True, help="species CSV file")
     q.add_argument("--index", type=int, default=0, help="row index in the file")
     _add_sweep_flags(q)
-    _add_output_flags(q)
-    q.set_defaults(handler=_cmd_feshbach)
     q = fb_sub.add_parser("classify", help="broad/narrow classification")
     q.add_argument("--species", required=True, help="species CSV file")
     q.add_argument("--threshold", type=float, default=1.0,
                    help="|R*|/R_vdW boundary between broad and narrow")
-    _add_output_flags(q)
-    q.set_defaults(handler=_cmd_feshbach)
+    for q in fb_sub.choices.values():
+        q.add_argument("--units", choices=("natural", "si", "atomic"),
+                       default="natural", help="unit system of the loaded values")
+        _add_output_flags(q)
+        q.set_defaults(handler=_cmd_feshbach)
 
     p_v = sub.add_parser("verify", help="run the verification battery")
     p_v.add_argument("group", choices=sorted(verify_mod.GROUPS),

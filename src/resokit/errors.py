@@ -34,15 +34,7 @@ class PoleHit(ResokitError):
 
 
 class NoBoundState(ResokitError):
-    """No bound-state pole was found in the scan window."""
-
-
-class QuadratureFailure(ResokitError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
-class InconsistentExpansion(ResokitError):
-    """Closed-form low-energy parameters disagree with the numerical fit."""
+    """The two-channel model has no bound-state pole below threshold."""
 
 
 class ParameterMismatch(ResokitError):

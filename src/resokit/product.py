@@ -23,9 +23,6 @@ from .bound import BoundState
 from .contact import ATOM_MASS, HBAR, REDUCED_MASS, PhaseShiftModel
 from .errors import InvalidInput, KindMismatch, SingularSystem
 
-DEGENERACY_TOL = 1e-8
-ENERGY_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ContactEigenstate:
@@ -103,15 +100,9 @@ def modified_product(
     """(1|2)_0 = plain - (2 pi hbar^2/mu) conj(A_1) A_2 D.
 
     D is the difference quotient of g between the two energies, evaluated in
-    the stable telescoped-sum form; within DEGENERACY_TOL of degeneracy it
-    is replaced by g'(E_1).
+    the stable telescoped-sum form, which equals g'(E) at E_1 = E_2.
     """
-    e1, e2 = s1.energy, s2.energy
-    scale = max(abs(e1), abs(e2), ENERGY_FLOOR)
-    if abs(e1 - e2) < DEGENERACY_TOL * scale:
-        quotient = model.g_prime(e1)
-    else:
-        quotient = _difference_quotient(model.coeffs, e1, e2)
+    quotient = _difference_quotient(model.coeffs, s1.energy, s2.energy)
     prefactor = 2.0 * math.pi * HBAR**2 / REDUCED_MASS
     return plain - prefactor * s1.amplitude.conjugate() * s2.amplitude * quotient
 

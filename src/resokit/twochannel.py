@@ -22,32 +22,38 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import dawsn, erfcx
 
-from .errors import (
-    InconsistentExpansion,
-    InvalidInput,
-    NoBoundState,
-    ParameterMismatch,
-    PoleHit,
-    QuadratureFailure,
-)
+from .errors import InvalidInput, NoBoundState, ParameterMismatch, PoleHit
 
 HBAR = 1.0
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-# Bound-state scan: geometric grid resolution and window stretch factors.
-SCAN_POINTS_PER_DECADE = 256
-SCAN_E_FLOOR = 1e-12
-SCAN_WINDOW_FACTOR = 1e3
+SQRT_PI = math.sqrt(math.pi)
 
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
 
-NORM_QUAD_RTOL = 1e-10
+# The norm integral's bracket (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) cancels to
+# about x^4 machine epsilons; from NORM_SERIES_X on it is summed as its
+# asymptotic series sum_{n>=1} c_n x^-(2n+1)/sqrt(pi) with
+# c_n = -2n (-1)^n (2n-1)!!/2^n. Crossover and length were chosen against
+# mpmath: both branches stay within 3e-12 relative for all x.
+NORM_SERIES_X = 7.0
+NORM_SERIES_TERMS = 20
+_NORM_SERIES = tuple(
+    -2.0 * n * (-1.0) ** n * math.prod(range(1, 2 * n, 2)) / 2.0**n
+    for n in range(1, NORM_SERIES_TERMS + 1)
+)
+
+# Open-channel overlaps of states whose decay constants differ by at most
+# this fraction of their sum average J by Gauss-Legendre, because the
+# difference of loop integrals cancels there. Against mpmath the average
+# stays within 1e-13 relative and the difference within 5e-12, apart from
+# the rounding that loop_integral itself carries at large kappa eps.
+OVERLAP_GAUSS_GAP = 0.2
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -134,17 +140,33 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     return complex(real, imag)
 
 
-def _pole_bracket(p: TwoChannelParams, energy):
-    """(E - e_mol)/(2 lam^2) - Re I(E) for E < 0, vectorized over energy."""
+def _bracket(p: TwoChannelParams, energy: float) -> complex:
+    """Denominator of f: (E - e_mol)/(2 lam^2) - I(E); it vanishes at the pole."""
+    return (energy - p.e_mol) / (2.0 * p.lam**2) - loop_integral(p, energy)
+
+
+def _norm_shape(x: float) -> float:
+    """(1 + 2x^2) erfcx(x) - 2x/sqrt(pi), by its asymptotic series from NORM_SERIES_X on."""
+    if x < NORM_SERIES_X:
+        return (1.0 + 2.0 * x * x) * float(erfcx(x)) - 2.0 * x / SQRT_PI
+    y = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(_NORM_SERIES):
+        total = (total + c) * y
+    return total / (x * SQRT_PI)
+
+
+def norm_integral(p: TwoChannelParams, energy: float) -> float:
+    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 below threshold.
+
+    With kappa = sqrt(-m E)/hbar and x = kappa eps/sqrt(2) the closed form is
+    J = (m^2/(8 pi hbar^4 kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
+    """
+    if not energy < 0.0:
+        raise InvalidInput("the norm integral needs an energy below threshold")
     m = p.mass
-    alpha = 0.5 * p.eps**2
-    energy = np.asarray(energy, dtype=float)
-    kappa = np.sqrt(-m * energy) / HBAR
-    loop = (m / (2.0 * math.pi**2 * HBAR**2)) * (
-        -0.5 * math.sqrt(math.pi / alpha)
-        + 0.5 * math.pi * kappa * erfcx(kappa * math.sqrt(alpha))
-    )
-    return (energy - p.e_mol) / (2.0 * p.lam**2) - loop
+    kappa = math.sqrt(-m * energy) / HBAR
+    return m * m / (8.0 * math.pi * HBAR**4 * kappa) * _norm_shape(kappa * p.eps / math.sqrt(2.0))
 
 
 def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
@@ -154,7 +176,7 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     1/f the numerically tame direction (the continued chi^2 grows, its
     inverse decays).
     """
-    bracket = (energy - p.e_mol) / (2.0 * p.lam**2) - loop_integral(p, energy)
+    bracket = _bracket(p, energy)
     chi2_inv = math.exp(p.mass * energy * p.eps**2 / (2.0 * HBAR**2))
     return -(4.0 * math.pi * HBAR**2 / p.mass) * bracket * chi2_inv
 
@@ -176,7 +198,14 @@ def amplitude(p: TwoChannelParams, energy: float, pole_rtol: float = 1e-12) -> c
     return 1.0 / inv
 
 
-def _closed_form_params(p: TwoChannelParams) -> tuple[float, float]:
+def effective_params(p: TwoChannelParams) -> tuple[float, float]:
+    """Closed-form low-energy parameters (a_eps, rstar_eps).
+
+    1/a_eps = sqrt(2/pi)/eps - 2 pi hbar^2 e_mol/(lam^2 m) (a_eps is inf
+    where it vanishes) and rstar_eps = R* - sqrt(2/pi) eps + eps^2/(2 a_eps).
+    :func:`resokit.verify.fit_effective_params` checks them against a
+    low-energy fit of Re(1/f).
+    """
     m = p.mass
     inv_a = SQRT_2_OVER_PI / p.eps - 2.0 * math.pi * HBAR**2 * p.e_mol / (p.lam**2 * m)
     a_eps = math.inf if inv_a == 0.0 else 1.0 / inv_a
@@ -184,49 +213,6 @@ def _closed_form_params(p: TwoChannelParams) -> tuple[float, float]:
     if math.isfinite(a_eps):
         rstar += p.eps**2 / (2.0 * a_eps)
     return a_eps, rstar
-
-
-def fit_effective_params(p: TwoChannelParams, n_points: int = 24) -> tuple[float, float]:
-    """(a_eps, rstar_eps) from a quadratic fit of Re(1/f) at low energy.
-
-    The fit window spans [1e-6, 1e-3] in units of hbar^2/(m l^2), where l is
-    the largest length scale of the model, so it stays inside the expansion
-    region for any parameter set.
-    """
-    a_cf, r_cf = _closed_form_params(p)
-    scale_len = max(p.eps, abs(r_cf), abs(a_cf) if math.isfinite(a_cf) else p.eps)
-    e_scale = HBAR**2 / (p.mass * scale_len**2)
-    energies = np.linspace(1e-6, 1e-3, n_points) * e_scale
-    values = np.array([inverse_amplitude(p, e).real for e in energies])
-    x = energies / energies[-1]
-    coef = np.polyfit(x, values, 2)
-    inv_a_fit = -coef[2]
-    rstar_fit = -coef[1] / energies[-1] * HBAR**2 / p.mass
-    a_fit = math.inf if inv_a_fit == 0.0 else 1.0 / inv_a_fit
-    return a_fit, rstar_fit
-
-
-def effective_params(p: TwoChannelParams, rtol: float = 1e-6) -> tuple[float, float]:
-    """Closed-form (a_eps, rstar_eps), cross-checked against the low-energy fit.
-
-    Disagreement beyond ``rtol`` raises :class:`InconsistentExpansion`; that
-    signals an implementation defect rather than a property of the inputs,
-    so it is surfaced loudly instead of averaged away.
-    """
-    a_cf, r_cf = _closed_form_params(p)
-    a_fit, r_fit = fit_effective_params(p)
-    inv_cf = 0.0 if math.isinf(a_cf) else 1.0 / a_cf
-    inv_fit = 0.0 if math.isinf(a_fit) else 1.0 / a_fit
-    scale_inv = max(abs(inv_cf), 1e-12 * SQRT_2_OVER_PI / p.eps)
-    scale_len = max(p.eps, abs(a_cf) if math.isfinite(a_cf) else p.eps)
-    err_a = abs(inv_fit - inv_cf) / scale_inv
-    err_r = abs(r_fit - r_cf) / max(abs(r_cf), 1e-3 * scale_len)
-    if err_a > rtol or err_r > rtol:
-        raise InconsistentExpansion(
-            f"closed form (a={a_cf!r}, rstar={r_cf!r}) vs fit "
-            f"(a={a_fit!r}, rstar={r_fit!r}): relative errors ({err_a:.3e}, {err_r:.3e})"
-        )
-    return a_cf, r_cf
 
 
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:
@@ -263,65 +249,34 @@ def params_for_targets(
     )
 
 
-def _norm_integral(p: TwoChannelParams, energy: float) -> float:
-    """int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 by adaptive radial quadrature."""
-    m = p.mass
-    alpha = 0.5 * p.eps**2
-
-    def integrand(k):
-        return k * k * math.exp(-alpha * k * k) / (energy - (HBAR * k) ** 2 / m) ** 2
-
-    value, abserr = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    value /= 2.0 * math.pi**2
-    abserr /= 2.0 * math.pi**2
-    if not math.isfinite(value) or abserr > NORM_QUAD_RTOL * abs(value):
-        raise QuadratureFailure(
-            f"norm integral did not converge: value {value!r}, abserr {abserr!r}"
-        )
-    return value
-
-
 def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     """Locate the dressed molecular state and build its normalized content.
 
-    The pole condition (E - e_mol)/(2 lam^2) = I(E) is bracketed on a
-    geometric grid below threshold and refined to machine tolerance; when
-    several poles exist the shallowest one (the state connected to the
-    resonance) is returned. The closed-channel weight follows from unit
-    total norm, and the tail amplitude from the plateau of k^2 psi(k),
-    sampled at k = c/eps and extrapolated against the inverse-square window
-    variable.
+    Below threshold the bracket B(E) = (E - e_mol)/(2 lam^2) - I(E) rises
+    strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
+    B(0-) = m/(4 pi hbar^2 a_eps), so there is exactly one pole when
+    0 < a_eps < inf and none otherwise (:class:`NoBoundState`, also raised
+    when 1/a_eps is so small that the computed B(0) loses its sign to
+    rounding). The lower end of the bracket starts at the zero-range energy
+    -hbar^2/(m a_eps^2) and moves down geometrically until B < 0; one brentq
+    then solves B = 0. The closed-channel weight is
+    beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total norm, and the tail amplitude
+    follows from the plateau of k^2 psi(k), sampled at k = c/eps and
+    extrapolated against the inverse-square window variable.
     """
-    e_hi = SCAN_WINDOW_FACTOR * max(HBAR**2 / (p.mass * p.eps**2), abs(p.e_mol), 1.0)
-    decades = math.log10(e_hi / SCAN_E_FLOOR)
-    n = max(2, int(math.ceil(SCAN_POINTS_PER_DECADE * decades)) + 1)
-    magnitudes = np.geomspace(SCAN_E_FLOOR, e_hi, n)
-    energies = -magnitudes[::-1]
-    values = _pole_bracket(p, energies)
 
-    def bracket_scalar(e):
-        return float(_pole_bracket(p, e))
+    def bracket(e):
+        return _bracket(p, e).real
 
-    roots: list[float] = []
-    for i in range(n - 1):
-        if values[i] == 0.0:
-            roots.append(float(energies[i]))
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(
-                brentq(
-                    bracket_scalar,
-                    float(energies[i]),
-                    float(energies[i + 1]),
-                    rtol=4.0 * np.finfo(float).eps,
-                )
-            )
-    if values[-1] == 0.0:
-        roots.append(float(energies[-1]))
-    if not roots:
-        raise NoBoundState("no pole below threshold in the scan window")
-    energy = max(roots)
+    a_eps, _ = effective_params(p)
+    if not (0.0 < a_eps < math.inf and bracket(0.0) > 0.0):
+        raise NoBoundState(f"no pole below threshold for a_eps = {a_eps!r}")
+    e_lo = min(-HBAR**2 / (p.mass * a_eps**2), -np.finfo(float).tiny)
+    while bracket(e_lo) >= 0.0:
+        e_lo *= 4.0
+    energy = brentq(bracket, e_lo, 0.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
-    j = _norm_integral(p, energy)
+    j = norm_integral(p, energy)
     beta2 = 1.0 / (1.0 + 2.0 * p.lam**2 * j)
     open_norm = 2.0 * p.lam**2 * j * beta2
     beta = math.sqrt(beta2)
@@ -355,24 +310,30 @@ def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:
 def open_channel_overlap(
     s1: TwoChannelBoundState, s2: TwoChannelBoundState
 ) -> float:
-    """<1_open|2_open> = int d3k/(2 pi)^3 psi_1(k) psi_2(k) by quadrature."""
+    """<1_open|2_open> = 2 lam^2 beta_1 beta_2 K for two states of one model.
+
+    K = int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)) is by partial
+    fractions (I(E_1) - I(E_2))/(E_2 - E_1), the mean of J over [E_2, E_1].
+    In decay constants that mean is (m^2/(4 pi hbar^4)) S/(kappa_1 + kappa_2),
+    with S the mean of the bracket of J, (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at
+    x = kappa eps/sqrt(2), over [kappa_2, kappa_1]. S is taken by
+    Gauss-Legendre when the kappas are within ``OVERLAP_GAUSS_GAP``, which
+    gives K = J(E) at E_1 = E_2.
+    """
     p = s1.params
-    alpha = 0.5 * p.eps**2
     m = p.mass
-    pref = 2.0 * p.lam**2 * s1.beta * s2.beta
-
-    def integrand(k):
-        ek = (HBAR * k) ** 2 / m
-        return (
-            k * k * math.exp(-alpha * k * k) / ((s1.energy - ek) * (s2.energy - ek))
+    k1, k2 = (math.sqrt(-m * s.energy) / HBAR for s in (s1, s2))
+    if abs(k1 - k2) <= OVERLAP_GAUSS_GAP * (k1 + k2):
+        mid, half = 0.5 * (k1 + k2), 0.5 * (k1 - k2)
+        mean = 0.5 * sum(
+            w * _norm_shape((mid + half * t) * p.eps / math.sqrt(2.0))
+            for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
         )
-
-    value, abserr = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    value *= pref / (2.0 * math.pi**2)
-    abserr *= abs(pref) / (2.0 * math.pi**2)
-    if not math.isfinite(value) or abserr > NORM_QUAD_RTOL * max(abs(value), 1e-300):
-        raise QuadratureFailure("open-channel overlap quadrature did not converge")
-    return value
+        integral = m * m * mean / (4.0 * math.pi * HBAR**4 * (k1 + k2))
+    else:
+        e1, e2 = s1.energy, s2.energy
+        integral = (loop_integral(p, e1).real - loop_integral(p, e2).real) / (e2 - e1)
+    return 2.0 * p.lam**2 * s1.beta * s2.beta * integral
 
 
 @dataclass(frozen=True)
@@ -380,10 +341,9 @@ class IdentityReport:
     """Numerical content of the closed-channel product identity.
 
     ``residual_beta`` compares beta_1 beta_2 against 4 pi R* A_1 A_2 with the
-    tail-extracted amplitudes (vanishes linearly in eps), ``residual_total``
-    compares the full two-channel product against open product plus the same
-    tail term, and ``residual_exact`` uses the algebraic amplitude relation
-    A(beta), under which the identity holds to machine precision.
+    tail-extracted amplitudes (vanishes linearly in eps), and
+    ``residual_exact`` uses the algebraic amplitude relation A(beta), under
+    which the identity holds to machine precision.
     """
 
     rstar: float
@@ -393,7 +353,6 @@ class IdentityReport:
     tail_product: float
     exact_tail_product: float
     residual_beta: float
-    residual_total: float
     residual_exact: float
 
 
@@ -433,6 +392,5 @@ def product_identity_check(
         tail_product=tail_product,
         exact_tail_product=exact_tail,
         residual_beta=abs(beta_product - tail_product) / abs(beta_product),
-        residual_total=abs(total - (open_part + tail_product)) / abs(total),
         residual_exact=abs(beta_product - exact_tail) / abs(beta_product),
     )

@@ -60,6 +60,10 @@ class CheckResult:
     seconds: float
     cases: list | None = None
 
+    def __post_init__(self):
+        # Comparisons of numpy scalars yield numpy bools, which JSON rejects.
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -178,7 +182,7 @@ def check_series_quotient(seed: int = DEFAULT_SEED) -> CheckResult:
         if mode == 0:
             e2 = e1  # exactly degenerate
         elif mode in (1, 2):
-            e2 = e1 * (1.0 + 10.0 ** rng.uniform(-7.0, -2.0))  # near degenerate
+            e2 = e1 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))  # near degenerate
         else:
             e2 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
         amps = rng.normal(size=4)
@@ -305,6 +309,29 @@ def check_loop_oracle() -> CheckResult:
     )
 
 
+def fit_effective_params(
+    p: twochannel.TwoChannelParams, n_points: int = 24
+) -> tuple[float, float]:
+    """(a_eps, rstar_eps) from a quadratic fit of Re(1/f) at low energy.
+
+    The fit window spans [1e-6, 1e-3] in units of hbar^2/(m l^2), where l is
+    the largest length scale of the model, so it stays inside the expansion
+    region for any parameter set. It is the independent reference for the
+    closed form in :func:`resokit.twochannel.effective_params`.
+    """
+    a_cf, r_cf = twochannel.effective_params(p)
+    scale_len = max(p.eps, abs(r_cf), abs(a_cf) if math.isfinite(a_cf) else p.eps)
+    e_scale = twochannel.HBAR**2 / (p.mass * scale_len**2)
+    energies = np.linspace(1e-6, 1e-3, n_points) * e_scale
+    values = np.array([twochannel.inverse_amplitude(p, e).real for e in energies])
+    x = energies / energies[-1]
+    coef = np.polyfit(x, values, 2)
+    inv_a_fit = -coef[2]
+    rstar_fit = -coef[1] / energies[-1] * twochannel.HBAR**2 / p.mass
+    a_fit = math.inf if inv_a_fit == 0.0 else 1.0 / inv_a_fit
+    return a_fit, rstar_fit
+
+
 @_timed
 def check_effective_params(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form (a_eps, R*_eps) against the low-energy fit; coupling round trip."""
@@ -315,11 +342,10 @@ def check_effective_params(seed: int = DEFAULT_SEED) -> CheckResult:
         eps = rng.uniform(0.03, 0.3)
         a_target = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.5, 3.0)
         p = twochannel.params_for_targets(a_target, rstar, eps)
-        a_cf, r_cf = twochannel._closed_form_params(p)
-        a_fit, r_fit = twochannel.fit_effective_params(p)
+        a_cf, r_cf = twochannel.effective_params(p)
+        a_fit, r_fit = fit_effective_params(p)
         worst = max(worst, abs(1.0 / a_fit - 1.0 / a_cf) * abs(a_cf))
         worst = max(worst, abs(r_fit - r_cf) / abs(r_cf))
-        twochannel.effective_params(p)  # raises InconsistentExpansion on defect
     round_trip = 0.0
     for rstar in (0.25, 1.0, 4.0):
         lam = twochannel.lambda_from_rstar(rstar)
@@ -344,7 +370,7 @@ def check_zero_range_limit() -> CheckResult:
         p = twochannel.params_for_targets(1.0, 1.0, eps)
         state = twochannel.bound_state(p)
         energy_errors.append(abs(state.energy - E_REFERENCE))
-        a_fit, r_fit = twochannel.fit_effective_params(p)
+        a_fit, r_fit = fit_effective_params(p)
         a_dev = max(a_dev, abs(a_fit - 1.0))
         rstar_fits.append(r_fit)
     ratios = [energy_errors[i] / energy_errors[i + 1] for i in range(3)]

@@ -33,6 +33,15 @@ def mp_polyder(coeffs, x):
     return float(total)
 
 
+def mp_difference_quotient(coeffs, e1, e2):
+    """(g(e1) - g(e2))/(e1 - e2) for distinct floats, exact to 40 digits."""
+    e1, e2 = mp.mpf(repr(float(e1))), mp.mpf(repr(float(e2)))
+    cs = [mp.mpf(repr(float(c))) for c in coeffs]
+    g1 = sum(c * e1**n for n, c in enumerate(cs))
+    g2 = sum(c * e2**n for n, c in enumerate(cs))
+    return float((g1 - g2) / (e1 - e2))
+
+
 def mp_amplitude(coeffs, k):
     """f = -1/(-g(k^2) + i k) in mpmath complex arithmetic."""
     k = mp.mpf(repr(float(k)))
@@ -109,3 +118,56 @@ def loop_imag_eta_oracle(eps, energy, mass=1.0):
     v01 = 2.0 * values[1] - values[0]
     v12 = 2.0 * values[2] - values[1]
     return (4.0 * v12 - v01) / 3.0
+
+
+def mp_norm_integral(eps, energy, mass=1.0):
+    """J(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 by mpmath quadrature at 40 digits.
+
+    The radial integrand has scales kappa = sqrt(-m E) and 1/eps, so the
+    interval is split at both.
+    """
+    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
+    energy = mp.mpf(repr(float(energy)))
+    mass = mp.mpf(repr(float(mass)))
+    kappa = mp.sqrt(-mass * energy)
+    width = 1 / mp.sqrt(alpha)
+    points = sorted({mp.mpf(0), kappa, 10 * kappa, width, 10 * width})
+    value = mp.quad(
+        lambda k: k * k * mp.exp(-alpha * k * k) / (energy - k * k / mass) ** 2,
+        points + [mp.inf],
+    )
+    return value / (2 * mp.pi**2)
+
+
+def mp_pole_energy(lam, e_mol, eps, guess, mass=1.0):
+    """Root of (E - e_mol)/(2 lam^2) - I(E) below threshold at 40 digits.
+
+    Solved in kappa = sqrt(-m E), where the bracket stays real on both sides.
+    """
+    lam, e_mol, mass = (mp.mpf(repr(float(v))) for v in (lam, e_mol, mass))
+    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
+
+    def bracket(kappa):
+        loop = (mass / (2 * mp.pi**2)) * (
+            -mp.sqrt(mp.pi / alpha) / 2
+            + mp.pi * kappa * mp.exp(kappa * kappa * alpha) * mp.erfc(kappa * mp.sqrt(alpha)) / 2
+        )
+        return (-kappa * kappa / mass - e_mol) / (2 * lam * lam) - loop
+
+    kappa = mp.findroot(bracket, mp.sqrt(-mass * mp.mpf(repr(float(guess)))))
+    return float(-kappa * kappa / mass)
+
+
+def open_overlap_quadrature(lam, eps, e1, beta1, e2, beta2, mass=1.0):
+    """2 lam^2 beta_1 beta_2 int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)).
+
+    By adaptive quadrature of the radial integrand.
+    """
+    alpha = 0.5 * eps * eps
+
+    def integrand(k):
+        ek = k * k / mass
+        return k * k * math.exp(-alpha * k * k) / ((e1 - ek) * (e2 - ek))
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    return 2.0 * lam * lam * beta1 * beta2 * value / (2.0 * math.pi**2)

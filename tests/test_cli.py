@@ -283,6 +283,20 @@ class TestVerifyCommand:
         assert set(cases[0]) == {"model", "states", "plain", "modified", "residual"}
         assert all(case["residual"] < 1e-12 for case in cases)
 
+    def test_json_report_unitarity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "unitarity", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert [entry["passed"] for entry in report["outputs"]] == [True, True]
+        assert all(r["passed"] is True for r in report["residuals"].values())
+
+    def test_text_report_to_file(self, capsys, tmp_path):
+        out_path = tmp_path / "verify.txt"
+        code, out, _ = run_cli(capsys, "verify", "unitarity", "--out", str(out_path))
+        assert code == 0
+        assert out == ""
+        assert out_path.read_text().count("[PASS]") == 2
+
     def test_verify_all_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 0
@@ -310,6 +324,21 @@ class TestOutputFile:
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-command"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplitude", "--a", "1", "--k", "1"],
+        ["bound-state", "--a", "1", "--rstar", "1"],
+        ["two-channel", "params", "--a", "1", "--rstar", "1"],
+        ["verify", "unitarity"],
+    ],
+)
+def test_units_only_on_feshbach(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--units", "si"])
     assert err.value.code == 2
 
 

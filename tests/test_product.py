@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import radial_overlap_quadrature
+from oracles import mp_difference_quotient, radial_overlap_quadrature
 from resokit import bound
-from resokit.contact import PhaseShiftModel
+from resokit.contact import HBAR, REDUCED_MASS, PhaseShiftModel
 from resokit.errors import InvalidInput, KindMismatch, SingularSystem
 from resokit.product import (
     ContactEigenstate,
@@ -110,6 +110,18 @@ class TestModifiedProduct:
             diffs.append(abs(shifted - base))
         for d1, d2 in zip(diffs, diffs[1:]):
             assert 1.8 < d1 / d2 < 2.2
+
+    def test_near_degenerate_against_mpmath(self):
+        # relative energy gaps 1e-9 to 1e-12: the telescoped sum stays exact
+        coeffs = (-1.0, 0.5, 0.8, -0.3)
+        model = PhaseShiftModel(coeffs)
+        prefactor = 2.0 * math.pi * HBAR**2 / REDUCED_MASS
+        for e in (-0.3, -1.7):
+            for gap in (1e-9, 1e-10, 1e-11, 1e-12):
+                e2 = e * (1.0 + gap)
+                got = modified_product(model, bound_state(e), bound_state(e2), 0.0j)
+                expected = -prefactor * mp_difference_quotient(coeffs, e, e2)
+                assert abs(got.real - expected) <= 1e-13 * abs(expected)
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(3)

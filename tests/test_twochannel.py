@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import loop_imag_eta_oracle, richardson_derivative
+from oracles import (
+    loop_imag_eta_oracle,
+    mp_norm_integral,
+    mp_pole_energy,
+    open_overlap_quadrature,
+    richardson_derivative,
+)
 from resokit import twochannel as tc
 from resokit.errors import (
-    InconsistentExpansion,
     InvalidInput,
     NoBoundState,
     ParameterMismatch,
@@ -18,6 +23,7 @@ from resokit.verify import (
     BETA2_LIMIT,
     E_REFERENCE,
     Q_REFERENCE,
+    fit_effective_params,
     loop_integral_quadrature,
 )
 
@@ -94,6 +100,24 @@ class TestLoopIntegral:
         assert math.isfinite(value.real)
 
 
+class TestNormIntegral:
+    def test_against_mpmath_quadrature(self):
+        # x = kappa eps/sqrt(2) across both branches, incl. the series crossover
+        xs = list(np.geomspace(1e-4, 1e6, 41)) + [6.9, 7.0, 7.1, 9.5]
+        for mass in (1.0, 2.5):
+            p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1, mass=mass)
+            for x in xs:
+                kappa = float(x) * math.sqrt(2.0) / p.eps
+                energy = -(kappa**2) / mass
+                ref = float(mp_norm_integral(p.eps, energy, mass))
+                assert abs(tc.norm_integral(p, energy) - ref) <= 1e-11 * ref
+
+    def test_above_threshold_rejected(self):
+        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1)
+        with pytest.raises(InvalidInput):
+            tc.norm_integral(p, 0.0)
+
+
 class TestAmplitude:
     def test_unitarity_on_log_grid(self):
         p = reference_params(eps=0.1)
@@ -145,17 +169,9 @@ class TestEffectiveParams:
         for eps in (0.2, 0.05):
             p = reference_params(eps=eps)
             a_cf, r_cf = tc.effective_params(p)
-            a_fit, r_fit = tc.fit_effective_params(p)
+            a_fit, r_fit = fit_effective_params(p)
             assert a_fit == pytest.approx(a_cf, rel=1e-8)
             assert r_fit == pytest.approx(r_cf, rel=1e-8)
-
-    def test_inconsistency_is_surfaced(self, monkeypatch):
-        p = reference_params(eps=0.1)
-        monkeypatch.setattr(
-            tc, "fit_effective_params", lambda params, n_points=24: (1.1, 0.9)
-        )
-        with pytest.raises(InconsistentExpansion):
-            tc.effective_params(p)
 
     def test_zero_range_slope_of_rstar(self):
         # holding a_eps = 1: rstar_eps - R* = -sqrt(2/pi) eps + eps^2/2
@@ -243,6 +259,58 @@ class TestBoundState:
         with pytest.raises(NoBoundState):
             tc.bound_state(tc.params_for_targets(-1.0, 1.0, 0.1))
 
+    def test_no_bound_state_exactly_when_a_eps_not_positive(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = tc.TwoChannelParams(
+                lam=float(10.0 ** rng.uniform(-1.0, 2.0)),
+                e_mol=float(rng.uniform(-50.0, 50.0)),
+                eps=float(10.0 ** rng.uniform(-3.0, 0.0)),
+            )
+            a_eps, _ = tc.effective_params(p)
+            if a_eps > 0.0:
+                assert tc.bound_state(p).energy < 0.0
+            else:
+                with pytest.raises(NoBoundState):
+                    tc.bound_state(p)
+
+    def test_no_bound_state_at_infinite_a(self):
+        lam, eps = 1.0, 0.1
+        p = tc.TwoChannelParams(
+            lam=lam, e_mol=lam**2 * math.sqrt(2.0 / math.pi) / (2.0 * math.pi * eps), eps=eps
+        )
+        assert tc.effective_params(p)[0] == math.inf
+        with pytest.raises(NoBoundState):
+            tc.bound_state(p)
+
+    def test_deep_pole(self):
+        # strong coupling puts the pole far below the regulator scale 1/eps^2
+        p = tc.TwoChannelParams(lam=1e4, e_mol=0.0, eps=0.1)
+        state = tc.bound_state(p)
+        assert state.energy == pytest.approx(-1.125e5, rel=1e-3)
+        detuning = (state.energy - p.e_mol) / (2.0 * p.lam**2)
+        loop = tc.loop_integral(p, state.energy).real
+        assert abs(detuning - loop) <= 4.0 * np.finfo(float).eps * abs(loop)
+        # loop_integral cancels to about x^2 machine epsilons at x = kappa eps/sqrt(2) ~ 24
+        assert state.energy == pytest.approx(
+            mp_pole_energy(p.lam, p.e_mol, p.eps, state.energy), rel=1e-12
+        )
+
+    def test_shallow_pole_to_full_precision(self):
+        # a large scattering length puts the pole at |E| ~ 1e-3
+        p = tc.params_for_targets(28.454393197906118, 9.945882700671524, 0.04292441413980349)
+        state = tc.bound_state(p)
+        ref = mp_pole_energy(p.lam, p.e_mol, p.eps, state.energy)
+        assert abs(state.energy - ref) <= 1e-11 * abs(ref)
+
+    def test_beta2_against_mpmath_norm(self):
+        for eps in (0.2, 0.05, 1e-3):
+            p = reference_params(eps=eps)
+            state = tc.bound_state(p)
+            j = float(mp_norm_integral(p.eps, state.energy))
+            expected = 1.0 / (1.0 + 2.0 * p.lam**2 * j)
+            assert state.beta2 == pytest.approx(expected, rel=1e-12)
+
     def test_psi_matches_tail_near_plateau(self):
         p = reference_params(eps=0.025)
         state = tc.bound_state(p)
@@ -300,7 +368,24 @@ class TestProductIdentity:
             report.open_overlap + report.beta_product, rel=1e-14
         )
         assert report.residual_beta < 0.1
-        assert report.residual_total < report.residual_beta
+
+    def test_open_overlap_against_quadrature(self):
+        eps = 0.05
+        lam = tc.lambda_from_rstar(1.0)
+        base = tc.TwoChannelParams(lam=lam, e_mol=0.0, eps=eps)
+        states = [
+            tc.bound_state(
+                tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(a, base), eps=eps)
+            )
+            for a in (1.0, 0.7, 1.0 + 1e-8)
+        ]
+        for i, j in ((0, 0), (1, 1), (0, 1), (0, 2)):
+            s1, s2 = states[i], states[j]
+            oracle = open_overlap_quadrature(lam, eps, s1.energy, s1.beta, s2.energy, s2.beta)
+            assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-10)
+        assert tc.open_channel_overlap(states[0], states[0]) == pytest.approx(
+            states[0].open_norm, rel=1e-14
+        )
 
     def test_parameter_mismatch_rejected(self):
         p1 = reference_params(eps=0.1)

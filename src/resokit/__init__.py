@@ -17,6 +17,10 @@ Core objects:
 
 All analysis code works in natural units (hbar = 1, atom mass = 1, so
 E = k^2); conversions happen at the boundary.
+
+Only :mod:`~resokit.twochannel` and :mod:`~resokit.verify` import scipy;
+the two-channel names below are served lazily so that the one-channel
+layers load with numpy alone.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +35,6 @@ from .product import (
     plain_overlap_bound,
     reg_matrix_element,
 )
-from .twochannel import TwoChannelBoundState, TwoChannelParams
 from .units import (
     NATURAL,
     ResonanceData,
@@ -69,3 +72,11 @@ __all__ = [
     "wavefunction",
     "width_radius",
 ]
+
+
+def __getattr__(name):
+    if name in ("TwoChannelBoundState", "TwoChannelParams"):
+        from . import twochannel
+
+        return getattr(twochannel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.polynomial import polyroots
 
 from .contact import ATOM_MASS, HBAR, REDUCED_MASS, PhaseShiftModel
 from .errors import InvalidInput, RootAtGridBoundary
 
 Q_MIN_DEFAULT = 1e-8
-POINTS_PER_DECADE = 512
+REAL_ROOT_REL = 1e-6
+EDGE_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ def _normalization_parts(model: PhaseShiftModel, q: float):
 
 
 def _polish(model: PhaseShiftModel, q: float, lo: float, hi: float) -> float:
-    # One guarded Newton step drives |h(q)| to the rounding floor, which the
-    # bracketing refiner alone does not guarantee.
+    # Guarded Newton steps drive |h(q)| to the rounding floor, which the
+    # eigenvalues of the companion matrix alone do not guarantee.
     for _ in range(2):
         h = _pole_condition(model, q)
         if h == 0.0:
@@ -81,49 +82,53 @@ def find_bound_states(
     q_max: float,
     q_min: float = Q_MIN_DEFAULT,
 ) -> list[BoundState]:
-    """All roots of g(-q^2) + q on (q_min, q_max], sorted by increasing q.
+    """All roots of h(q) = g(-q^2) + q on (q_min, q_max], sorted by increasing q.
 
-    The interval is scanned on a geometric grid of ``POINTS_PER_DECADE``
-    points per decade; each sign change is refined by a bracketing solver
-    and polished with a guarded Newton step. An empty list means no bound
-    state, not a failure. A root within one grid step of ``q_max`` triggers
-    a :class:`RootAtGridBoundary` warning since further poles may lie just
-    outside the window.
+    h is a polynomial of degree 2N in q for a degree-N model, so its roots
+    are the eigenvalues of one companion matrix. A root z counts as real
+    when |Im z| <= ``REAL_ROOT_REL`` |z|. Simple real roots come back with
+    Im z = 0 exactly; the band admits a tangent (double) root, which
+    rounding splits by about sqrt(machine eps) into either a conjugate pair
+    or two real roots. Either way the pair is reported once, at its mean, so
+    two real roots closer than ``REAL_ROOT_REL`` relative count as one
+    tangent pole. Each kept root is polished with guarded Newton steps. An
+    empty list means no bound state, not a failure.
+
+    At a tangent pole h'(q) = 0, and the norm denominator
+    1/q - (hbar^2/mu) g'(E) equals h'(q)/q, so |A|^2 diverges: ``norm_sign``
+    then follows the sign of the rounded denominator ("negative" with
+    ``a2 = inf`` when it is exactly zero).
+
+    A root within ``EDGE_REL`` of ``q_max`` triggers a
+    :class:`RootAtGridBoundary` warning, since rounding may move it, or a
+    neighbour, across the window edge.
     """
     if not q_max > 0.0:
         raise InvalidInput("q_max must be positive")
     if not 0.0 < q_min < q_max:
         raise InvalidInput("need 0 < q_min < q_max")
-    decades = math.log10(q_max / q_min)
-    n = max(2, int(math.ceil(POINTS_PER_DECADE * decades)) + 1)
-    grid = np.geomspace(q_min, q_max, n)
-    h = np.asarray(_pole_condition(model, grid), dtype=float)
+    # h(q) = sum_n c_n (-hbar^2/m)^n q^(2n) + q, in increasing powers of q.
+    coeffs = np.asarray(model.coeffs)
+    h = np.zeros(max(2, 2 * len(coeffs) - 1))
+    h[0::2] = coeffs * (-(HBAR**2 / ATOM_MASS)) ** np.arange(len(coeffs))
+    h[1] += 1.0
+    candidates: list[float] = []
+    for z in map(complex, polyroots(h).tolist()):  # sorted by real part
+        # Im z >= 0 keeps one member of each conjugate pair.
+        if not 0.0 <= z.imag <= REAL_ROOT_REL * abs(z):
+            continue
+        if candidates and z.real - candidates[-1] <= REAL_ROOT_REL * abs(z):
+            # The other half of a tangent pole that rounding split into two
+            # real roots; their mean, like a conjugate pair's real part, is
+            # the accurate estimate of the double root.
+            candidates[-1] = 0.5 * (candidates[-1] + z.real)
+            continue
+        candidates.append(z.real)
+    roots = sorted(_polish(model, q, q_min, q_max) for q in candidates if q_min < q <= q_max)
 
-    roots: list[float] = []
-    for i in range(n - 1):
-        if h[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif h[i] * h[i + 1] < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            q = brentq(
-                lambda x: _pole_condition(model, x),
-                lo,
-                hi,
-                rtol=4.0 * np.finfo(float).eps,
-            )
-            roots.append(_polish(model, q, lo, hi))
-    if h[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    deduped: list[float] = []
-    for q in roots:
-        if not deduped or abs(q - deduped[-1]) > 1e-12 * q:
-            deduped.append(q)
-
-    last_step = float(grid[-1] - grid[-2])
     states = []
-    for q in deduped:
-        if q_max - q <= last_step:
+    for q in roots:
+        if q >= q_max * (1.0 - EDGE_REL):
             warnings.warn(
                 f"root q = {q:.6g} lies at the edge of the scan window q_max = {q_max:.6g}",
                 RootAtGridBoundary,

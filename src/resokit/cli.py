@@ -19,8 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, bound, scattering, twochannel
-from . import verify as verify_mod
+from . import __version__, bound, scattering
 from .contact import PhaseShiftModel, parse_model_literal
 from .errors import (
     DegenerateResonance,
@@ -50,6 +49,12 @@ INPUT_ERRORS = (
     UnitError,
 )
 NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, PoleHit)
+
+# The verify subcommand's groups and default seed, kept here so that parsing
+# a command line does not import the battery (and with it scipy); a test
+# pins them to resokit.verify.
+VERIFY_GROUPS = ("all", "identity", "mapping", "orthogonality", "unitarity")
+VERIFY_DEFAULT_SEED = 20260810
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -220,7 +225,9 @@ def _cmd_modified_norm(args) -> int:
     return EXIT_OK
 
 
-def _params_from_args(args) -> twochannel.TwoChannelParams:
+def _params_from_args(args):
+    from . import twochannel
+
     if args.lam is not None:
         if args.emol is None:
             raise InvalidInput("need --emol together with --lambda")
@@ -233,6 +240,8 @@ def _params_from_args(args) -> twochannel.TwoChannelParams:
 
 
 def _cmd_two_channel(args) -> int:
+    from . import twochannel
+
     if args.tc_command == "params":
         p = _params_from_args(args)
         a_eps, rstar_eps = twochannel.effective_params(p)
@@ -285,7 +294,7 @@ def _cmd_two_channel(args) -> int:
     return EXIT_OK
 
 
-def _echo_params(p: twochannel.TwoChannelParams) -> dict:
+def _echo_params(p) -> dict:
     return {"lambda": p.lam, "emol": p.e_mol, "eps": p.eps, "mass": p.mass}
 
 
@@ -337,7 +346,9 @@ def _cmd_feshbach(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_battery(group=args.group, seed=args.seed)
+    from . import verify
+
+    results = verify.run_battery(group=args.group, seed=args.seed)
     if args.format == "json":
         report = RunReport(
             command=f"verify {args.group}",
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs = sub.add_parser("bound-state", help="bound-state poles of a model")
     _add_model_flags(p_bs)
     p_bs.add_argument("--qmax", type=float, default=100.0,
-                      help="upper edge of the decay-constant scan")
+                      help="upper edge of the decay-constant window")
     _add_output_flags(p_bs)
     p_bs.set_defaults(handler=_cmd_bound_state)
 
@@ -453,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(handler=_cmd_feshbach)
 
     p_v = sub.add_parser("verify", help="run the verification battery")
-    p_v.add_argument("group", choices=sorted(verify_mod.GROUPS),
+    p_v.add_argument("group", choices=VERIFY_GROUPS,
                      help="which battery group to run")
-    p_v.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p_v.add_argument("--seed", type=int, default=VERIFY_DEFAULT_SEED)
     _add_output_flags(p_v)
     p_v.set_defaults(handler=_cmd_verify)
 

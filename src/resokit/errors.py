@@ -55,4 +55,7 @@ class UnitError(ResokitError):
 
 
 class RootAtGridBoundary(UserWarning):
-    """A root lies within one grid step of the scan boundary."""
+    """A reported root lies within ``bound.EDGE_REL`` of the window edge q_max.
+
+    Rounding may move such a root, or a neighbour, across the edge.
+    """

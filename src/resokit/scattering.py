@@ -26,8 +26,8 @@ class ScatteringPoint:
 
 def amplitude(model: PhaseShiftModel, k: float) -> complex:
     """f(k) = -1/(-g(E) + ik); at k = 0 the real threshold value -a."""
-    if k < 0.0:
-        raise InvalidInput("wavenumber must be nonnegative")
+    if not 0.0 <= k < math.inf:
+        raise InvalidInput("wavenumber must be finite and nonnegative")
     energy = (HBAR * k) ** 2 / ATOM_MASS
     g = model.g(energy)
     if k == 0.0:
@@ -43,16 +43,16 @@ def phase_shift(model: PhaseShiftModel, k: float) -> float:
     Evaluated as atan2(k, g), which keeps the branch open at 0 for any
     finite g; the limits g/k -> +inf and -inf map to 0+ and pi.
     """
-    if k <= 0.0:
-        raise InvalidInput("wavenumber must be positive")
+    if not 0.0 < k < math.inf:
+        raise InvalidInput("wavenumber must be finite and positive")
     energy = (HBAR * k) ** 2 / ATOM_MASS
     return math.atan2(k, model.g(energy))
 
 
 def cross_section(model: PhaseShiftModel, k: float, identical: bool = False) -> float:
     """4 pi |f|^2, or 8 pi |f|^2 for identical bosons."""
-    if k <= 0.0:
-        raise InvalidInput("wavenumber must be positive")
+    if not 0.0 < k < math.inf:
+        raise InvalidInput("wavenumber must be finite and positive")
     f = amplitude(model, k)
     factor = 8.0 * math.pi if identical else 4.0 * math.pi
     return factor * abs(f) ** 2

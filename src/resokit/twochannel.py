@@ -35,23 +35,26 @@ SQRT_PI = math.sqrt(math.pi)
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
 
-# The norm integral's bracket (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) cancels to
-# about x^4 machine epsilons; from NORM_SERIES_X on it is summed as its
-# asymptotic series sum_{n>=1} c_n x^-(2n+1)/sqrt(pi) with
-# c_n = -2n (-1)^n (2n-1)!!/2^n. Crossover and length were chosen against
-# mpmath: both branches stay within 3e-12 relative for all x.
-NORM_SERIES_X = 7.0
-NORM_SERIES_TERMS = 20
-_NORM_SERIES = tuple(
-    -2.0 * n * (-1.0) ** n * math.prod(range(1, 2 * n, 2)) / 2.0**n
-    for n in range(1, NORM_SERIES_TERMS + 1)
+# Below threshold I(E) carries the bracket sqrt(pi) x erfcx(x) - 1 and the
+# norm integral J the bracket (1 + 2x^2) erfcx(x) - 2x/sqrt(pi), at
+# x = kappa eps/sqrt(2). They cancel to about x^2 and x^4 machine epsilons,
+# so from SERIES_X on both are summed as asymptotic series: the first is
+# sum_{n>=1} a_n x^-2n with a_n = (-1)^n (2n-1)!!/2^n, the second, its
+# derivative up to a factor, sum_{n>=1} -2n a_n x^-(2n+1)/sqrt(pi).
+# Crossover and length were chosen against mpmath: both brackets stay within
+# 3e-12 relative for all x.
+SERIES_X = 7.0
+SERIES_TERMS = 20
+_LOOP_SERIES = tuple(
+    (-1.0) ** n * math.prod(range(1, 2 * n, 2)) / 2.0**n
+    for n in range(1, SERIES_TERMS + 1)
 )
+_NORM_SERIES = tuple(-2.0 * n * a for n, a in enumerate(_LOOP_SERIES, start=1))
 
 # Open-channel overlaps of states whose decay constants differ by at most
 # this fraction of their sum average J by Gauss-Legendre, because the
 # difference of loop integrals cancels there. Against mpmath the average
-# stays within 1e-13 relative and the difference within 5e-12, apart from
-# the rounding that loop_integral itself carries at large kappa eps.
+# stays within 1e-13 relative and the difference within 5e-12.
 OVERLAP_GAUSS_GAP = 0.2
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -68,10 +71,14 @@ class TwoChannelParams:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise InvalidInput("regulator width eps must be positive")
-        if self.lam == 0.0:
-            raise InvalidInput("coupling amplitude must be nonzero")
-        if not self.mass > 0.0:
-            raise InvalidInput("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise InvalidInput("mass must be positive and finite")
+        if not math.isfinite(self.e_mol):
+            raise InvalidInput("molecular energy must be finite")
+        # The closed forms divide by eps^2 and lam^2; this also rejects
+        # lam = 0 and non-finite eps or lam.
+        if not (0.0 < self.eps * self.eps < math.inf and 0.0 < self.lam * self.lam < math.inf):
+            raise InvalidInput("eps and the coupling amplitude need finite, nonzero squares")
 
     def chi(self, k):
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
@@ -110,10 +117,11 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     """Regularized loop integral I(E) over intermediate atom pairs.
 
     For the Gaussian form factor the integral has a closed form: below
-    threshold it involves the scaled complementary error function, above it
-    the Dawson function for the principal value plus an exact on-shell
-    imaginary part. Scaled special functions keep the evaluation finite for
-    arbitrarily deep energies.
+    threshold it involves the scaled complementary error function, summed as
+    its asymptotic series from x = kappa eps/sqrt(2) >= ``SERIES_X`` on,
+    above it the Dawson function for the principal value plus an exact
+    on-shell imaginary part. Scaled special functions keep the evaluation
+    finite for arbitrarily deep energies.
     """
     m = p.mass
     alpha = 0.5 * p.eps**2
@@ -121,10 +129,13 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     if energy < 0.0:
         kappa = math.sqrt(-m * energy) / HBAR
         x = kappa * math.sqrt(alpha)
-        real = prefactor * (
-            -0.5 * math.sqrt(math.pi / alpha)
-            + 0.5 * math.pi * kappa * float(erfcx(x))
-        )
+        if x < SERIES_X:
+            real = prefactor * (
+                -0.5 * math.sqrt(math.pi / alpha)
+                + 0.5 * math.pi * kappa * float(erfcx(x))
+            )
+        else:
+            real = prefactor * 0.5 * SQRT_PI / math.sqrt(alpha) * _series(_LOOP_SERIES, x)
         return complex(real, 0.0)
     if energy == 0.0:
         return complex(
@@ -145,15 +156,20 @@ def _bracket(p: TwoChannelParams, energy: float) -> complex:
     return (energy - p.e_mol) / (2.0 * p.lam**2) - loop_integral(p, energy)
 
 
-def _norm_shape(x: float) -> float:
-    """(1 + 2x^2) erfcx(x) - 2x/sqrt(pi), by its asymptotic series from NORM_SERIES_X on."""
-    if x < NORM_SERIES_X:
-        return (1.0 + 2.0 * x * x) * float(erfcx(x)) - 2.0 * x / SQRT_PI
+def _series(coeffs, x: float) -> float:
+    """sum_{n>=1} coeffs[n-1] x^-2n by Horner's rule in 1/x^2."""
     y = 1.0 / (x * x)
     total = 0.0
-    for c in reversed(_NORM_SERIES):
+    for c in reversed(coeffs):
         total = (total + c) * y
-    return total / (x * SQRT_PI)
+    return total
+
+
+def _norm_shape(x: float) -> float:
+    """(1 + 2x^2) erfcx(x) - 2x/sqrt(pi), by its asymptotic series from SERIES_X on."""
+    if x < SERIES_X:
+        return (1.0 + 2.0 * x * x) * float(erfcx(x)) - 2.0 * x / SQRT_PI
+    return _series(_NORM_SERIES, x) / (x * SQRT_PI)
 
 
 def norm_integral(p: TwoChannelParams, energy: float) -> float:

@@ -17,17 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from scipy import constants as _const
-
 from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
 
-HBAR_SI = _const.hbar
-BOHR_RADIUS_SI = _const.physical_constants["Bohr radius"][0]
-HARTREE_SI = _const.physical_constants["Hartree energy"][0]
-ATOMIC_MASS_SI = _const.physical_constants["atomic mass constant"][0]
-BOHR_MAGNETON_SI = _const.physical_constants["Bohr magneton"][0]
-ELECTRON_MASS_SI = _const.m_e
-FIELD_AU_SI = _const.physical_constants["atomic unit of mag. flux density"][0]
+# CODATA 2022 values, as scipy.constants 1.17 gives them; HBAR_SI is
+# h/(2 pi) with the exact SI value of h.
+HBAR_SI = 1.0545718176461565e-34
+BOHR_RADIUS_SI = 5.29177210544e-11
+HARTREE_SI = 4.359744722206e-18
+ATOMIC_MASS_SI = 1.66053906892e-27
+BOHR_MAGNETON_SI = 9.2740100657e-24
+ELECTRON_MASS_SI = 9.1093837139e-31
+FIELD_AU_SI = 235051.757077
 GAUSS_SI = 1.0e-4
 
 Mode = Literal["natural", "si", "atomic"]

@@ -171,3 +171,48 @@ def open_overlap_quadrature(lam, eps, e1, beta1, e2, beta2, mass=1.0):
 
     value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
     return 2.0 * lam * lam * beta1 * beta2 * value / (2.0 * math.pi**2)
+
+
+def mp_pole_residual(coeffs, q):
+    """h(q) = g(-q^2) + q at the float q, evaluated at 40 digits."""
+    q = mp.mpf(repr(float(q)))
+    return sum(mp.mpf(repr(float(c))) * (-q * q) ** n for n, c in enumerate(coeffs)) + q
+
+
+def mp_bound_poles(coeffs, q_min, q_max):
+    """Real roots of h(q) = g(-q^2) + q in (q_min, q_max], sorted.
+
+    numpy's companion-matrix roots only serve as starting points: every root
+    with Im z >= 0 is refined at 40 digits by mpmath's secant iteration on
+    the complex plane, and counts as real when the refined imaginary part
+    vanishes to 25 digits.
+    """
+    cs = [mp.mpf(repr(float(c))) for c in coeffs]
+
+    def h(q):
+        return sum(c * (-q * q) ** n for n, c in enumerate(cs)) + q
+
+    h_np = np.zeros(max(2, 2 * len(coeffs) - 1))
+    for n, c in enumerate(coeffs):
+        h_np[2 * n] = c * (-1.0) ** n
+    h_np[1] += 1.0
+    found = []
+    for z in map(complex, np.polynomial.polynomial.polyroots(h_np).tolist()):
+        if z.imag < 0.0:
+            continue
+        start = mp.mpf(z.real) if z.imag == 0.0 else mp.mpc(z.real, z.imag)
+        root = mp.findroot(h, start)
+        if abs(mp.im(root)) <= mp.mpf("1e-25") * abs(root) and q_min < mp.re(root) <= q_max:
+            found.append(float(mp.re(root)))
+    return sorted(found)
+
+
+def mp_loop_integral(eps, energy, mass=1.0):
+    """I(E < 0) in closed form with mpmath's erfc at 40 digits."""
+    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
+    mass = mp.mpf(repr(float(mass)))
+    kappa = mp.sqrt(-mass * mp.mpf(repr(float(energy))))
+    return (mass / (2 * mp.pi**2)) * (
+        -mp.sqrt(mp.pi / alpha) / 2
+        + mp.pi * kappa * mp.exp(kappa * kappa * alpha) * mp.erfc(kappa * mp.sqrt(alpha)) / 2
+    )

@@ -6,9 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import radial_norm_quadrature
+from oracles import mp_bound_poles, mp_pole_residual, radial_norm_quadrature
 from resokit import bound
 from resokit.contact import PhaseShiftModel
+from resokit.product import construct_two_pole_model
 from resokit.errors import InvalidInput, RootAtGridBoundary
 
 CONST = PhaseShiftModel.from_effective_range(1.0)
@@ -81,6 +82,55 @@ class TestFindBoundStates:
             bound.find_bound_states(CONST, q_max=-1.0)
         with pytest.raises(InvalidInput):
             bound.find_bound_states(CONST, q_max=1e-9)
+
+
+class TestPolynomialRoots:
+    @pytest.mark.parametrize("q2", [1.001, 1.003])
+    def test_close_pair_both_found(self, q2):
+        states = bound.find_bound_states(construct_two_pole_model(1.0, q2), q_max=10.0)
+        assert [s.q for s in states] == [
+            pytest.approx(1.0, rel=1e-10),
+            pytest.approx(q2, rel=1e-10),
+        ]
+
+    def test_seeded_close_pairs_at_rounding_level(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            q1 = 10.0 ** rng.uniform(-1.0, 1.0)
+            q2 = q1 * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
+            model = construct_two_pole_model(q1, q2)
+            states = bound.find_bound_states(model, q_max=100.0)
+            assert len(states) == 2
+            for s in states:
+                c0, c1 = model.coeffs
+                scale = abs(c0) + abs(c1) * s.q * s.q + s.q
+                assert abs(mp_pole_residual(model.coeffs, s.q)) <= 4.0 * eps * scale
+
+    def test_random_models_against_mpmath_oracle(self):
+        rng = np.random.default_rng(31)
+        for degree in range(1, 7):
+            for _ in range(25):
+                model = PhaseShiftModel(tuple(rng.uniform(-2.0, 2.0, degree + 1)))
+                got = [s.q for s in bound.find_bound_states(model, q_max=50.0)]
+                ref = mp_bound_poles(model.coeffs, bound.Q_MIN_DEFAULT, 50.0)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_tangent_pole_reported_once(self):
+        # g = -q0/2 + E/(2 q0) gives h(q) = -(q - q0)^2/(2 q0), a double root
+        rng = np.random.default_rng(5)
+        for q0 in [1.0, 0.5, 2.0, *10.0 ** rng.uniform(-2.0, 2.0, 50)]:
+            model = PhaseShiftModel((-q0 / 2.0, 1.0 / (2.0 * q0)))
+            states = bound.find_bound_states(model, q_max=1e3)
+            assert len(states) == 1
+            assert states[0].q == pytest.approx(q0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("c0", [-1.0, -(1.0 + 1e-8) / 2.0])
+    def test_complex_pair_not_reported(self, c0):
+        # h(q) = c0 + q - q^2/2 has roots 1 +- i sqrt(-1 - 2 c0): Im z/|z| is
+        # 0.7 and 1e-4 here, both outside the real-root band
+        model = PhaseShiftModel((c0, 0.5))
+        assert bound.find_bound_states(model, q_max=10.0) == []
 
 
 class TestNormalization:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import resokit
 from resokit import cli
 from resokit.verify import SYNTHETIC_SPECIES_CSV, CheckResult
 
@@ -340,6 +343,58 @@ def test_units_only_on_feshbach(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--units", "si"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-channel", "params", "--eps", "1e160", "--lambda", "1", "--emol", "0"],
+        ["two-channel", "params", "--eps", "inf", "--lambda", "1", "--emol", "0"],
+        ["two-channel", "bound", "--eps", "1e160", "--lambda", "1", "--emol", "0"],
+        ["amplitude", "--a", "1", "--k", "nan"],
+        ["amplitude", "--a", "1", "--k", "inf"],
+    ],
+)
+def test_non_finite_or_overflowing_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+def test_verify_choices_match_battery():
+    from resokit import verify
+
+    assert cli.VERIFY_GROUPS == tuple(sorted(verify.GROUPS))
+    assert cli.VERIFY_DEFAULT_SEED == verify.DEFAULT_SEED
+    assert cli.build_parser().parse_args(["verify", "all"]).seed == verify.DEFAULT_SEED
+
+
+def test_one_channel_commands_import_no_scipy(tmp_path):
+    species = tmp_path / "species.csv"
+    species.write_text(SYNTHETIC_SPECIES_CSV)
+    script = f"""
+import contextlib, io, sys
+import resokit.cli as cli
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+for argv in (
+    ["amplitude", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "2", "--steps", "5"],
+    ["bound-state", "--a", "1", "--rstar", "1"],
+    ["modified-norm", "--coeffs=-1,0.5,0.8,-0.3"],
+    ["feshbach", "sweep", "--species", {str(species)!r}, "--min", "90", "--max", "110"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded += [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(sorted(set(loaded)))
+"""
+    src = str(Path(resokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

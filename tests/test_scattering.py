@@ -40,6 +40,14 @@ class TestAmplitude:
         with pytest.raises(InvalidInput):
             scattering.amplitude(CONST, -0.1)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "observable", [scattering.amplitude, scattering.phase_shift, scattering.cross_section]
+    )
+    def test_non_finite_wavenumber_rejected(self, observable, k):
+        with pytest.raises(InvalidInput):
+            observable(CONST, k)
+
     def test_threshold_error_is_quadratic(self):
         # Re f + a shrinks by 4 when k halves
         errors = [abs(scattering.amplitude(EFF, k).real + 1.0) for k in (0.02, 0.01, 0.005)]

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     loop_imag_eta_oracle,
+    mp_loop_integral,
     mp_norm_integral,
     mp_pole_energy,
     open_overlap_quadrature,
@@ -42,6 +43,20 @@ class TestParams:
             tc.TwoChannelParams(lam=0.0, e_mol=0.0, eps=0.1)
         with pytest.raises(InvalidInput):
             tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1, mass=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lam": math.nan}, {"lam": math.inf}, {"e_mol": math.inf},
+            {"e_mol": math.nan}, {"eps": math.inf}, {"eps": math.nan},
+            {"mass": math.inf}, {"eps": 1e160}, {"eps": 1e-300},
+            {"lam": 1e200}, {"lam": 1e-200},
+        ],
+    )
+    def test_non_finite_or_overflowing_rejected(self, fields):
+        values = {"lam": 1.0, "e_mol": 0.0, "eps": 0.1, **fields}
+        with pytest.raises(InvalidInput):
+            tc.TwoChannelParams(**values)
 
     def test_form_factor(self):
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=2.0)
@@ -93,6 +108,16 @@ class TestLoopIntegral:
         deep = tc.loop_integral(p, -2e4).real
         assert shallow < 0.0 and deep < 0.0
         assert shallow / deep == pytest.approx(2.0, rel=0.05)  # ~ 1/E decay
+
+    def test_against_mpmath_below_threshold(self):
+        # x = kappa eps/sqrt(2) across both branches, incl. the series crossover
+        xs = np.geomspace(1e-3, 1e6, 61).tolist() + [6.9, 7.0, 7.1, 24.0, 707.0]
+        for eps in (0.1, 0.5, 1.0):
+            p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps)
+            for x in xs:
+                energy = -((x * math.sqrt(2.0) / eps) ** 2)
+                ref = float(mp_loop_integral(eps, energy))
+                assert abs(tc.loop_integral(p, energy).real - ref) <= 1e-13 * abs(ref)
 
     def test_no_overflow_for_extreme_energies(self):
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=1.0)
@@ -291,9 +316,9 @@ class TestBoundState:
         detuning = (state.energy - p.e_mol) / (2.0 * p.lam**2)
         loop = tc.loop_integral(p, state.energy).real
         assert abs(detuning - loop) <= 4.0 * np.finfo(float).eps * abs(loop)
-        # loop_integral cancels to about x^2 machine epsilons at x = kappa eps/sqrt(2) ~ 24
+        # x = kappa eps/sqrt(2) ~ 24 lies on the asymptotic branch of loop_integral
         assert state.energy == pytest.approx(
-            mp_pole_energy(p.lam, p.e_mol, p.eps, state.energy), rel=1e-12
+            mp_pole_energy(p.lam, p.e_mol, p.eps, state.energy), rel=1e-15
         )
 
     def test_shallow_pole_to_full_precision(self):
@@ -386,6 +411,16 @@ class TestProductIdentity:
         assert tc.open_channel_overlap(states[0], states[0]) == pytest.approx(
             states[0].open_norm, rel=1e-14
         )
+
+    def test_open_overlap_of_deep_states(self):
+        # x ~ 350 and 700: the difference of loop integrals on the series branch
+        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.5)
+        s1, s2 = (
+            tc.TwoChannelBoundState(params=p, energy=e, beta2=0.5, a_tail=1.0, open_norm=0.5)
+            for e in (-1e6, -4e6)
+        )
+        oracle = open_overlap_quadrature(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
+        assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_parameter_mismatch_rejected(self):
         p1 = reference_params(eps=0.1)

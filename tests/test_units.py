@@ -10,6 +10,9 @@ from resokit.units import (
     ATOMIC_MASS_SI,
     BOHR_MAGNETON_SI,
     BOHR_RADIUS_SI,
+    ELECTRON_MASS_SI,
+    FIELD_AU_SI,
+    HARTREE_SI,
     HBAR_SI,
     NATURAL,
     ResonanceData,
@@ -229,3 +232,14 @@ class TestUnitSystem:
 def test_resonance_requires_nonzero_width():
     with pytest.raises(DegenerateResonance):
         natural_res(delta_b=0.0)
+
+
+def test_codata_literals_match_scipy():
+    pc = const.physical_constants
+    assert HBAR_SI == const.hbar
+    assert BOHR_RADIUS_SI == pc["Bohr radius"][0]
+    assert HARTREE_SI == pc["Hartree energy"][0]
+    assert ATOMIC_MASS_SI == pc["atomic mass constant"][0]
+    assert BOHR_MAGNETON_SI == pc["Bohr magneton"][0]
+    assert ELECTRON_MASS_SI == const.m_e
+    assert FIELD_AU_SI == pc["atomic unit of mag. flux density"][0]

@@ -116,16 +116,30 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _write_output(args, columns, rows, report: RunReport) -> None:
+def _write_output(args, table: dict, report: RunReport) -> None:
+    """Write ``table`` (column name -> values) as CSV or as the JSON report.
+
+    Numeric columns are written with 17 significant digits and text columns
+    as they are; each row goes through one ``%`` template.
+    """
+    columns, specs = [], []
+    for values in map(np.asarray, table.values()):
+        numeric = values.dtype.kind in "fiu"
+        columns.append((values.astype(float) if numeric else values).tolist())
+        specs.append("%.17g" if numeric else "%s")
     if args.format == "json":
-        report.outputs = [dict(zip(columns, [fmt(v) if _is_number(v) else v for v in row])) for row in rows]
+        cells = [list(map(spec.__mod__, column)) for spec, column in zip(specs, columns)]
+        report.outputs = [dict(zip(table, row)) for row in zip(*cells)]
         text = report.to_json() + "\n"
     else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(fmt(v) if _is_number(v) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        lines = map(",".join(specs).__mod__, zip(*columns))
+        text = "\n".join([",".join(table), *lines]) + "\n"
     _emit(args, text)
+
+
+def _table(columns, rows) -> dict:
+    """Column name -> values of a table built row by row."""
+    return {name: [row[i] for row in rows] for i, name in enumerate(columns)}
 
 
 def _emit(args, text: str) -> None:
@@ -135,10 +149,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.floating)) and not isinstance(v, bool)
 
 
 def _model_from_args(args) -> PhaseShiftModel:
@@ -171,16 +181,15 @@ def _sweep_or_single(args, variable: str, single_value) -> np.ndarray:
 def _cmd_amplitude(args) -> int:
     model = _model_from_args(args)
     ks = _sweep_or_single(args, "k", args.k)
-    columns = ["k", "E", "Re_f", "Im_f", "delta", "sigma"]
-    rows = []
-    for k in ks:
-        point = scattering.evaluate_point(model, float(k))
-        sigma = (
-            scattering.cross_section(model, float(k), identical=args.identical)
-            if k > 0.0
-            else math.nan
-        )
-        rows.append([point.k, point.energy, point.f.real, point.f.imag, point.delta, sigma])
+    f = scattering.amplitude(model, ks)
+    # delta and sigma are defined for k > 0 only; threshold rows read nan
+    above = ks > 0.0
+    delta = np.full_like(ks, math.nan)
+    delta[above] = scattering.phase_shift(model, ks[above])
+    sigma = np.full_like(ks, math.nan)
+    sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
+    table = {"k": ks, "E": scattering.energy(ks), "Re_f": f.real, "Im_f": f.imag,
+             "delta": delta, "sigma": sigma}
     inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
     if args.k is not None:
         inputs["k"] = args.k
@@ -189,7 +198,7 @@ def _cmd_amplitude(args) -> int:
             {"min": args.min, "max": args.max, "steps": args.steps, "log": args.log}
         )
     report = RunReport(command=args.command, inputs=inputs)
-    _write_output(args, columns, rows, report)
+    _write_output(args, table, report)
     return EXIT_OK
 
 
@@ -202,7 +211,7 @@ def _cmd_bound_state(args) -> int:
         command=args.command,
         inputs={"coeffs": list(model.coeffs), "qmax": args.qmax},
     )
-    _write_output(args, columns, rows, report)
+    _write_output(args, _table(columns, rows), report)
     return EXIT_OK
 
 
@@ -221,7 +230,7 @@ def _cmd_modified_norm(args) -> int:
         inputs={"coeffs": list(model.coeffs), "qmax": args.qmax},
         residuals=residuals,
     )
-    _write_output(args, columns, rows, report)
+    _write_output(args, _table(columns, rows), report)
     return EXIT_OK
 
 
@@ -248,7 +257,7 @@ def _cmd_two_channel(args) -> int:
         columns = ["eps", "lambda", "emol", "a_eps", "rstar_eps"]
         rows = [[p.eps, p.lam, p.e_mol, a_eps, rstar_eps]]
         report = RunReport(command="two-channel params", inputs=_echo_params(p))
-        _write_output(args, columns, rows, report)
+        _write_output(args, _table(columns, rows), report)
         return EXIT_OK
     if args.tc_command == "bound":
         p = _params_from_args(args)
@@ -261,7 +270,7 @@ def _cmd_two_channel(args) -> int:
             inputs=_echo_params(p),
             residuals={"norm": fmt(norm_residual)},
         )
-        _write_output(args, columns, rows, report)
+        _write_output(args, _table(columns, rows), report)
         return EXIT_OK
     # eps sweep holding (a, rstar) fixed
     if args.a is None or args.rstar is None:
@@ -290,7 +299,7 @@ def _cmd_two_channel(args) -> int:
         command="two-channel sweep",
         inputs={"a": args.a, "rstar": args.rstar, "mass": args.mass},
     )
-    _write_output(args, columns, rows, report)
+    _write_output(args, _table(columns, rows), report)
     return EXIT_OK
 
 
@@ -315,7 +324,7 @@ def _cmd_feshbach(args) -> int:
             inputs={"species_file": args.species, "units": args.units,
                     "threshold": args.threshold},
         )
-        _write_output(args, columns, rows, report)
+        _write_output(args, _table(columns, rows), report)
         return EXIT_OK
     # field sweep for one species
     index = args.index
@@ -331,17 +340,15 @@ def _cmd_feshbach(args) -> int:
         steps=args.steps,
         scale="log" if args.log else "linear",
     )
-    columns = ["B", "a"]
-    rows = []
-    for b in spec.values():
-        rows.append([b, scattering_length_of_field(res, float(b))])
+    fields = spec.values()
+    table = {"B": fields, "a": scattering_length_of_field(res, fields)}
     report = RunReport(
         command="feshbach sweep",
         inputs={"species_file": args.species, "units": args.units,
                 "species": res.species, "min": args.min, "max": args.max,
                 "steps": args.steps, "log": args.log},
     )
-    _write_output(args, columns, rows, report)
+    _write_output(args, table, report)
     return EXIT_OK
 
 

@@ -3,75 +3,117 @@
 The amplitude is parameterized as f(k) = -1/(-g(E) + i k) with E = k^2 in
 the working units, which satisfies the optical theorem Im(1/f) = -k
 identically for any real polynomial g.
+
+Every observable takes a wavenumber or an array of them and returns a
+Python scalar or an array of the same shape. Arrays are validated once,
+and the first offending entry decides the error, as if the points were
+evaluated in order. The arithmetic reproduces the scalar Python
+expressions bit for bit: complex division follows CPython's algorithm,
+and powers, moduli and atan2 go through the C library (``np.float_power``,
+``np.hypot`` and ``math.atan2``), because numpy's vectorized ``power``,
+complex ``abs`` and ``arctan2`` round differently in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .contact import ATOM_MASS, HBAR, PhaseShiftModel
 from .errors import DivergentAmplitude, InvalidInput
 
 
-@dataclass(frozen=True)
-class ScatteringPoint:
-    """One point of a scattering sweep: wavenumber, energy, amplitude, phase."""
-
-    k: float
-    energy: float
-    f: complex
-    delta: float
+def energy(k):
+    """Relative energy E = (hbar k)^2/m of a wavenumber or an array of them."""
+    return np.float_power(HBAR * np.asarray(k, dtype=float), 2.0) / ATOM_MASS
 
 
-def amplitude(model: PhaseShiftModel, k: float) -> complex:
+def _evaluate(model: PhaseShiftModel, k, positive: bool):
+    """k as a float array with E(k) and g(E), validated point by point.
+
+    k must be finite and nonnegative (positive if ``positive``) with a
+    finite energy, else :class:`InvalidInput`; k = 0 with g(0) = 0 raises
+    :class:`DivergentAmplitude`. The first offending point decides.
+    """
+    k = np.asarray(k, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energy(k)
+        g = model.g(e)
+    bad = ~(((k > 0.0) if positive else (k >= 0.0)) & np.isfinite(e))
+    failed = bad | ((k == 0.0) & (g == 0.0))
+    if failed.any():
+        first = np.flatnonzero(failed)[0]
+        if bad.flat[first]:
+            kind = "positive" if positive else "nonnegative"
+            raise InvalidInput(f"wavenumber must be finite and {kind} with a finite energy")
+        raise DivergentAmplitude("zero-energy resonance: g(0) = 0")
+    return k, e, g
+
+
+def _result(values: np.ndarray):
+    """A Python scalar for 0-d results, the array otherwise."""
+    return values.item() if values.ndim == 0 else values
+
+
+def _complex_quotient(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) by CPython's ``_Py_c_quot``, elementwise.
+
+    Smith's scaling by the larger of |br| and |bi|; numpy's own complex
+    division rounds differently.
+    """
+    with np.errstate(all="ignore"):
+        real_big = np.abs(br) >= np.abs(bi)
+        ratio = np.where(real_big, bi / br, br / bi)
+        denom = np.where(real_big, br + bi * ratio, br * ratio + bi)
+        real = np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
+        imag = np.where(real_big, ai - ar * ratio, ai * ratio - ar) / denom
+    return real, imag
+
+
+def _amplitude(k: np.ndarray, g: np.ndarray):
+    """Real and imaginary parts of f for validated k and g(E)."""
+    real, imag = _complex_quotient(-1.0, 0.0, -g, k)
+    threshold = k == 0.0
+    if threshold.any():
+        with np.errstate(divide="ignore"):
+            real = np.where(threshold, 1.0 / g, real)
+        imag = np.where(threshold, 0.0, imag)
+    return real, imag
+
+
+def amplitude(model: PhaseShiftModel, k):
     """f(k) = -1/(-g(E) + ik); at k = 0 the real threshold value -a."""
-    if not 0.0 <= k < math.inf:
-        raise InvalidInput("wavenumber must be finite and nonnegative")
-    energy = (HBAR * k) ** 2 / ATOM_MASS
-    g = model.g(energy)
-    if k == 0.0:
-        if g == 0.0:
-            raise DivergentAmplitude("zero-energy resonance: g(0) = 0")
-        return complex(1.0 / g, 0.0)
-    return -1.0 / complex(-g, k)
+    k, _, g = _evaluate(model, k, positive=False)
+    real, imag = _amplitude(k, g)
+    f = np.empty(k.shape, dtype=complex)
+    f.real = real
+    f.imag = imag
+    return _result(f)
 
 
-def phase_shift(model: PhaseShiftModel, k: float) -> float:
+def phase_shift(model: PhaseShiftModel, k):
     """delta_s(k) = arccot(g(E)/k) on the branch (0, pi].
 
     Evaluated as atan2(k, g), which keeps the branch open at 0 for any
     finite g; the limits g/k -> +inf and -inf map to 0+ and pi.
     """
-    if not 0.0 < k < math.inf:
-        raise InvalidInput("wavenumber must be finite and positive")
-    energy = (HBAR * k) ** 2 / ATOM_MASS
-    return math.atan2(k, model.g(energy))
+    k, _, g = _evaluate(model, k, positive=True)
+    delta = np.fromiter(map(math.atan2, k.ravel().tolist(), g.ravel().tolist()), float, k.size)
+    return _result(delta.reshape(k.shape))
 
 
-def cross_section(model: PhaseShiftModel, k: float, identical: bool = False) -> float:
+def cross_section(model: PhaseShiftModel, k, identical: bool = False):
     """4 pi |f|^2, or 8 pi |f|^2 for identical bosons."""
-    if not 0.0 < k < math.inf:
-        raise InvalidInput("wavenumber must be finite and positive")
-    f = amplitude(model, k)
+    k, _, g = _evaluate(model, k, positive=True)
+    real, imag = _amplitude(k, g)
     factor = 8.0 * math.pi if identical else 4.0 * math.pi
-    return factor * abs(f) ** 2
+    with np.errstate(over="ignore"):
+        return _result(factor * np.float_power(np.hypot(real, imag), 2.0))
 
 
-def unitarity_residual(model: PhaseShiftModel, k: float) -> float:
+def unitarity_residual(model: PhaseShiftModel, k):
     """|Im(1/f) + k| / k, zero up to rounding for real-coefficient models."""
-    if k <= 0.0:
-        raise InvalidInput("wavenumber must be positive")
-    f = amplitude(model, k)
-    return abs((1.0 / f).imag + k) / k
-
-
-def evaluate_point(model: PhaseShiftModel, k: float) -> ScatteringPoint:
-    """Amplitude and phase shift bundled for sweep output."""
-    energy = (HBAR * k) ** 2 / ATOM_MASS
-    return ScatteringPoint(
-        k=k,
-        energy=energy,
-        f=amplitude(model, k),
-        delta=phase_shift(model, k) if k > 0.0 else math.nan,
-    )
+    k, _, g = _evaluate(model, k, positive=True)
+    _, inv_imag = _complex_quotient(1.0, 0.0, *_amplitude(k, g))
+    return _result(np.abs(inv_imag + k) / k)

@@ -79,6 +79,15 @@ class TwoChannelParams:
         # lam = 0 and non-finite eps or lam.
         if not (0.0 < self.eps * self.eps < math.inf and 0.0 < self.lam * self.lam < math.inf):
             raise InvalidInput("eps and the coupling amplitude need finite, nonzero squares")
+        # effective_params divides by lam^2 m and lam^2 m^2: the product
+        # must neither underflow (m = 1e-300) nor overflow, and both
+        # quotients must stay finite (e_mol = 1e308 overflows the first).
+        if not (
+            0.0 < (self.lam * self.lam) * (self.mass * self.mass) < math.inf
+            and math.isfinite(_detuning(self))
+            and math.isfinite(rstar_from_lambda(self.lam, self.mass))
+        ):
+            raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
 
     def chi(self, k):
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
@@ -222,13 +231,17 @@ def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     :func:`resokit.verify.fit_effective_params` checks them against a
     low-energy fit of Re(1/f).
     """
-    m = p.mass
-    inv_a = SQRT_2_OVER_PI / p.eps - 2.0 * math.pi * HBAR**2 * p.e_mol / (p.lam**2 * m)
+    inv_a = SQRT_2_OVER_PI / p.eps - _detuning(p)
     a_eps = math.inf if inv_a == 0.0 else 1.0 / inv_a
-    rstar = -SQRT_2_OVER_PI * p.eps + 2.0 * math.pi * HBAR**4 / (p.lam**2 * m**2)
+    rstar = -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass)
     if math.isfinite(a_eps):
         rstar += p.eps**2 / (2.0 * a_eps)
     return a_eps, rstar
+
+
+def _detuning(p: TwoChannelParams) -> float:
+    """2 pi hbar^2 e_mol/(lam^2 m), the molecular term of 1/a_eps."""
+    return 2.0 * math.pi * HBAR**2 * p.e_mol / (p.lam**2 * p.mass)
 
 
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:

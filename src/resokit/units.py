@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal
 
+import numpy as np
+
 from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
 
 # CODATA 2022 values, as scipy.constants 1.17 gives them; HBAR_SI is
@@ -157,15 +159,18 @@ def convert_resonance(res: ResonanceData, to: UnitSystem) -> ResonanceData:
     )
 
 
-def scattering_length_of_field(res: ResonanceData, field: float) -> float:
+def scattering_length_of_field(res: ResonanceData, field):
     """Scattering length a(B) = a_bg (1 - dB/(B - B0)) at magnetic field B.
 
     Evaluated as a_bg (B - (B0 + dB))/(B - B0) so the zero crossing at
-    B = B0 + dB is exact in floating point.
+    B = B0 + dB is exact in floating point. ``field`` may be an array; any
+    field exactly at B0 raises :class:`PoleAtResonance`.
     """
-    if field == res.b0:
+    field = np.asarray(field, dtype=float)
+    if (field == res.b0).any():
         raise PoleAtResonance("scattering length diverges at B = B0")
-    return res.a_bg * (field - (res.b0 + res.delta_b)) / (field - res.b0)
+    a = res.a_bg * (field - (res.b0 + res.delta_b)) / (field - res.b0)
+    return a.item() if a.ndim == 0 else a
 
 
 def width_radius(res: ResonanceData) -> float:

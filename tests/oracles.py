@@ -42,6 +42,31 @@ def mp_difference_quotient(coeffs, e1, e2):
     return float((g1 - g2) / (e1 - e2))
 
 
+def mp_modified_product(coeffs, e1, a1, e2, a2, plain, dps=50):
+    """plain - (2 pi hbar^2/mu) conj(A_1) A_2 D at ``dps`` digits, and its scale.
+
+    D = sum_n c_n sum_{p=1..n} e1^(n-p) e2^(p-1) is the finite sum both
+    routes of resokit.product evaluate (hbar = 1, mu = 1/2). The scale
+    |plain| + (2 pi/mu) |A_1 A_2| sum_n |c_n| sum_p |e1|^(n-p) |e2|^(p-1)
+    bounds the magnitude of every term either route adds up.
+    """
+    with mp.workdps(dps):
+        e1, e2 = mp.mpf(e1), mp.mpf(e2)
+        cs = [mp.mpf(c) for c in coeffs]
+        d = mp.mpf(0)
+        d_abs = mp.mpf(0)
+        for n, c in enumerate(cs):
+            for p in range(1, n + 1):
+                term = c * e1 ** (n - p) * e2 ** (p - 1)
+                d += term
+                d_abs += abs(term)
+        prefactor = 4 * mp.pi
+        a12 = mp.conj(mp.mpc(a1)) * mp.mpc(a2)
+        exact = mp.mpc(plain) - prefactor * a12 * d
+        scale = abs(mp.mpc(plain)) + prefactor * abs(a12) * d_abs
+        return complex(exact), float(scale)
+
+
 def mp_amplitude(coeffs, k):
     """f = -1/(-g(k^2) + i k) in mpmath complex arithmetic."""
     k = mp.mpf(repr(float(k)))

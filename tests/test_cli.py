@@ -353,6 +353,13 @@ def test_units_only_on_feshbach(capsys, argv):
         ["two-channel", "bound", "--eps", "1e160", "--lambda", "1", "--emol", "0"],
         ["amplitude", "--a", "1", "--k", "nan"],
         ["amplitude", "--a", "1", "--k", "inf"],
+        ["amplitude", "--a", "1", "--k", "1e200"],
+        ["amplitude", "--a", "1", "--k", "1e160", "--format", "json"],
+        ["amplitude", "--a", "1", "--min", "0", "--max", "1e200", "--steps", "3"],
+        ["two-channel", "params", "--lambda", "1", "--emol", "1e308"],
+        ["two-channel", "bound", "--lambda", "1", "--emol", "1e308"],
+        ["two-channel", "params", "--lambda", "1e150", "--emol", "1e-300", "--mass", "1e-300"],
+        ["two-channel", "params", "--lambda", "1", "--emol", "0", "--mass", "1e200"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, argv):

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_difference_quotient, radial_overlap_quadrature
+from oracles import mp_difference_quotient, mp_modified_product, radial_overlap_quadrature
 from resokit import bound
 from resokit.contact import HBAR, REDUCED_MASS, PhaseShiftModel
 from resokit.errors import InvalidInput, KindMismatch, SingularSystem
@@ -173,15 +173,27 @@ class TestSeriesEquivalence:
         re1=st.floats(min_value=-2.0, max_value=2.0),
         im2=st.floats(min_value=-2.0, max_value=2.0),
     )
+    # e1 ~ -e2 with a degree-8 model: the two routes differ by 1.6e-9 and
+    # both sit 1e-9 and 5e-10 off the exact value, because the sums cancel.
+    @example(coeffs=[0.0] * 7 + [1.8828125, 1.140625], e1=7.152977259412175,
+             e2=-7.5703125, re1=0.0, im2=0.0)
     def test_series_equals_quotient(self, coeffs, e1, e2, re1, im2):
+        # Both routes are finite sums of the same terms, so each must lie
+        # within the forward rounding bound gamma_k * scale of the exact
+        # value, k counting the roundings along the longest chain (powers,
+        # inner and outer sums, the complex prefactor and the subtraction).
         model = PhaseShiftModel(tuple(coeffs))
         s1 = _any_state(e1, complex(re1, 0.3))
         s2 = _any_state(e2, complex(0.7, im2))
         plain = 0.25 - 1.5j
-        lhs = modified_product(model, s1, s2, plain)
-        rhs = modified_product_series(model, s1, s2, plain)
-        scale = max(abs(lhs), abs(rhs), abs(plain))
-        assert abs(lhs - rhs) <= 1e-12 * scale
+        exact, scale = mp_modified_product(
+            model.coeffs, s1.energy, s1.amplitude, s2.energy, s2.amplitude, plain
+        )
+        k = 4 * model.degree + 16
+        u = np.finfo(float).eps / 2.0
+        bound = k * u / (1.0 - k * u) * scale
+        for route in (modified_product, modified_product_series):
+            assert abs(route(model, s1, s2, plain) - exact) <= bound, route.__name__
 
     def test_exactly_degenerate_energies_agree(self):
         model = PhaseShiftModel((-1.0, 0.7, -0.3, 0.2))

@@ -40,13 +40,36 @@ class TestAmplitude:
         with pytest.raises(InvalidInput):
             scattering.amplitude(CONST, -0.1)
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 1e160])
     @pytest.mark.parametrize(
         "observable", [scattering.amplitude, scattering.phase_shift, scattering.cross_section]
     )
     def test_non_finite_wavenumber_rejected(self, observable, k):
         with pytest.raises(InvalidInput):
             observable(CONST, k)
+
+    def test_arrays_keep_shape_and_scalar_types(self):
+        ks = np.array([[0.0, 0.5], [1.0, 2.0]])
+        f = scattering.amplitude(EFF, ks)
+        assert f.shape == ks.shape and f.dtype == complex
+        assert f[1, 0] == scattering.amplitude(EFF, 1.0)
+        assert type(scattering.amplitude(EFF, 1.0)) is complex
+        assert type(scattering.phase_shift(EFF, 1.0)) is float
+        assert type(scattering.cross_section(EFF, 1.0)) is float
+
+    @pytest.mark.parametrize(
+        "model, ks, error",
+        [
+            (UNITARY, [0.0, 1e200], DivergentAmplitude),
+            (UNITARY, [-1.0, 0.0], InvalidInput),
+            (CONST, [0.5, 1e200], InvalidInput),
+            (CONST, [0.5, math.nan, 1.0], InvalidInput),
+        ],
+    )
+    def test_first_offending_point_decides(self, model, ks, error):
+        # as if the points were evaluated one by one, in order
+        with pytest.raises(error):
+            scattering.amplitude(model, np.array(ks))
 
     def test_threshold_error_is_quadratic(self):
         # Re f + a shrinks by 4 when k halves
@@ -106,6 +129,15 @@ class TestUnitarity:
         for model in (CONST, EFF, UNITARY, DEG6):
             for k in (0.1, 1.0, 10.0):
                 assert scattering.unitarity_residual(model, k) < 1e-13
+
+    def test_residual_array_matches_scalar_complex_division(self):
+        # the reference divides with CPython's complex arithmetic, point by point
+        ks = np.geomspace(1e-2, 1e2, 200)
+        expected = []
+        for k in ks.tolist():
+            f = -1.0 / complex(-DEG6.g(k ** 2), k)
+            expected.append(abs((1.0 / f).imag + k) / k)
+        assert scattering.unitarity_residual(DEG6, ks).tolist() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(

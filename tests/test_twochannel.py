@@ -50,7 +50,9 @@ class TestParams:
             {"lam": math.nan}, {"lam": math.inf}, {"e_mol": math.inf},
             {"e_mol": math.nan}, {"eps": math.inf}, {"eps": math.nan},
             {"mass": math.inf}, {"eps": 1e160}, {"eps": 1e-300},
-            {"lam": 1e200}, {"lam": 1e-200},
+            {"lam": 1e200}, {"lam": 1e-200}, {"e_mol": 1e308}, {"e_mol": -1e308},
+            {"lam": 1e150, "e_mol": 1e-300, "mass": 1e-300}, {"mass": 1e200},
+            {"mass": 1e-200},
         ],
     )
     def test_non_finite_or_overflowing_rejected(self, fields):

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 verification
 residual breach. Output is CSV (17 significant digits) or a JSON run report,
 to stdout or ``--out``. A plain ``key = value`` config file can preset any
-flag; explicit flags win. The config path comes from ``--config`` or the
-``RESOKIT_CONFIG`` environment variable.
+subcommand flag (key = the flag without its dashes), typed and checked by
+that flag's own argparse action; explicit flags win. The config path comes
+from ``--config`` or the ``RESOKIT_CONFIG`` environment variable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,32 +22,17 @@ import numpy as np
 from . import __version__, bound, scattering
 from .contact import PhaseShiftModel, parse_model_literal
 from .errors import (
-    DegenerateResonance,
     DivergentAmplitude,
     InvalidInput,
-    KindMismatch,
     NoBoundState,
-    ParameterMismatch,
     ParseError,
-    PoleAtResonance,
     PoleHit,
     ResokitError,
-    SingularSystem,
-    UnitError,
 )
 from .species import load_species
 from .units import classify_resonance, scattering_length_of_field, vdw_length, width_radius
 
-INPUT_ERRORS = (
-    InvalidInput,
-    PoleAtResonance,
-    DegenerateResonance,
-    KindMismatch,
-    SingularSystem,
-    ParameterMismatch,
-    ParseError,
-    UnitError,
-)
+# Every other ResokitError is an input error.
 NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, PoleHit)
 
 # The verify subcommand's groups and default seed, kept here so that parsing
@@ -67,56 +52,20 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid specification for one sweep variable."""
-
-    variable: str
-    minimum: float
-    maximum: float
-    steps: int
-    scale: str = "linear"
-
-    def __post_init__(self):
-        if not self.minimum < self.maximum:
-            raise InvalidInput("sweep needs min < max")
-        if self.steps < 2:
-            raise InvalidInput("sweep needs at least 2 steps")
-        if self.scale not in ("linear", "log"):
-            raise InvalidInput(f"unknown sweep scale {self.scale!r}")
-        if self.scale == "log" and self.minimum <= 0.0:
-            raise InvalidInput("log sweep needs min > 0")
-
-    def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.minimum, self.maximum, self.steps)
-        return np.linspace(self.minimum, self.maximum, self.steps)
+def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
+    """Reproducible JSON record of one CLI invocation, newline-terminated."""
+    payload = {
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "residuals": residuals,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class RunReport:
-    """Reproducible record of one CLI invocation."""
-
-    command: str
-    inputs: dict
-    outputs: list = field(default_factory=list)
-    residuals: dict = field(default_factory=dict)
-    version: str = __version__
-    timestamp: str = ""
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "residuals": self.residuals,
-            "version": self.version,
-            "timestamp": self.timestamp or datetime.now(timezone.utc).isoformat(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _write_output(args, table: dict, report: RunReport) -> None:
+def _write_output(args, command: str, table: dict, inputs: dict, residuals=None) -> None:
     """Write ``table`` (column name -> values) as CSV or as the JSON report.
 
     Numeric columns are written with 17 significant digits and text columns
@@ -129,8 +78,8 @@ def _write_output(args, table: dict, report: RunReport) -> None:
         specs.append("%.17g" if numeric else "%s")
     if args.format == "json":
         cells = [list(map(spec.__mod__, column)) for spec, column in zip(specs, columns)]
-        report.outputs = [dict(zip(table, row)) for row in zip(*cells)]
-        text = report.to_json() + "\n"
+        outputs = [dict(zip(table, row)) for row in zip(*cells)]
+        text = _report(command, inputs, outputs, residuals or {})
     else:
         lines = map(",".join(specs).__mod__, zip(*columns))
         text = "\n".join([",".join(table), *lines]) + "\n"
@@ -151,6 +100,21 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _grid(args, what: str) -> np.ndarray:
+    """The --min/--max/--steps/--log sweep grid; ``what`` names the sweep in errors."""
+    if args.min is None or args.max is None:
+        raise InvalidInput(f"{what} needs --min --max --steps")
+    # written so that a NaN bound fails too
+    if not args.min < args.max:
+        raise InvalidInput("sweep needs min < max")
+    if args.steps < 2:
+        raise InvalidInput("sweep needs at least 2 steps")
+    if args.log and args.min <= 0.0:
+        raise InvalidInput("log sweep needs min > 0")
+    space = np.geomspace if args.log else np.linspace
+    return space(args.min, args.max, args.steps)
+
+
 def _model_from_args(args) -> PhaseShiftModel:
     if args.coeffs:
         try:
@@ -163,24 +127,17 @@ def _model_from_args(args) -> PhaseShiftModel:
     return PhaseShiftModel.from_effective_range(args.a, args.rstar or 0.0)
 
 
-def _sweep_or_single(args, variable: str, single_value) -> np.ndarray:
-    if single_value is not None:
-        return np.array([single_value], dtype=float)
-    if args.min is None or args.max is None:
-        raise InvalidInput(f"need --{variable} or a sweep (--min --max --steps)")
-    spec = SweepSpec(
-        variable=variable,
-        minimum=args.min,
-        maximum=args.max,
-        steps=args.steps,
-        scale="log" if args.log else "linear",
-    )
-    return spec.values()
-
-
 def _cmd_amplitude(args) -> int:
     model = _model_from_args(args)
-    ks = _sweep_or_single(args, "k", args.k)
+    inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
+    if args.k is None:
+        ks = _grid(args, "a table without --k")
+        inputs.update(min=args.min, max=args.max, steps=args.steps, log=args.log)
+    elif args.min is not None or args.max is not None:
+        raise InvalidInput("give either --k or a sweep (--min --max), not both")
+    else:
+        ks = np.array([args.k], dtype=float)
+        inputs["k"] = args.k
     f = scattering.amplitude(model, ks)
     # delta and sigma are defined for k > 0 only; threshold rows read nan
     above = ks > 0.0
@@ -190,15 +147,7 @@ def _cmd_amplitude(args) -> int:
     sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
     table = {"k": ks, "E": scattering.energy(ks), "Re_f": f.real, "Im_f": f.imag,
              "delta": delta, "sigma": sigma}
-    inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
-    if args.k is not None:
-        inputs["k"] = args.k
-    else:
-        inputs.update(
-            {"min": args.min, "max": args.max, "steps": args.steps, "log": args.log}
-        )
-    report = RunReport(command=args.command, inputs=inputs)
-    _write_output(args, table, report)
+    _write_output(args, args.command, table, inputs)
     return EXIT_OK
 
 
@@ -207,11 +156,8 @@ def _cmd_bound_state(args) -> int:
     states = bound.find_bound_states(model, q_max=args.qmax)
     columns = ["q", "E", "A2", "norm_sign"]
     rows = [[s.q, s.energy, s.a2, s.norm_sign] for s in states]
-    report = RunReport(
-        command=args.command,
-        inputs={"coeffs": list(model.coeffs), "qmax": args.qmax},
-    )
-    _write_output(args, _table(columns, rows), report)
+    inputs = {"coeffs": list(model.coeffs), "qmax": args.qmax}
+    _write_output(args, args.command, _table(columns, rows), inputs)
     return EXIT_OK
 
 
@@ -225,21 +171,19 @@ def _cmd_modified_norm(args) -> int:
         res = bound.modified_norm_check(model, s)
         rows.append([s.q, s.energy, s.a2, s.norm_sign, res])
         residuals[f"q={fmt(s.q)}"] = fmt(res)
-    report = RunReport(
-        command=args.command,
-        inputs={"coeffs": list(model.coeffs), "qmax": args.qmax},
-        residuals=residuals,
-    )
-    _write_output(args, _table(columns, rows), report)
+    inputs = {"coeffs": list(model.coeffs), "qmax": args.qmax}
+    _write_output(args, args.command, _table(columns, rows), inputs, residuals)
     return EXIT_OK
 
 
 def _params_from_args(args):
     from . import twochannel
 
-    if args.lam is not None:
-        if args.emol is None:
-            raise InvalidInput("need --emol together with --lambda")
+    if args.lam is not None or args.emol is not None:
+        if args.a is not None or args.rstar is not None:
+            raise InvalidInput("give either --lambda/--emol or --a/--rstar targets, not both")
+        if args.lam is None or args.emol is None:
+            raise InvalidInput("need --lambda and --emol together")
         return twochannel.TwoChannelParams(
             lam=args.lam, e_mol=args.emol, eps=args.eps, mass=args.mass
         )
@@ -248,45 +192,43 @@ def _params_from_args(args):
     return twochannel.params_for_targets(args.a, args.rstar, args.eps, args.mass)
 
 
-def _cmd_two_channel(args) -> int:
+def _echo_params(p) -> dict:
+    return {"lambda": p.lam, "emol": p.e_mol, "eps": p.eps, "mass": p.mass}
+
+
+def _cmd_tc_params(args) -> int:
     from . import twochannel
 
-    if args.tc_command == "params":
-        p = _params_from_args(args)
-        a_eps, rstar_eps = twochannel.effective_params(p)
-        columns = ["eps", "lambda", "emol", "a_eps", "rstar_eps"]
-        rows = [[p.eps, p.lam, p.e_mol, a_eps, rstar_eps]]
-        report = RunReport(command="two-channel params", inputs=_echo_params(p))
-        _write_output(args, _table(columns, rows), report)
-        return EXIT_OK
-    if args.tc_command == "bound":
-        p = _params_from_args(args)
-        state = twochannel.bound_state(p)
-        norm_residual = abs(state.open_norm + state.beta2 - 1.0)
-        columns = ["E", "beta2", "A2_tail", "open_norm", "norm_residual"]
-        rows = [[state.energy, state.beta2, state.a_tail**2, state.open_norm, norm_residual]]
-        report = RunReport(
-            command="two-channel bound",
-            inputs=_echo_params(p),
-            residuals={"norm": fmt(norm_residual)},
-        )
-        _write_output(args, _table(columns, rows), report)
-        return EXIT_OK
-    # eps sweep holding (a, rstar) fixed
+    p = _params_from_args(args)
+    a_eps, rstar_eps = twochannel.effective_params(p)
+    columns = ["eps", "lambda", "emol", "a_eps", "rstar_eps"]
+    rows = [[p.eps, p.lam, p.e_mol, a_eps, rstar_eps]]
+    _write_output(args, "two-channel params", _table(columns, rows), _echo_params(p))
+    return EXIT_OK
+
+
+def _cmd_tc_bound(args) -> int:
+    from . import twochannel
+
+    p = _params_from_args(args)
+    state = twochannel.bound_state(p)
+    norm_residual = abs(state.open_norm + state.beta2 - 1.0)
+    columns = ["E", "beta2", "A2_tail", "open_norm", "norm_residual"]
+    rows = [[state.energy, state.beta2, state.a_tail**2, state.open_norm, norm_residual]]
+    _write_output(args, "two-channel bound", _table(columns, rows), _echo_params(p),
+                 {"norm": fmt(norm_residual)})
+    return EXIT_OK
+
+
+def _cmd_tc_sweep(args) -> int:
+    """Regulator-width sweep holding the targets (a, rstar) fixed."""
+    from . import twochannel
+
     if args.a is None or args.rstar is None:
         raise InvalidInput("two-channel sweep needs --a and --rstar targets")
-    if args.min is None or args.max is None:
-        raise InvalidInput("two-channel sweep needs --min --max --steps")
-    spec = SweepSpec(
-        variable="eps",
-        minimum=args.min,
-        maximum=args.max,
-        steps=args.steps,
-        scale="log" if args.log else "linear",
-    )
     columns = ["eps", "a_eps", "rstar_eps", "E_bound", "beta2", "A2_tail", "res_identity"]
     rows = []
-    for eps in spec.values():
+    for eps in _grid(args, "two-channel sweep"):
         p = twochannel.params_for_targets(args.a, args.rstar, float(eps), args.mass)
         a_eps, rstar_eps = twochannel.effective_params(p)
         state = twochannel.bound_state(p)
@@ -295,60 +237,37 @@ def _cmd_two_channel(args) -> int:
             eps, a_eps, rstar_eps, state.energy, state.beta2,
             state.a_tail**2, report_id.residual_beta,
         ])
-    report = RunReport(
-        command="two-channel sweep",
-        inputs={"a": args.a, "rstar": args.rstar, "mass": args.mass},
-    )
-    _write_output(args, _table(columns, rows), report)
+    inputs = {"a": args.a, "rstar": args.rstar, "mass": args.mass}
+    _write_output(args, "two-channel sweep", _table(columns, rows), inputs)
     return EXIT_OK
 
 
-def _echo_params(p) -> dict:
-    return {"lambda": p.lam, "emol": p.e_mol, "eps": p.eps, "mass": p.mass}
+def _cmd_fb_classify(args) -> int:
+    columns = ["species", "Rstar", "RvdW", "ratio", "class"]
+    rows = []
+    for res in load_species(args.species, mode=args.units):
+        rstar = width_radius(res)
+        rvdw = vdw_length(res)
+        rows.append([
+            res.species, rstar, rvdw, abs(rstar) / rvdw,
+            classify_resonance(res, threshold=args.threshold),
+        ])
+    inputs = {"species_file": args.species, "units": args.units, "threshold": args.threshold}
+    _write_output(args, "feshbach classify", _table(columns, rows), inputs)
+    return EXIT_OK
 
 
-def _cmd_feshbach(args) -> int:
+def _cmd_fb_sweep(args) -> int:
+    """Field sweep of a(B) for one species of the file."""
     rows_in = load_species(args.species, mode=args.units)
-    if args.fb_command == "classify":
-        columns = ["species", "Rstar", "RvdW", "ratio", "class"]
-        rows = []
-        for res in rows_in:
-            rstar = width_radius(res)
-            rvdw = vdw_length(res)
-            rows.append([
-                res.species, rstar, rvdw, abs(rstar) / rvdw,
-                classify_resonance(res, threshold=args.threshold),
-            ])
-        report = RunReport(
-            command="feshbach classify",
-            inputs={"species_file": args.species, "units": args.units,
-                    "threshold": args.threshold},
-        )
-        _write_output(args, _table(columns, rows), report)
-        return EXIT_OK
-    # field sweep for one species
-    index = args.index
-    if not 0 <= index < len(rows_in):
-        raise InvalidInput(f"species index {index} out of range (file has {len(rows_in)})")
-    res = rows_in[index]
-    if args.min is None or args.max is None:
-        raise InvalidInput("feshbach sweep needs --min --max --steps")
-    spec = SweepSpec(
-        variable="B",
-        minimum=args.min,
-        maximum=args.max,
-        steps=args.steps,
-        scale="log" if args.log else "linear",
-    )
-    fields = spec.values()
+    if not 0 <= args.index < len(rows_in):
+        raise InvalidInput(f"species index {args.index} out of range (file has {len(rows_in)})")
+    res = rows_in[args.index]
+    fields = _grid(args, "feshbach sweep")
     table = {"B": fields, "a": scattering_length_of_field(res, fields)}
-    report = RunReport(
-        command="feshbach sweep",
-        inputs={"species_file": args.species, "units": args.units,
-                "species": res.species, "min": args.min, "max": args.max,
-                "steps": args.steps, "log": args.log},
-    )
-    _write_output(args, table, report)
+    inputs = {"species_file": args.species, "units": args.units, "species": res.species,
+              "min": args.min, "max": args.max, "steps": args.steps, "log": args.log}
+    _write_output(args, "feshbach sweep", table, inputs)
     return EXIT_OK
 
 
@@ -357,21 +276,21 @@ def _cmd_verify(args) -> int:
 
     results = verify.run_battery(group=args.group, seed=args.seed)
     if args.format == "json":
-        report = RunReport(
-            command=f"verify {args.group}",
-            inputs={"seed": args.seed},
-            residuals={
+        text = _report(
+            f"verify {args.group}",
+            {"seed": args.seed},
+            [
+                {"name": r.name, "passed": r.passed, "worst": fmt(r.worst),
+                 "seconds": fmt(r.seconds)}
+                | ({"cases": r.cases} if r.cases else {})
+                for r in results
+            ],
+            {
                 r.name: {"worst": fmt(r.worst), "tolerance": fmt(r.tolerance),
-                         "passed": r.passed}
+                         "passed": r.passed, "seconds": fmt(r.seconds)}
                 for r in results
             },
         )
-        report.outputs = [
-            {"name": r.name, "passed": r.passed, "worst": fmt(r.worst)}
-            | ({"cases": r.cases} if r.cases else {})
-            for r in results
-        ]
-        text = report.to_json() + "\n"
     else:
         text = "".join(r.line() + "\n" for r in results)
     _emit(args, text)
@@ -406,42 +325,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file presetting flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_amp = sub.add_parser("amplitude", help="scattering amplitude sweep")
-    _add_model_flags(p_amp)
-    p_amp.add_argument("--k", type=float, help="single wavenumber")
-    p_amp.add_argument("--identical", action="store_true",
+    for name, help_text in (
+        ("amplitude", "scattering amplitude sweep"),
+        ("phase-shift", "phase shift sweep (same table)"),
+    ):
+        q = sub.add_parser(name, help=help_text)
+        _add_model_flags(q)
+        q.add_argument("--k", type=float, help="single wavenumber")
+        q.add_argument("--identical", action="store_true",
                        help="identical-boson cross section (8 pi |f|^2)")
-    _add_sweep_flags(p_amp)
-    _add_output_flags(p_amp)
-    p_amp.set_defaults(handler=_cmd_amplitude)
+        _add_sweep_flags(q)
+        _add_output_flags(q)
+        q.set_defaults(handler=_cmd_amplitude)
 
-    p_ph = sub.add_parser("phase-shift", help="phase shift sweep (same table)")
-    _add_model_flags(p_ph)
-    p_ph.add_argument("--k", type=float, help="single wavenumber")
-    p_ph.add_argument("--identical", action="store_true")
-    _add_sweep_flags(p_ph)
-    _add_output_flags(p_ph)
-    p_ph.set_defaults(handler=_cmd_amplitude)
-
-    p_bs = sub.add_parser("bound-state", help="bound-state poles of a model")
-    _add_model_flags(p_bs)
-    p_bs.add_argument("--qmax", type=float, default=100.0,
-                      help="upper edge of the decay-constant window")
-    _add_output_flags(p_bs)
-    p_bs.set_defaults(handler=_cmd_bound_state)
-
-    p_mn = sub.add_parser("modified-norm", help="modified-norm residual per state")
-    _add_model_flags(p_mn)
-    p_mn.add_argument("--qmax", type=float, default=100.0)
-    _add_output_flags(p_mn)
-    p_mn.set_defaults(handler=_cmd_modified_norm)
+    for name, help_text, handler in (
+        ("bound-state", "bound-state poles of a model", _cmd_bound_state),
+        ("modified-norm", "modified-norm residual per state", _cmd_modified_norm),
+    ):
+        q = sub.add_parser(name, help=help_text)
+        _add_model_flags(q)
+        q.add_argument("--qmax", type=float, default=100.0,
+                       help="upper edge of the decay-constant window")
+        _add_output_flags(q)
+        q.set_defaults(handler=handler)
 
     p_tc = sub.add_parser("two-channel", help="two-channel resonance model")
     tc_sub = p_tc.add_subparsers(dest="tc_command", required=True)
-    for name, help_text in (
-        ("params", "effective low-energy parameters"),
-        ("bound", "dressed molecular state"),
-        ("sweep", "regulator-width sweep at fixed (a, R*)"),
+    for name, help_text, handler in (
+        ("params", "effective low-energy parameters", _cmd_tc_params),
+        ("bound", "dressed molecular state", _cmd_tc_bound),
+        ("sweep", "regulator-width sweep at fixed (a, R*)", _cmd_tc_sweep),
     ):
         q = tc_sub.add_parser(name, help=help_text)
         q.add_argument("--eps", type=float, default=0.1, help="regulator width")
@@ -452,23 +365,23 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--rstar", type=float, help="target width radius")
         _add_sweep_flags(q)
         _add_output_flags(q)
-        q.set_defaults(handler=_cmd_two_channel)
+        q.set_defaults(handler=handler)
 
     p_fb = sub.add_parser("feshbach", help="magnetic resonance data")
     fb_sub = p_fb.add_subparsers(dest="fb_command", required=True)
     q = fb_sub.add_parser("sweep", help="a(B) sweep for one species")
-    q.add_argument("--species", required=True, help="species CSV file")
     q.add_argument("--index", type=int, default=0, help="row index in the file")
     _add_sweep_flags(q)
+    q.set_defaults(handler=_cmd_fb_sweep)
     q = fb_sub.add_parser("classify", help="broad/narrow classification")
-    q.add_argument("--species", required=True, help="species CSV file")
     q.add_argument("--threshold", type=float, default=1.0,
                    help="|R*|/R_vdW boundary between broad and narrow")
+    q.set_defaults(handler=_cmd_fb_classify)
     for q in fb_sub.choices.values():
+        q.add_argument("--species", required=True, help="species CSV file")
         q.add_argument("--units", choices=("natural", "si", "atomic"),
                        default="natural", help="unit system of the loaded values")
         _add_output_flags(q)
-        q.set_defaults(handler=_cmd_feshbach)
 
     p_v = sub.add_parser("verify", help="run the verification battery")
     p_v.add_argument("group", choices=VERIFY_GROUPS,
@@ -496,14 +409,6 @@ def _load_config(path: str) -> dict:
     return mapping
 
 
-_CONFIG_FLOAT_KEYS = {
-    "a", "rstar", "eps", "emol", "mass", "min", "max", "k", "qmax", "threshold",
-}
-_CONFIG_INT_KEYS = {"steps", "seed", "index"}
-_CONFIG_BOOL_KEYS = {"log", "identical"}
-_CONFIG_KEY_DESTS = {"lambda": "lam"}
-
-
 def _iter_parsers(parser: argparse.ArgumentParser):
     yield parser
     for action in parser._actions:
@@ -512,22 +417,38 @@ def _iter_parsers(parser: argparse.ArgumentParser):
                 yield from _iter_parsers(sub)
 
 
+def _config_actions(parser: argparse.ArgumentParser) -> dict:
+    """Config key (a subcommand's flag without its dashes) -> that flag's action."""
+    return {
+        option.lstrip("-"): action
+        for sub in _iter_parsers(parser) if sub is not parser
+        for action in sub._actions
+        if isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction))
+        for option in action.option_strings
+    }
+
+
 def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
+    """Preset flags from config values, typed and checked by each flag's action."""
+    actions = _config_actions(parser)
     defaults = {}
     for key, value in mapping.items():
-        dest = _CONFIG_KEY_DESTS.get(key, key)
         if key == "g":
             defaults["coeffs"] = ",".join(
                 str(c) for c in parse_model_literal(f"g = {value}").coeffs
             )
-        elif key in _CONFIG_FLOAT_KEYS or dest == "lam":
-            defaults[dest] = float(value)
-        elif key in _CONFIG_INT_KEYS:
-            defaults[dest] = int(value)
-        elif key in _CONFIG_BOOL_KEYS:
-            defaults[dest] = value.lower() in ("1", "true", "yes", "on")
+            continue
+        action = actions.get(key)
+        if action is None:
+            raise InvalidInput(f"unknown key {key!r}: it names no flag")
+        if isinstance(action, argparse._StoreTrueAction):
+            typed = value.lower() in ("1", "true", "yes", "on")
         else:
-            defaults[dest] = value
+            typed = action.type(value) if action.type else value
+            if action.choices is not None and typed not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise InvalidInput(f"{key} = {value!r}: choose from {choices}")
+        defaults[action.dest] = typed
     # Subcommands parse into a fresh namespace, so every subparser needs the
     # defaults, not just the root parser.
     for p in _iter_parsers(parser):
@@ -568,12 +489,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except INPUT_ERRORS as exc:
-        print(f"resokit: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NUMERICAL_ERRORS as exc:
         print(f"resokit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ResokitError as exc:
+        print(f"resokit: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         print(f"resokit: {exc}", file=sys.stderr)
         return EXIT_INPUT

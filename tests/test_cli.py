@@ -257,6 +257,56 @@ class TestConfig:
         assert code == 2
         assert "config error" in err
 
+    def test_values_typed_by_their_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lambda = 3\nemol = 0.5\neps = 0.05\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "two-channel", "params")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert rows[0][:3] == ["0.050000000000000003", "3", "0.5"]
+        cfg.write_text("a = 1\nmin = 0.1\nmax = 1\nsteps = 3\nlog = yes\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "amplitude")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(row[0]) for row in rows] == pytest.approx([0.1, 10**-0.5, 1.0], rel=1e-15)
+
+    def test_unknown_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.conf"
+        cfg.write_text("a = 1\nk = 1\nstpes = 3\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "amplitude")
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "stpes" in err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("format = xml", ["amplitude", "--a", "1", "--k", "1"]),
+        ("units = bogus", ["feshbach", "classify"]),
+    ])
+    def test_value_outside_choices_is_config_error(self, capsys, tmp_path, species_file,
+                                                   line, argv):
+        cfg = tmp_path / "choice.conf"
+        cfg.write_text(line + "\n")
+        if argv[0] == "feshbach":
+            argv = argv + ["--species", species_file]
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "choose from" in err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("k = 1", ["amplitude", "--a", "1", "--min", "0.1", "--max", "1"]),
+        ("min = 0.1", ["phase-shift", "--a", "1", "--k", "1"]),
+        ("lambda = 3\nemol = 0.5", ["two-channel", "params", "--a", "1", "--rstar", "1"]),
+        ("a = 1\nrstar = 1", ["two-channel", "bound", "--lambda", "3", "--emol", "0.5"]),
+    ])
+    def test_config_conflicting_with_flags_is_input_error(self, capsys, tmp_path, line, argv):
+        cfg = tmp_path / "conflict.conf"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "not both" in err
+
 
 class TestVerifyCommand:
     def test_fast_group_passes(self, capsys):
@@ -292,6 +342,21 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert [entry["passed"] for entry in report["outputs"]] == [True, True]
         assert all(r["passed"] is True for r in report["residuals"].values())
+
+    def test_json_report_seconds(self, capsys, monkeypatch):
+        from resokit import verify as verify_mod
+
+        def fake_battery(group="all", seed=0):
+            return [CheckResult("fake", True, 1e-14, 1e-12, "synthetic", 0.25)]
+
+        monkeypatch.setattr(verify_mod, "run_battery", fake_battery)
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["outputs"] == [
+            {"name": "fake", "passed": True, "worst": "1e-14", "seconds": "0.25"}
+        ]
+        assert report["residuals"]["fake"]["seconds"] == "0.25"
 
     def test_text_report_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "verify.txt"
@@ -367,6 +432,25 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplitude", "--a", "1", "--k", "1", "--min", "0.1", "--max", "1"],
+        ["amplitude", "--a", "1", "--k", "1", "--min", "0.1"],
+        ["phase-shift", "--a", "1", "--k", "1", "--max", "2", "--steps", "3"],
+        ["two-channel", "params", "--lambda", "1", "--emol", "0", "--a", "1", "--rstar", "1"],
+        ["two-channel", "params", "--emol", "0", "--a", "1", "--rstar", "1"],
+        ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--a", "1"],
+        ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--rstar", "1"],
+    ],
+)
+def test_conflicting_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "not both" in err
 
 
 def test_verify_choices_match_battery():

@@ -41,6 +41,10 @@ NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, PoleHit)
 VERIFY_GROUPS = ("all", "identity", "mapping", "orthogonality", "unitarity")
 VERIFY_DEFAULT_SEED = 20260810
 
+# Config values of a switch flag (--log, --identical); any other is an error.
+SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -316,8 +320,10 @@ def _add_sweep_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # main() strips only the exact --config, so an abbreviation must not parse.
     parser = argparse.ArgumentParser(
         prog="resokit",
+        allow_abbrev=False,
         description="Zero-range scattering models: one-channel phase functions "
         "and the Gaussian-regularized two-channel resonance model.",
     )
@@ -354,18 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, handler in (
         ("params", "effective low-energy parameters", _cmd_tc_params),
         ("bound", "dressed molecular state", _cmd_tc_bound),
-        ("sweep", "regulator-width sweep at fixed (a, R*)", _cmd_tc_sweep),
     ):
         q = tc_sub.add_parser(name, help=help_text)
         q.add_argument("--eps", type=float, default=0.1, help="regulator width")
         q.add_argument("--lambda", dest="lam", type=float, help="coupling amplitude")
         q.add_argument("--emol", type=float, help="molecular energy")
+        q.set_defaults(handler=handler)
+    q = tc_sub.add_parser("sweep", help="regulator-width sweep at fixed (a, R*)")
+    _add_sweep_flags(q)
+    q.set_defaults(handler=_cmd_tc_sweep)
+    for q in tc_sub.choices.values():
         q.add_argument("--mass", type=float, default=1.0, help="atom mass")
         q.add_argument("--a", type=float, help="target scattering length")
         q.add_argument("--rstar", type=float, help="target width radius")
-        _add_sweep_flags(q)
         _add_output_flags(q)
-        q.set_defaults(handler=handler)
 
     p_fb = sub.add_parser("feshbach", help="magnetic resonance data")
     fb_sub = p_fb.add_subparsers(dest="fb_command", required=True)
@@ -442,7 +450,9 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
         if action is None:
             raise InvalidInput(f"unknown key {key!r}: it names no flag")
         if isinstance(action, argparse._StoreTrueAction):
-            typed = value.lower() in ("1", "true", "yes", "on")
+            typed = SWITCH_VALUES.get(value.lower())
+            if typed is None:
+                raise InvalidInput(f"{key} = {value!r}: choose from {', '.join(SWITCH_VALUES)}")
         else:
             typed = action.type(value) if action.type else value
             if action.choices is not None and typed not in action.choices:
@@ -450,9 +460,11 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
                 raise InvalidInput(f"{key} = {value!r}: choose from {choices}")
         defaults[action.dest] = typed
     # Subcommands parse into a fresh namespace, so every subparser needs the
-    # defaults, not just the root parser.
+    # defaults, not just the root parser. A preset flag counts as given.
     for p in _iter_parsers(parser):
         p.set_defaults(**defaults)
+        for action in p._actions:
+            action.required = action.required and action.dest not in defaults
 
 
 def main(argv=None) -> int:
@@ -463,21 +475,16 @@ def main(argv=None) -> int:
     # subcommands do not have to declare it themselves.
     config_path = os.environ.get("RESOKIT_CONFIG")
     cleaned = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
+    tokens = iter(argv)
+    for token in tokens:
         if token == "--config":
-            if i + 1 >= len(argv):
+            config_path = next(tokens, None)
+            if config_path is None:
                 parser.error("--config needs a path")
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
+        elif token.startswith("--config="):
             config_path = token.split("=", 1)[1]
-            i += 1
-            continue
-        cleaned.append(token)
-        i += 1
+        else:
+            cleaned.append(token)
     argv = cleaned
     if config_path:
         try:

@@ -35,6 +35,9 @@ SQRT_PI = math.sqrt(math.pi)
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
 
+# amplitude() reports a pole where |bracket| <= POLE_RTOL times its larger term.
+POLE_RTOL = 1e-12
+
 # Below threshold I(E) carries the bracket sqrt(pi) x erfcx(x) - 1 and the
 # norm integral J the bracket (1 + 2x^2) erfcx(x) - 2x/sqrt(pi), at
 # x = kappa eps/sqrt(2). They cancel to about x^2 and x^4 machine epsilons,
@@ -206,7 +209,7 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     return -(4.0 * math.pi * HBAR**2 / p.mass) * bracket * chi2_inv
 
 
-def amplitude(p: TwoChannelParams, energy: float, pole_rtol: float = 1e-12) -> complex:
+def amplitude(p: TwoChannelParams, energy: float) -> complex:
     """f(E), raising :class:`PoleHit` when the denominator vanishes.
 
     A vanishing bracket is the bound state, not a scattering point.
@@ -215,7 +218,7 @@ def amplitude(p: TwoChannelParams, energy: float, pole_rtol: float = 1e-12) -> c
     detuning = (energy - p.e_mol) / (2.0 * p.lam**2)
     bracket = detuning - loop
     scale = max(abs(detuning), abs(loop))
-    if abs(bracket) <= pole_rtol * scale:
+    if abs(bracket) <= POLE_RTOL * scale:
         raise PoleHit(f"amplitude pole within tolerance at E = {energy!r}")
     inv = inverse_amplitude(p, energy)
     if inv == 0.0:
@@ -375,12 +378,8 @@ class IdentityReport:
     which the identity holds to machine precision.
     """
 
-    rstar: float
     beta_product: float
-    open_overlap: float
-    total_overlap: float
     tail_product: float
-    exact_tail_product: float
     residual_beta: float
     residual_exact: float
 
@@ -392,8 +391,9 @@ def product_identity_check(
 ) -> IdentityReport:
     """Check <1_tot|2_tot> = <1_open|2_open> + 4 pi R* A_1 A_2 numerically.
 
-    The two states must share lam, eps and mass (their molecular energies
-    and hence energies may differ).
+    <1_tot|2_tot> - <1_open|2_open> is beta_1 beta_2 by construction, so only
+    beta_1 beta_2 = 4 pi R* A_1 A_2 is evaluated. The two states must share
+    lam, eps and mass (their molecular energies, hence energies, may differ).
     """
     for s in (s1, s2):
         q = s.params
@@ -403,8 +403,6 @@ def product_identity_check(
             )
     rstar = rstar_from_lambda(p.lam, p.mass)
     beta_product = s1.beta * s2.beta
-    open_part = open_channel_overlap(s1, s2)
-    total = open_part + beta_product
     tail_product = 4.0 * math.pi * rstar * s1.a_tail * s2.a_tail
     exact_tail = (
         4.0
@@ -414,12 +412,8 @@ def product_identity_check(
         * tail_amplitude_from_beta(p, s2.beta)
     )
     return IdentityReport(
-        rstar=rstar,
         beta_product=beta_product,
-        open_overlap=open_part,
-        total_overlap=total,
         tail_product=tail_product,
-        exact_tail_product=exact_tail,
         residual_beta=abs(beta_product - tail_product) / abs(beta_product),
         residual_exact=abs(beta_product - exact_tail) / abs(beta_product),
     )

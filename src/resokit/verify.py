@@ -10,9 +10,7 @@ rather than by the code paths under test.
 
 from __future__ import annotations
 
-import functools
 import math
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -28,7 +26,7 @@ from .product import (
     modified_product_series,
     plain_overlap_bound,
 )
-from .species import load_species
+from .species import parse_species
 from .units import scattering_length_of_field, vdw_length, width_radius
 
 DEFAULT_SEED = 20260810
@@ -57,7 +55,7 @@ class CheckResult:
     worst: float
     tolerance: float
     detail: str
-    seconds: float
+    seconds: float = 0.0
     cases: list | None = None
 
     def __post_init__(self):
@@ -72,17 +70,6 @@ class CheckResult:
         )
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - start
-        return result
-
-    return wrapper
-
-
 def _random_model(rng, max_degree, coeff_range=2.0):
     degree = int(rng.integers(0, max_degree + 1))
     coeffs = rng.uniform(-coeff_range, coeff_range, degree + 1)
@@ -93,7 +80,6 @@ def _random_model(rng, max_degree, coeff_range=2.0):
     return PhaseShiftModel(tuple(coeffs))
 
 
-@_timed
 def check_unitarity_one_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     """Im(1/f) = -k for 200 random polynomial models on a 50-point log grid."""
     rng = np.random.default_rng(seed)
@@ -105,11 +91,10 @@ def check_unitarity_one_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     tol = 1e-13
     return CheckResult(
         "unitarity-one-channel", worst < tol, worst, tol,
-        "200 models x 50 wavenumbers", 0.0,
+        "200 models x 50 wavenumbers",
     )
 
 
-@_timed
 def check_unitarity_two_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     """Im(1/f) = -k0 at finite regulator width for 50 random parameter sets."""
     rng = np.random.default_rng(seed + 1)
@@ -129,11 +114,10 @@ def check_unitarity_two_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     tol = 1e-12
     return CheckResult(
         "unitarity-two-channel", worst < tol, worst, tol,
-        "50 parameter sets, k0 in [1e-3, 1/eps]", 0.0,
+        "50 parameter sets, k0 in [1e-3, 1/eps]",
     )
 
 
-@_timed
 def check_orthogonality(seed: int = DEFAULT_SEED) -> CheckResult:
     """Modified product of the two bound states of 100 two-pole models."""
     rng = np.random.default_rng(seed + 2)
@@ -164,12 +148,11 @@ def check_orthogonality(seed: int = DEFAULT_SEED) -> CheckResult:
     tol = 1e-12
     return CheckResult(
         "orthogonality", worst < tol, worst, tol,
-        "100 two-pole models, relative to the plain overlap", 0.0,
+        "100 two-pole models, relative to the plain overlap",
         cases=cases,
     )
 
 
-@_timed
 def check_series_quotient(seed: int = DEFAULT_SEED) -> CheckResult:
     """Difference-quotient and double-series products agree over 500 draws."""
     rng = np.random.default_rng(seed + 3)
@@ -195,7 +178,7 @@ def check_series_quotient(seed: int = DEFAULT_SEED) -> CheckResult:
     tol = 1e-12
     return CheckResult(
         "series-quotient", worst < tol, worst, tol,
-        "500 draws incl. degenerate and near-degenerate pairs", 0.0,
+        "500 draws incl. degenerate and near-degenerate pairs",
     )
 
 
@@ -205,7 +188,6 @@ def _eigenstate(energy: float, amplitude: complex) -> ContactEigenstate:
     return ContactEigenstate.scattering(energy, amplitude)
 
 
-@_timed
 def check_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     """Modified-norm residual for the reference models and 50 random ones."""
     worst = 0.0
@@ -218,7 +200,7 @@ def check_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     if abs(states[0].a2 - 0.043989344375088815) > 1e-12:
         return CheckResult(
             "normalization", False, abs(states[0].a2 - 0.043989344375088815), 1e-12,
-            "reference |A|^2 mismatch", 0.0,
+            "reference |A|^2 mismatch",
         )
     worst = max(worst, bound.modified_norm_check(eff, states[0]))
 
@@ -239,7 +221,7 @@ def check_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     tol = 1e-10
     return CheckResult(
         "normalization", worst < tol, worst, tol,
-        "reference models plus 50 random bound states", 0.0,
+        "reference models plus 50 random bound states",
     )
 
 
@@ -281,8 +263,7 @@ def loop_integral_quadrature(p: twochannel.TwoChannelParams, energy: float) -> f
     return -(m / twochannel.HBAR**2) * (inner + tail) / (2.0 * math.pi**2)
 
 
-@_timed
-def check_loop_oracle() -> CheckResult:
+def check_loop_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form loop integral against the quadrature oracle on a 30x5 grid."""
     eps_values = (0.05, 0.1, 0.2, 0.5, 1.0)
     neg = -np.geomspace(1e-6, 100.0, 15)
@@ -304,13 +285,10 @@ def check_loop_oracle() -> CheckResult:
     return CheckResult(
         "loop-integral-oracle", passed, worst, 1e-8,
         f"E<0 worst {worst_neg:.2e} (tol 1e-10), E>0 Re worst {worst_pos:.2e} (tol 1e-8)",
-        0.0,
     )
 
 
-def fit_effective_params(
-    p: twochannel.TwoChannelParams, n_points: int = 24
-) -> tuple[float, float]:
+def fit_effective_params(p: twochannel.TwoChannelParams) -> tuple[float, float]:
     """(a_eps, rstar_eps) from a quadratic fit of Re(1/f) at low energy.
 
     The fit window spans [1e-6, 1e-3] in units of hbar^2/(m l^2), where l is
@@ -321,7 +299,7 @@ def fit_effective_params(
     a_cf, r_cf = twochannel.effective_params(p)
     scale_len = max(p.eps, abs(r_cf), abs(a_cf) if math.isfinite(a_cf) else p.eps)
     e_scale = twochannel.HBAR**2 / (p.mass * scale_len**2)
-    energies = np.linspace(1e-6, 1e-3, n_points) * e_scale
+    energies = np.linspace(1e-6, 1e-3, 24) * e_scale
     values = np.array([twochannel.inverse_amplitude(p, e).real for e in energies])
     x = energies / energies[-1]
     coef = np.polyfit(x, values, 2)
@@ -331,7 +309,6 @@ def fit_effective_params(
     return a_fit, rstar_fit
 
 
-@_timed
 def check_effective_params(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form (a_eps, R*_eps) against the low-energy fit; coupling round trip."""
     rng = np.random.default_rng(seed + 5)
@@ -355,12 +332,10 @@ def check_effective_params(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(
         "effective-params", passed, max(worst, round_trip), 1e-6,
         f"fit worst {worst:.2e} (tol 1e-6), coupling round trip {round_trip:.2e} (tol 1e-12)",
-        0.0,
     )
 
 
-@_timed
-def check_zero_range_limit() -> CheckResult:
+def check_zero_range_limit(seed: int = DEFAULT_SEED) -> CheckResult:
     """Convergence to the two-term model as eps -> 0 at fixed (a, R*) = (1, 1)."""
     energy_errors = []
     rstar_fits = []
@@ -384,12 +359,10 @@ def check_zero_range_limit() -> CheckResult:
         "zero-range-limit", passed, worst, 0.5,
         f"energy error ratios {['%.2f' % r for r in ratios]} (2.0 +- 0.5), "
         f"|a_fit-1| {a_dev:.1e} (tol 1e-6), R* slope dev {slope_dev:.2e} (tol 5e-2)",
-        0.0,
     )
 
 
-@_timed
-def check_molecular_identity() -> CheckResult:
+def check_molecular_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-channel weight equals the tail term of the modified product."""
     exact_worst = 0.0
     residuals = []
@@ -414,21 +387,15 @@ def check_molecular_identity() -> CheckResult:
         f"exact algebra {exact_worst:.1e} (tol 1e-13), tail residuals "
         f"{['%.3f' % r for r in residuals]} (monotone, last < 2e-2), "
         f"beta2 dev {beta2_dev:.4f} (tol 2e-2)",
-        0.0,
     )
 
 
-@_timed
-def check_feshbach_layer() -> CheckResult:
+def check_feshbach_layer(seed: int = DEFAULT_SEED) -> CheckResult:
     """Field dependence, exact zero crossing and width-radius round trip."""
-    with tempfile.TemporaryDirectory() as tmpdir:
-        path = f"{tmpdir}/species.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(SYNTHETIC_SPECIES_CSV)
-        rows = load_species(path, mode="natural")
+    rows = parse_species(SYNTHETIC_SPECIES_CSV, mode="natural")
     if len(rows) != 3:
         return CheckResult("feshbach-layer", False, float("nan"), 1e-5,
-                           "expected 3 species rows", 0.0)
+                           "expected 3 species rows")
     worst_bg = 0.0
     worst_product = 0.0
     zero_ok = True
@@ -450,47 +417,38 @@ def check_feshbach_layer() -> CheckResult:
         "feshbach-layer", passed, max(worst_bg, worst_product), 1e-5,
         f"background dev {worst_bg:.2e} (tol 1e-5), exact zero {zero_ok}, "
         f"width-radius product dev {worst_product:.2e} (tol 1e-12)",
-        0.0,
     )
 
 
-ALL_CHECKS = (
-    check_unitarity_one_channel,
-    check_unitarity_two_channel,
-    check_orthogonality,
-    check_series_quotient,
-    check_normalization,
-    check_loop_oracle,
-    check_effective_params,
-    check_zero_range_limit,
-    check_molecular_identity,
-    check_feshbach_layer,
-)
-
+# Every check takes the battery seed; the deterministic ones ignore it.
 GROUPS = {
-    "all": tuple(fn.__name__ for fn in ALL_CHECKS),
-    "unitarity": ("check_unitarity_one_channel", "check_unitarity_two_channel"),
-    "orthogonality": ("check_orthogonality", "check_series_quotient"),
-    "mapping": (
-        "check_loop_oracle",
-        "check_effective_params",
-        "check_zero_range_limit",
+    "all": (
+        check_unitarity_one_channel,
+        check_unitarity_two_channel,
+        check_orthogonality,
+        check_series_quotient,
+        check_normalization,
+        check_loop_oracle,
+        check_effective_params,
+        check_zero_range_limit,
+        check_molecular_identity,
+        check_feshbach_layer,
     ),
-    "identity": ("check_normalization", "check_molecular_identity"),
+    "unitarity": (check_unitarity_one_channel, check_unitarity_two_channel),
+    "orthogonality": (check_orthogonality, check_series_quotient),
+    "mapping": (check_loop_oracle, check_effective_params, check_zero_range_limit),
+    "identity": (check_normalization, check_molecular_identity),
 }
-
-_BY_NAME = {fn.__name__: fn for fn in ALL_CHECKS}
 
 
 def run_battery(group: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run one named group of checks and return their results."""
+    """Run one named group of checks and return their results, each timed."""
     if group not in GROUPS:
         raise KeyError(f"unknown verification group {group!r}")
     results = []
-    for name in GROUPS[group]:
-        fn = _BY_NAME[name]
-        if "seed" in fn.__wrapped__.__code__.co_varnames:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
+    for check in GROUPS[group]:
+        start = time.perf_counter()
+        result = check(seed)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results

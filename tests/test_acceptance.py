@@ -5,13 +5,17 @@ Each test runs one named check from :mod:`resokit.verify` (the same code the
 stated runtime envelopes are asserted with generous slack.
 """
 
+import time
+
 from resokit import verify
 
 
 def _run(check, runtime_budget):
+    start = time.perf_counter()
     result = check()
+    seconds = time.perf_counter() - start
     print(result.line())
-    assert result.seconds < runtime_budget, f"runtime budget exceeded: {result.line()}"
+    assert seconds < runtime_budget, f"runtime budget exceeded: {seconds:.2f}s {result.line()}"
     assert result.passed, result.line()
     return result
 
@@ -78,3 +82,27 @@ def test_full_battery_is_green():
     for result in results:
         print(result.line())
     assert all(r.passed for r in results)
+
+
+BATTERY_NAMES = {
+    "unitarity": ["unitarity-one-channel", "unitarity-two-channel"],
+    "orthogonality": ["orthogonality", "series-quotient"],
+    "mapping": ["loop-integral-oracle", "effective-params", "zero-range-limit"],
+    "identity": ["normalization", "molecular-identity"],
+}
+BATTERY_NAMES["all"] = [
+    "unitarity-one-channel", "unitarity-two-channel", "orthogonality", "series-quotient",
+    "normalization", "loop-integral-oracle", "effective-params", "zero-range-limit",
+    "molecular-identity", "feshbach-layer",
+]
+
+
+def test_battery_table():
+    # each group runs its checks in a fixed order, every one timed
+    for group, names in BATTERY_NAMES.items():
+        results = verify.run_battery(group, 7)
+        assert [r.name for r in results] == names
+        assert all(r.seconds > 0.0 for r in results)
+    # the seed reaches the checks
+    assert verify.run_battery("orthogonality", 7)[0].worst == verify.check_orthogonality(7).worst
+    assert verify.check_orthogonality(7).worst != verify.check_orthogonality(8).worst

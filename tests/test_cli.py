@@ -307,6 +307,38 @@ class TestConfig:
         assert out == ""
         assert "input error" in err and "not both" in err
 
+    @pytest.mark.parametrize("value, expected", [
+        ("on", [0.1, 10**-0.5, 1.0]), ("TRUE", [0.1, 10**-0.5, 1.0]),
+        ("off", [0.1, 0.55, 1.0]), ("0", [0.1, 0.55, 1.0]),
+    ])
+    def test_switch_values(self, capsys, tmp_path, value, expected):
+        cfg = tmp_path / "switch.conf"
+        cfg.write_text(f"a = 1\nmin = 0.1\nmax = 1\nsteps = 3\nlog = {value}\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "amplitude")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(row[0]) for row in rows] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("line", ["log = maybe", "identical = ture", "log ="])
+    def test_unknown_switch_value_is_config_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "switch.conf"
+        cfg.write_text(f"a = 1\nk = 1\n{line}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "amplitude")
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "choose from" in err
+
+    def test_species_from_config(self, capsys, tmp_path, species_file):
+        expected = run_cli(capsys, "feshbach", "classify", "--species", species_file)
+        cfg = tmp_path / "species.conf"
+        cfg.write_text(f"species = {species_file}\n")
+        assert run_cli(capsys, "--config", str(cfg), "feshbach", "classify") == expected
+        assert expected[0] == 0
+        # without the file the flag stays required
+        with pytest.raises(SystemExit) as err:
+            cli.main(["feshbach", "classify"])
+        assert err.value.code == 2
+
 
 class TestVerifyCommand:
     def test_fast_group_passes(self, capsys):
@@ -409,6 +441,36 @@ def test_units_only_on_feshbach(capsys, argv):
         cli.main(argv + ["--units", "si"])
     assert err.value.code == 2
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "0.2",
+         "--steps", "2", "--lambda", "3"],
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "0.2",
+         "--steps", "2", "--eps", "0.3"],
+        ["two-channel", "params", "--a", "1", "--rstar", "1", "--min", "3", "--max", "1",
+         "--steps", "1", "--log"],
+        ["two-channel", "bound", "--a", "1", "--rstar", "1", "--steps", "3"],
+    ],
+)
+def test_two_channel_flag_sets(capsys, argv):
+    # params/bound take the coupling flags, sweep the grid flags; nothing else
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--conf", "c.cfg", "amplitude", "--a", "1", "--k", "1"],
+    ["--vers"],
+    ["amplitude", "--a", "1", "--k", "1", "--config"],
+])
+def test_root_flags_are_not_abbreviated(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 @pytest.mark.parametrize(
     "argv",

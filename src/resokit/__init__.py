@@ -25,7 +25,7 @@ layers load with numpy alone.
 
 __version__ = "0.1.0"
 
-from .bound import BoundState, find_bound_states, modified_norm_check, normalization, wavefunction
+from .bound import BoundState, find_bound_states, modified_norm_check, wavefunction
 from .contact import PhaseShiftModel, parse_model_literal
 from .product import (
     ContactEigenstate,
@@ -63,7 +63,6 @@ __all__ = [
     "modified_norm_check",
     "modified_product",
     "modified_product_series",
-    "normalization",
     "parse_model_literal",
     "plain_overlap_bound",
     "reg_matrix_element",

@@ -62,27 +62,24 @@ def _normalization_parts(model: PhaseShiftModel, q: float):
 def _polish(model: PhaseShiftModel, q: float, lo: float, hi: float) -> float:
     # Guarded Newton steps drive |h(q)| to the rounding floor, which the
     # eigenvalues of the companion matrix alone do not guarantee.
+    h = _pole_condition(model, q)
     for _ in range(2):
-        h = _pole_condition(model, q)
-        if h == 0.0:
-            return q
         energy = -(HBAR**2 / ATOM_MASS) * q * q
         hp = 1.0 - 2.0 * q * (HBAR**2 / ATOM_MASS) * model.g_prime(energy)
-        if hp == 0.0:
+        if h == 0.0 or hp == 0.0:
             return q
         q_new = q - h / hp
-        if not (lo <= q_new <= hi) or abs(_pole_condition(model, q_new)) >= abs(h):
+        if not lo <= q_new <= hi:
             return q
-        q = q_new
+        h_new = _pole_condition(model, q_new)
+        if abs(h_new) >= abs(h):
+            return q
+        q, h = q_new, h_new
     return q
 
 
-def find_bound_states(
-    model: PhaseShiftModel,
-    q_max: float,
-    q_min: float = Q_MIN_DEFAULT,
-) -> list[BoundState]:
-    """All roots of h(q) = g(-q^2) + q on (q_min, q_max], sorted by increasing q.
+def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
+    """All roots of h(q) = g(-q^2) + q on (Q_MIN_DEFAULT, q_max], by increasing q.
 
     h is a polynomial of degree 2N in q for a degree-N model, so its roots
     are the eigenvalues of one companion matrix. A root z counts as real
@@ -103,10 +100,8 @@ def find_bound_states(
     :class:`RootAtGridBoundary` warning, since rounding may move it, or a
     neighbour, across the window edge.
     """
-    if not q_max > 0.0:
-        raise InvalidInput("q_max must be positive")
-    if not 0.0 < q_min < q_max:
-        raise InvalidInput("need 0 < q_min < q_max")
+    if not q_max > Q_MIN_DEFAULT:
+        raise InvalidInput(f"q_max must exceed {Q_MIN_DEFAULT:g}")
     # h(q) = sum_n c_n (-hbar^2/m)^n q^(2n) + q, in increasing powers of q.
     coeffs = np.asarray(model.coeffs)
     h = np.zeros(max(2, 2 * len(coeffs) - 1))
@@ -124,7 +119,9 @@ def find_bound_states(
             candidates[-1] = 0.5 * (candidates[-1] + z.real)
             continue
         candidates.append(z.real)
-    roots = sorted(_polish(model, q, q_min, q_max) for q in candidates if q_min < q <= q_max)
+    roots = sorted(
+        _polish(model, q, Q_MIN_DEFAULT, q_max) for q in candidates if Q_MIN_DEFAULT < q <= q_max
+    )
 
     states = []
     for q in roots:
@@ -138,12 +135,6 @@ def find_bound_states(
         energy = -(HBAR**2 / ATOM_MASS) * q * q
         states.append(BoundState(q=q, energy=energy, a2=a2, norm_sign=sign))
     return states
-
-
-def normalization(model: PhaseShiftModel, state: BoundState) -> float:
-    """|A|^2 fixed by unit norm under the modified scalar product."""
-    a2, _ = _normalization_parts(model, state.q)
-    return a2
 
 
 def wavefunction(state: BoundState, r):
@@ -162,8 +153,8 @@ def modified_norm_check(model: PhaseShiftModel, state: BoundState) -> float:
     """|(phi|phi)_0 - 1| with the closed-form plain norm 4 pi |A|^2/(2q).
 
     The modified norm subtracts (2 pi hbar^2/mu) |A|^2 g'(E) from the plain
-    one; for a state normalized by :func:`normalization` the result is 1 up
-    to rounding, for any polynomial model.
+    one; for a state normalized as :func:`find_bound_states` does the result
+    is 1 up to rounding, for any polynomial model.
     """
     plain = 4.0 * math.pi * state.a2 / (2.0 * state.q)
     modified = plain - (

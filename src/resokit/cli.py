@@ -111,6 +111,10 @@ def _grid(args, what: str) -> np.ndarray:
     # written so that a NaN bound fails too
     if not args.min < args.max:
         raise InvalidInput("sweep needs min < max")
+    # an infinite bound, or finite ones whose distance overflows, yields
+    # non-finite grid points
+    if not math.isfinite(args.max - args.min):
+        raise InvalidInput("sweep needs finite bounds with a finite max - min")
     if args.steps < 2:
         raise InvalidInput("sweep needs at least 2 steps")
     if args.log and args.min <= 0.0:

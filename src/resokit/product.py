@@ -30,23 +30,23 @@ class ContactEigenstate:
 
     energy: float
     amplitude: complex
-    kind: Literal["bound", "scattering"]
 
-    def __post_init__(self):
-        if self.kind == "bound" and not self.energy < 0.0:
-            raise InvalidInput("bound state needs energy < 0")
-        if self.kind == "scattering" and not self.energy >= 0.0:
-            raise InvalidInput("scattering state needs energy >= 0")
-        if self.kind not in ("bound", "scattering"):
-            raise InvalidInput(f"unknown kind {self.kind!r}")
+    @property
+    def kind(self) -> Literal["bound", "scattering"]:
+        """Bound below threshold, scattering at or above it."""
+        return "bound" if self.energy < 0.0 else "scattering"
 
     @classmethod
     def bound(cls, energy: float, amplitude: complex) -> "ContactEigenstate":
-        return cls(energy=energy, amplitude=complex(amplitude), kind="bound")
+        if not energy < 0.0:
+            raise InvalidInput("bound state needs energy < 0")
+        return cls(energy=energy, amplitude=complex(amplitude))
 
     @classmethod
     def scattering(cls, energy: float, amplitude: complex) -> "ContactEigenstate":
-        return cls(energy=energy, amplitude=complex(amplitude), kind="scattering")
+        if not energy >= 0.0:
+            raise InvalidInput("scattering state needs energy >= 0")
+        return cls(energy=energy, amplitude=complex(amplitude))
 
     @classmethod
     def from_bound_state(cls, state: BoundState) -> "ContactEigenstate":

@@ -19,15 +19,14 @@ R* = 2 pi hbar^4/(m^2 lam^2) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import dawsn, erfcx
 
+from .contact import HBAR
 from .errors import InvalidInput, NoBoundState, ParameterMismatch, PoleHit
-
-HBAR = 1.0
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT_PI = math.sqrt(math.pi)
@@ -92,9 +91,9 @@ class TwoChannelParams:
         ):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
 
-    def chi(self, k):
+    def chi(self, k: float) -> float:
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
-        return np.exp(-0.25 * (k * self.eps) ** 2)
+        return math.exp(-0.25 * (k * self.eps) ** 2)
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,10 @@ class TwoChannelBoundState:
         """Molecular amplitude, real positive by phase convention."""
         return math.sqrt(self.beta2)
 
-    def psi(self, k):
+    def psi(self, k: float) -> float:
         """Open-channel momentum wavefunction sqrt(2) lam beta chi(k)/(E - k^2/m)."""
         p = self.params
-        denom = self.energy - (HBAR * np.asarray(k, dtype=float)) ** 2 / p.mass
+        denom = self.energy - (HBAR * k) ** 2 / p.mass
         return math.sqrt(2.0) * p.lam * self.beta * p.chi(k) / denom
 
 
@@ -311,27 +310,19 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     j = norm_integral(p, energy)
     beta2 = 1.0 / (1.0 + 2.0 * p.lam**2 * j)
     open_norm = 2.0 * p.lam**2 * j * beta2
-    beta = math.sqrt(beta2)
+    state = TwoChannelBoundState(
+        params=p, energy=energy, beta2=beta2, a_tail=math.nan, open_norm=open_norm
+    )
 
     def plateau(c):
         k = c / p.eps
-        psi = (
-            math.sqrt(2.0)
-            * p.lam
-            * beta
-            * math.exp(-0.25 * (k * p.eps) ** 2)
-            / (energy - (HBAR * k) ** 2 / p.mass)
-        )
-        return -(k * k * psi) / (4.0 * math.pi)
+        return -(k * k * state.psi(k)) / (4.0 * math.pi)
 
     lo, hi = TAIL_FRACTIONS
     # Error model: plateau approached like 1/k^2 from the shallow side; with
     # samples at k and 2k the extrapolant is (4 P(2k) - P(k))/3.
     a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
-
-    return TwoChannelBoundState(
-        params=p, energy=energy, beta2=beta2, a_tail=a_tail, open_norm=open_norm
-    )
+    return replace(state, a_tail=a_tail)
 
 
 def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:

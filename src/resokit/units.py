@@ -4,9 +4,9 @@ All analysis modules work in natural units: hbar = 1 and atom mass m = 1,
 so the reduced mass is mu = 1/2 and the relative energy is E = k^2. A
 :class:`UnitSystem` holds the factors that map values expressed in a source
 system (SI or Hartree atomic units) onto those working units. The working
-system is anchored by two scales chosen at construction time: the atom mass
-and a length unit (Bohr radius by default). In natural mode every factor is
-exactly 1, by definition.
+system is anchored by two scales: the atom mass, chosen at construction
+time, and the Bohr radius. In natural mode every factor is exactly 1, by
+definition.
 
 Magnetic moments are stored as energy per field throughout, so the width
 radius hbar^2/(m a_bg dmu dB) is dimensionally closed in every mode.
@@ -59,15 +59,15 @@ class UnitSystem:
         return cls(mode="natural")
 
     @classmethod
-    def si(cls, atom_mass_kg: float, length_m: float = BOHR_RADIUS_SI) -> "UnitSystem":
-        """SI values anchored so that the given atom mass and length map to 1."""
-        if atom_mass_kg <= 0.0 or length_m <= 0.0:
-            raise InvalidInput("unit anchors must be positive")
-        energy_j = HBAR_SI**2 / (atom_mass_kg * length_m**2)
+    def si(cls, atom_mass_kg: float) -> "UnitSystem":
+        """SI values anchored so that the given atom mass and the Bohr radius map to 1."""
+        if not atom_mass_kg > 0.0:
+            raise InvalidInput("atom mass must be positive")
+        energy_j = HBAR_SI**2 / (atom_mass_kg * BOHR_RADIUS_SI**2)
         field_t = energy_j / BOHR_MAGNETON_SI
         return cls(
             mode="si",
-            length=1.0 / length_m,
+            length=1.0 / BOHR_RADIUS_SI,
             energy=1.0 / energy_j,
             field=1.0 / field_t,
             mass=1.0 / atom_mass_kg,
@@ -75,9 +75,9 @@ class UnitSystem:
         )
 
     @classmethod
-    def atomic(cls, atom_mass_kg: float, length_m: float = BOHR_RADIUS_SI) -> "UnitSystem":
+    def atomic(cls, atom_mass_kg: float) -> "UnitSystem":
         """Hartree atomic units (bohr, hartree, m_e) mapped onto the working units."""
-        si = cls.si(atom_mass_kg, length_m)
+        si = cls.si(atom_mass_kg)
         return cls(
             mode="atomic",
             length=BOHR_RADIUS_SI * si.length,
@@ -91,7 +91,7 @@ class UnitSystem:
         """Working units per one source unit of the given dimension.
 
         Composite dimensions: ``dmu`` is energy/field, ``c6`` is
-        energy*length^6, ``inverse_length`` is 1/length.
+        energy*length^6.
         """
         if dimension in _BASE_DIMENSIONS:
             return getattr(self, dimension)
@@ -99,15 +99,7 @@ class UnitSystem:
             return self.energy / self.field
         if dimension == "c6":
             return self.energy * self.length**6
-        if dimension == "inverse_length":
-            return 1.0 / self.length
         raise InvalidInput(f"unknown dimension {dimension!r}")
-
-    def to_natural(self, value: float, dimension: str) -> float:
-        return value * self.factor(dimension)
-
-    def from_natural(self, value: float, dimension: str) -> float:
-        return value / self.factor(dimension)
 
     def convert(self, value: float, dimension: str, other: "UnitSystem") -> float:
         """Re-express ``value`` from this system in ``other``'s units."""
@@ -184,10 +176,9 @@ def width_radius(res: ResonanceData) -> float:
 def vdw_length(res: ResonanceData) -> float:
     """Van der Waals length (mu C6 / hbar^2)^(1/4) with mu = mass/2.
 
-    The reduced mass is fixed to half the atom mass (identical particles).
+    The reduced mass is fixed to half the atom mass (identical particles);
+    :class:`ResonanceData` guarantees c6 > 0 and mass > 0.
     """
-    if not (res.c6 > 0.0 and res.mass > 0.0):
-        raise InvalidInput("c6 and mass must be positive")
     return (0.5 * res.mass * res.c6 / res.units.hbar**2) ** 0.25
 
 
@@ -197,5 +188,7 @@ def classify_resonance(res: ResonanceData, threshold: float = 1.0) -> str:
     The ratio is dimensionless, so the result does not depend on the unit
     mode the data is expressed in.
     """
+    if not np.isfinite(threshold):
+        raise InvalidInput(f"threshold must be finite, got {threshold!r}")
     ratio = abs(width_radius(res)) / vdw_length(res)
     return "narrow" if ratio > threshold else "broad"

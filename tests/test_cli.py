@@ -2,14 +2,11 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import resokit
 from resokit import cli
 from resokit.verify import SYNTHETIC_SPECIES_CSV, CheckResult
 
@@ -390,6 +387,27 @@ class TestVerifyCommand:
         ]
         assert report["residuals"]["fake"]["seconds"] == "0.25"
 
+    @pytest.mark.parametrize("argv", [("unitarity", "--seed", "-1"),
+                                      ("orthogonality", "--seed", "-3")])
+    def test_negative_seed_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_missing_state_is_a_failed_check(self, capsys, monkeypatch):
+        # a check whose pole search returns too few states reports a failure
+        from resokit import verify as verify_mod
+
+        find = verify_mod.bound.find_bound_states
+        monkeypatch.setattr(verify_mod.bound, "find_bound_states",
+                            lambda *args, **kwargs: find(*args, **kwargs)[:-1])
+        assert not verify_mod.check_orthogonality().passed
+        assert not verify_mod.check_normalization().passed
+        code, out, _ = run_cli(capsys, "verify", "orthogonality")
+        assert code == 4
+        assert "[FAIL] orthogonality" in out
+
     def test_text_report_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "verify.txt"
         code, out, _ = run_cli(capsys, "verify", "unitarity", "--out", str(out_path))
@@ -487,9 +505,18 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "1", "--emol", "1e308"],
         ["two-channel", "params", "--lambda", "1e150", "--emol", "1e-300", "--mass", "1e-300"],
         ["two-channel", "params", "--lambda", "1", "--emol", "0", "--mass", "1e200"],
+        ["feshbach", "sweep", "--species", "SPECIES", "--min", "540", "--max", "inf",
+         "--steps", "3"],
+        ["feshbach", "sweep", "--species", "SPECIES", "--min", "540", "--max", "inf",
+         "--steps", "3", "--format", "json"],
+        ["feshbach", "sweep", "--species", "SPECIES", "--min=-1e308", "--max", "1e308",
+         "--steps", "3"],
+        ["amplitude", "--a", "1", "--min=-inf", "--max", "1", "--steps", "3"],
+        ["feshbach", "classify", "--species", "SPECIES", "--threshold", "nan"],
     ],
 )
-def test_non_finite_or_overflowing_input_exits_2(capsys, argv):
+def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
+    argv = [species_file if token == "SPECIES" else token for token in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -541,11 +568,7 @@ for argv in (
 loaded += [m for m in sys.modules if m.split(".")[0] == "scipy"]
 print(sorted(set(loaded)))
 """
-    src = str(Path(resokit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -36,6 +36,11 @@ class TestEigenstate:
         with pytest.raises(InvalidInput):
             ContactEigenstate.scattering(-0.5, 1.0)
 
+    def test_kind_follows_energy(self):
+        assert ContactEigenstate(-0.5, 1.0).kind == "bound"
+        assert ContactEigenstate(0.0, 1.0).kind == "scattering"
+        assert ContactEigenstate.scattering(2.0, 1.0).kind == "scattering"
+
     def test_q_accessor(self):
         s = bound_state(-4.0)
         assert s.q == pytest.approx(2.0, rel=1e-15)

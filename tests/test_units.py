@@ -166,6 +166,11 @@ class TestClassify:
         assert classify_resonance(res) == "narrow"
         assert classify_resonance(res, threshold=10.0) == "broad"
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidInput):
+            classify_resonance(natural_res(a_bg=0.2), threshold=threshold)
+
     def test_invariant_under_unit_mode(self):
         mass_kg = 39.964 * ATOMIC_MASS_SI
         si = UnitSystem.si(mass_kg)
@@ -195,14 +200,14 @@ class TestUnitSystem:
         si = UnitSystem.si(atom_mass_kg=1.4431e-25)
         for dim in ("length", "energy", "field", "mass", "dmu", "c6"):
             for value in (1.0, 3.25e-11, 7.9e8):
-                back = si.from_natural(si.to_natural(value, dim), dim)
+                back = NATURAL.convert(si.convert(value, dim, NATURAL), dim, si)
                 assert abs(back - value) / value < 1e-12
 
     def test_atomic_round_trip_through_natural(self):
         au = UnitSystem.atomic(atom_mass_kg=9.988e-27)
         value = 42.0
-        there = au.to_natural(value, "length")
-        assert au.from_natural(there, "length") == pytest.approx(value, rel=1e-12)
+        there = au.convert(value, "length", NATURAL)
+        assert NATURAL.convert(there, "length", au) == pytest.approx(value, rel=1e-12)
 
     def test_convert_between_systems(self):
         mass_kg = 2.2e-25
@@ -221,8 +226,9 @@ class TestUnitSystem:
         )
 
     def test_bad_anchors_raise(self):
-        with pytest.raises(InvalidInput):
-            UnitSystem.si(atom_mass_kg=-1.0)
+        for mass in (-1.0, float("nan")):
+            with pytest.raises(InvalidInput):
+                UnitSystem.si(atom_mass_kg=mass)
 
     def test_unknown_dimension_raises(self):
         with pytest.raises(InvalidInput):

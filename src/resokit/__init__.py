@@ -18,9 +18,10 @@ Core objects:
 All analysis code works in natural units (hbar = 1, atom mass = 1, so
 E = k^2); conversions happen at the boundary.
 
-Only :mod:`~resokit.twochannel` and :mod:`~resokit.verify` import scipy;
-the two-channel names below are served lazily so that the one-channel
-layers load with numpy alone.
+Only :mod:`~resokit.verify` imports scipy at import time;
+:mod:`~resokit.twochannel` imports its Dawson function on the first
+amplitude above threshold. The two-channel names below are served lazily,
+so that the one-channel layers load without the two-channel model.
 """
 
 __version__ = "0.1.0"

@@ -19,11 +19,10 @@ R* = 2 pi hbar^4/(m^2 lam^2) exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import dawsn, erfcx
 
 from .contact import HBAR
 from .errors import InvalidInput, NoBoundState, ParameterMismatch, PoleHit
@@ -44,7 +43,8 @@ POLE_RTOL = 1e-12
 # sum_{n>=1} a_n x^-2n with a_n = (-1)^n (2n-1)!!/2^n, the second, its
 # derivative up to a factor, sum_{n>=1} -2n a_n x^-(2n+1)/sqrt(pi).
 # Crossover and length were chosen against mpmath: both brackets stay within
-# 3e-12 relative for all x.
+# 3e-12 relative for all x. Below SERIES_X, erfc(x) >= 4e-23 and
+# exp(x^2) <= 2e21, so erfcx is their product with no under- or overflow.
 SERIES_X = 7.0
 SERIES_TERMS = 20
 _LOOP_SERIES = tuple(
@@ -59,6 +59,22 @@ _NORM_SERIES = tuple(-2.0 * n * a for n, a in enumerate(_LOOP_SERIES, start=1))
 # stays within 1e-13 relative and the difference within 5e-12.
 OVERLAP_GAUSS_GAP = 0.2
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# Veltkamp's splitter 2^27 + 1: c - (c - x) with c = _SPLITTER x keeps the
+# upper 26 significand bits of x, so both halves square exactly.
+_SPLITTER = 134217729.0
+
+# sqrt(2 pi)/(4 pi^2) = -I(0) hbar^2 eps/m as the unevaluated sum of two
+# doubles, hi + lo, within 1e-32 relative (mpmath; pinned by a test).
+_LOOP_SCALE_HI = 0.06349363593424097
+_LOOP_SCALE_LO = 8.203159112775494e-19
+
+# bound_state's pole solve stops once a step is at most this fraction of the
+# energy (brentq's rtol = 4 ulp). The cap is a backstop against a non-finite
+# bracket: 2e4 seeded solves with lam, eps and mass spread over 16, 12 and
+# 12 decades took at most 20 evaluations of the bracket.
+POLE_RTOL_STEP = 4.0 * sys.float_info.epsilon
+POLE_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -128,31 +144,22 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     """Regularized loop integral I(E) over intermediate atom pairs.
 
     For the Gaussian form factor the integral has a closed form: below
-    threshold it involves the scaled complementary error function, summed as
-    its asymptotic series from x = kappa eps/sqrt(2) >= ``SERIES_X`` on,
-    above it the Dawson function for the principal value plus an exact
-    on-shell imaginary part. Scaled special functions keep the evaluation
-    finite for arbitrarily deep energies.
+    threshold it involves erfcx(x) = exp(x^2) erfc(x) at
+    x = kappa eps/sqrt(2) (:func:`_shapes`), summed as its asymptotic series
+    from ``SERIES_X`` on, which keeps the evaluation finite for arbitrarily
+    deep energies. Above it the principal value involves the Dawson
+    function, the only scipy function in this module, imported on first use
+    there; the on-shell imaginary part is exact.
     """
+    if energy < 0.0:
+        return complex(_below_threshold(p, energy)[1], 0.0)
+    if energy == 0.0:
+        return complex(-_loop_scale(p), 0.0)
+    from scipy.special import dawsn
+
     m = p.mass
     alpha = 0.5 * p.eps**2
     prefactor = m / (2.0 * math.pi**2 * HBAR**2)
-    if energy < 0.0:
-        kappa = math.sqrt(-m * energy) / HBAR
-        x = kappa * math.sqrt(alpha)
-        if x < SERIES_X:
-            real = prefactor * (
-                -0.5 * math.sqrt(math.pi / alpha)
-                + 0.5 * math.pi * kappa * float(erfcx(x))
-            )
-        else:
-            real = prefactor * 0.5 * SQRT_PI / math.sqrt(alpha) * _series(_LOOP_SERIES, x)
-        return complex(real, 0.0)
-    if energy == 0.0:
-        return complex(
-            -(m / HBAR**2) * math.sqrt(2.0 * math.pi) / (4.0 * math.pi**2 * p.eps),
-            0.0,
-        )
     k0 = math.sqrt(m * energy) / HBAR
     x = k0 * math.sqrt(alpha)
     real = -prefactor * (
@@ -160,6 +167,30 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     )
     imag = -(m * k0 / (4.0 * math.pi * HBAR**2)) * math.exp(-alpha * k0 * k0)
     return complex(real, imag)
+
+
+def _loop_scale(p: TwoChannelParams) -> float:
+    """-I(0) = m sqrt(2 pi)/(4 pi^2 hbar^2 eps), the scale of I below threshold."""
+    return _LOOP_SCALE_HI * p.mass / (HBAR**2 * p.eps)
+
+
+def _below_threshold(p: TwoChannelParams, energy: float) -> tuple[float, float, float]:
+    """I(E) - I(0), I(E) and J(E) = -I'(E) for E < 0, from one erfcx value.
+
+    With kappa = sqrt(-m E)/hbar and x = kappa eps/sqrt(2),
+    I - I(0) = -I(0) sqrt(pi) x erfcx(x) and
+    J = (m^2/(8 pi hbar^4 kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
+    """
+    m = p.mass
+    # Two square roots, as m E can underflow to 0 where kappa does not.
+    kappa = math.sqrt(m) * math.sqrt(-energy) / HBAR
+    rise, loop_shape, norm_shape = _shapes(kappa * p.eps / math.sqrt(2.0))
+    scale = _loop_scale(p)
+    return (
+        scale * rise,
+        scale * loop_shape,
+        m * m / (8.0 * math.pi * HBAR**4 * kappa) * norm_shape,
+    )
 
 
 def _bracket(p: TwoChannelParams, energy: float) -> complex:
@@ -176,11 +207,35 @@ def _series(coeffs, x: float) -> float:
     return total
 
 
-def _norm_shape(x: float) -> float:
-    """(1 + 2x^2) erfcx(x) - 2x/sqrt(pi), by its asymptotic series from SERIES_X on."""
+def _erfcx(x: float) -> float:
+    """erfcx(x) = exp(x^2) erfc(x) for 0 <= x < ``SERIES_X``.
+
+    exp(x^2) is taken as exp(hi) (1 + lo) with hi + lo = x^2 exactly
+    (Dekker's product of Veltkamp halves; math.fma needs Python 3.13), so
+    the rounding of x^2, which exp would amplify by x^2, does not reach the
+    result. Against 40-digit mpmath this stays within 1e-15 relative.
+    """
+    c = _SPLITTER * x
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    hi = x * x
+    lo = ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
+    return math.erfc(x) * math.exp(hi) * (1.0 + lo)
+
+
+def _shapes(x: float) -> tuple[float, float, float]:
+    """Brackets of I and J at x >= 0, from one erfcx value below ``SERIES_X``.
+
+    They are sqrt(pi) x erfcx(x), that minus 1, and
+    (1 + 2x^2) erfcx(x) - 2x/sqrt(pi); from ``SERIES_X`` on, the last two
+    are their asymptotic series.
+    """
     if x < SERIES_X:
-        return (1.0 + 2.0 * x * x) * float(erfcx(x)) - 2.0 * x / SQRT_PI
-    return _series(_NORM_SERIES, x) / (x * SQRT_PI)
+        e = _erfcx(x)
+        rise = SQRT_PI * x * e
+        return rise, rise - 1.0, (1.0 + 2.0 * x * x) * e - 2.0 * x / SQRT_PI
+    loop_shape = _series(_LOOP_SERIES, x)
+    return 1.0 + loop_shape, loop_shape, _series(_NORM_SERIES, x) / (x * SQRT_PI)
 
 
 def norm_integral(p: TwoChannelParams, energy: float) -> float:
@@ -191,9 +246,7 @@ def norm_integral(p: TwoChannelParams, energy: float) -> float:
     """
     if not energy < 0.0:
         raise InvalidInput("the norm integral needs an energy below threshold")
-    m = p.mass
-    kappa = math.sqrt(-m * energy) / HBAR
-    return m * m / (8.0 * math.pi * HBAR**4 * kappa) * _norm_shape(kappa * p.eps / math.sqrt(2.0))
+    return _below_threshold(p, energy)[2]
 
 
 def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
@@ -287,27 +340,31 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
     B(0-) = m/(4 pi hbar^2 a_eps), so there is exactly one pole when
     0 < a_eps < inf and none otherwise (:class:`NoBoundState`, also raised
-    when 1/a_eps is so small that the computed B(0) loses its sign to
-    rounding). The lower end of the bracket starts at the zero-range energy
-    -hbar^2/(m a_eps^2) and moves down geometrically until B < 0; one brentq
-    then solves B = 0. The closed-channel weight is
-    beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total norm, and the tail amplitude
-    follows from the plateau of k^2 psi(k), sampled at k = c/eps and
-    extrapolated against the inverse-square window variable.
+    when the computed a_eps and the correctly rounded B(0-) disagree in
+    sign, which 1/a_eps at the level of its own rounding can cause). The
+    lower end of the bracket starts at the zero-range energy
+    -hbar^2/(m a_eps^2) and moves down geometrically until B < 0;
+    :func:`_pole_energy` then solves B = 0 by safeguarded Newton steps. The
+    closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
+    norm, and the tail amplitude follows from the plateau of k^2 psi(k),
+    sampled at k = c/eps and extrapolated against the inverse-square window
+    variable.
     """
-
-    def bracket(e):
-        return _bracket(p, e).real
-
     a_eps, _ = effective_params(p)
-    if not (0.0 < a_eps < math.inf and bracket(0.0) > 0.0):
+    b0 = _threshold_bracket(p) if 0.0 < a_eps < math.inf else 0.0
+    if not b0 > 0.0:
         raise NoBoundState(f"no pole below threshold for a_eps = {a_eps!r}")
-    e_lo = min(-HBAR**2 / (p.mass * a_eps**2), -np.finfo(float).tiny)
-    while bracket(e_lo) >= 0.0:
-        e_lo *= 4.0
-    energy = brentq(bracket, e_lo, 0.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    # The zero-range energy -hbar^2/(m a_eps^2), clamped to finite nonzero.
+    k0 = HBAR / a_eps
+    hi, lo = 0.0, min(max(-(k0 * k0) / p.mass, -sys.float_info.max), -sys.float_info.min)
+    b, j = _pole_terms(p, b0, lo)
+    while b >= 0.0:
+        hi, lo = lo, 4.0 * lo
+        b, j = _pole_terms(p, b0, lo)
+    if lo == -math.inf:
+        raise InvalidInput("the pole lies below the floating-point range")
+    energy, j = _pole_energy(p, b0, lo, hi, b, j)
 
-    j = norm_integral(p, energy)
     beta2 = 1.0 / (1.0 + 2.0 * p.lam**2 * j)
     open_norm = 2.0 * p.lam**2 * j * beta2
     state = TwoChannelBoundState(
@@ -323,6 +380,86 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     # samples at k and 2k the extrapolant is (4 P(2k) - P(k))/3.
     a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
     return replace(state, a_tail=a_tail)
+
+
+def _threshold_bracket(p: TwoChannelParams) -> float:
+    """B(0-) = -I(0) - e_mol/(2 lam^2), correctly rounded.
+
+    Its terms cancel to m/(4 pi hbar^2 a_eps), by a factor of about
+    a_eps/eps, which amplifies every rounding in them. So it is evaluated in
+    exact rational arithmetic on the inputs, with sqrt(2 pi)/(4 pi^2) to
+    106 bits, and rounded once.
+    """
+    (kh, khd), (kl, kld) = (c.as_integer_ratio() for c in (_LOOP_SCALE_HI, _LOOP_SCALE_LO))
+    mn, md = p.mass.as_integer_ratio()
+    hn, hd = HBAR.as_integer_ratio()
+    en, ed = p.eps.as_integer_ratio()
+    un, ud = p.e_mol.as_integer_ratio()
+    ln, ld = p.lam.as_integer_ratio()
+    # -I(0) = sn/sd and e_mol/(2 lam^2) = dn/dd.
+    sn, sd = (kh * kld + kl * khd) * mn * hd * hd * ed, khd * kld * md * hn * hn * en
+    dn, dd = un * ld * ld, 2 * ud * ln * ln
+    return (sn * dd - dn * sd) / (sd * dd)
+
+
+def _pole_terms(p: TwoChannelParams, b0: float, energy: float) -> tuple[float, float]:
+    """B(E) below threshold and J(E), given B(0-) = ``b0``; B' = 1/(2 lam^2) + J.
+
+    B = B(0-) + E/(2 lam^2) - (I(E) - I(0)) = (E - e_mol)/(2 lam^2) - I(E).
+    The form subtracting the smaller of |I - I(0)| and |I| is taken, so no
+    term larger than B's own scale is rounded: the first at shallow poles,
+    where ``b0`` already holds the e_mol - 1/eps cancellation exactly, the
+    second at deep ones.
+    """
+    rise, loop, j = _below_threshold(p, energy)
+    if rise < -loop:
+        return b0 + energy / (2.0 * p.lam**2) - rise, j
+    return (energy - p.e_mol) / (2.0 * p.lam**2) - loop, j
+
+
+def _pole_energy(
+    p: TwoChannelParams, b0: float, lo: float, hi: float, b: float, j: float
+) -> tuple[float, float]:
+    """Root of B in [lo, hi] and J there, given B(lo) = b < 0 <= B(hi), J(lo) = j.
+
+    B is increasing and convex below threshold, and B(E) <= B(0-) +
+    E/(2 lam^2) as I(E) >= I(0), so the zero of that line is a lower end
+    too. The iteration starts from the higher of the two: the line is far
+    closer where the zero-range lo is far too deep. Newton steps follow,
+    safeguarded as in Numerical Recipes' rtsafe: every evaluated point
+    replaces the end of [lo, hi] that has its sign, and a step that would
+    leave the bracket, or that after the first two is not at most half the
+    step before last, is replaced by bisection, of log|E| once hi < 0 since
+    the bracket can span decades. A Newton step from B < 0 lands on the
+    root's right, and from there B falls monotonically to 0. The solve stops
+    after a step of at most ``POLE_RTOL_STEP`` relative, or when a step from
+    B > 0 fails to lower B, which only rounding of B can cause; the J of
+    the returned point comes with it.
+    """
+    x, line = lo, -2.0 * p.lam**2 * b0
+    if lo < line < 0.0:
+        x = line
+        b, j = _pole_terms(p, b0, x)
+    step = older = 2.0 * (hi - lo)
+    for _ in range(POLE_MAX_STEPS):
+        if b == 0.0 or abs(step) <= POLE_RTOL_STEP * abs(x):
+            return x, j
+        if b < 0.0:
+            lo = x
+        else:
+            hi = x
+        dx = b / (0.5 / p.lam**2 + j)
+        if lo <= x - dx <= hi and x - dx < 0.0 and abs(dx) <= 0.5 * abs(older):
+            older, step = step, dx
+            new = x - dx
+        else:
+            older, step = step, 0.5 * (hi - lo)
+            new = -math.sqrt(-lo) * math.sqrt(-hi) if hi < 0.0 else lo + step
+        b_new, j_new = _pole_terms(p, b0, new)
+        if 0.0 < b <= b_new:
+            return x, j
+        x, b, j = new, b_new, j_new
+    raise RuntimeError(f"pole solve did not converge in {POLE_MAX_STEPS} steps")
 
 
 def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:
@@ -349,7 +486,7 @@ def open_channel_overlap(
     if abs(k1 - k2) <= OVERLAP_GAUSS_GAP * (k1 + k2):
         mid, half = 0.5 * (k1 + k2), 0.5 * (k1 - k2)
         mean = 0.5 * sum(
-            w * _norm_shape((mid + half * t) * p.eps / math.sqrt(2.0))
+            w * _shapes((mid + half * t) * p.eps / math.sqrt(2.0))[2]
             for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
         )
         integral = m * m * mean / (4.0 * math.pi * HBAR**4 * (k1 + k2))

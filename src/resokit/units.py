@@ -155,13 +155,20 @@ def scattering_length_of_field(res: ResonanceData, field):
     """Scattering length a(B) = a_bg (1 - dB/(B - B0)) at magnetic field B.
 
     Evaluated as a_bg (B - (B0 + dB))/(B - B0) so the zero crossing at
-    B = B0 + dB is exact in floating point. ``field`` may be an array; any
-    field exactly at B0 raises :class:`PoleAtResonance`.
+    B = B0 + dB is exact in floating point. Near the float limit the
+    product overflows before the division; there the quotient is taken
+    first. ``field`` may be an array; any field exactly at B0 raises
+    :class:`PoleAtResonance`.
     """
     field = np.asarray(field, dtype=float)
     if (field == res.b0).any():
         raise PoleAtResonance("scattering length diverges at B = B0")
-    a = res.a_bg * (field - (res.b0 + res.delta_b)) / (field - res.b0)
+    num, den = field - (res.b0 + res.delta_b), field - res.b0
+    with np.errstate(over="ignore"):
+        a = res.a_bg * num / den
+    overflowed = np.isinf(a)
+    if overflowed.any():
+        a = np.where(overflowed, res.a_bg * (num / den), a)
     return a.item() if a.ndim == 0 else a
 
 

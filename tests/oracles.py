@@ -17,26 +17,26 @@ mp.mp.dps = 40
 
 def mp_polyval(coeffs, x):
     """Polynomial sum via mpmath, highest precision, lowest cleverness."""
-    x = mp.mpf(repr(float(x)))
+    x = mp.mpf(float(x))
     total = mp.mpf(0)
     for n, c in enumerate(coeffs):
-        total += mp.mpf(repr(float(c))) * x**n
+        total += mp.mpf(float(c)) * x**n
     return float(total)
 
 
 def mp_polyder(coeffs, x):
-    x = mp.mpf(repr(float(x)))
+    x = mp.mpf(float(x))
     total = mp.mpf(0)
     for n, c in enumerate(coeffs):
         if n >= 1:
-            total += n * mp.mpf(repr(float(c))) * x ** (n - 1)
+            total += n * mp.mpf(float(c)) * x ** (n - 1)
     return float(total)
 
 
 def mp_difference_quotient(coeffs, e1, e2):
     """(g(e1) - g(e2))/(e1 - e2) for distinct floats, exact to 40 digits."""
-    e1, e2 = mp.mpf(repr(float(e1))), mp.mpf(repr(float(e2)))
-    cs = [mp.mpf(repr(float(c))) for c in coeffs]
+    e1, e2 = mp.mpf(float(e1)), mp.mpf(float(e2))
+    cs = [mp.mpf(float(c)) for c in coeffs]
     g1 = sum(c * e1**n for n, c in enumerate(cs))
     g2 = sum(c * e2**n for n, c in enumerate(cs))
     return float((g1 - g2) / (e1 - e2))
@@ -69,16 +69,16 @@ def mp_modified_product(coeffs, e1, a1, e2, a2, plain, dps=50):
 
 def mp_amplitude(coeffs, k):
     """f = -1/(-g(k^2) + i k) in mpmath complex arithmetic."""
-    k = mp.mpf(repr(float(k)))
+    k = mp.mpf(float(k))
     g = mp.mpf(0)
     for n, c in enumerate(coeffs):
-        g += mp.mpf(repr(float(c))) * (k * k) ** n
+        g += mp.mpf(float(c)) * (k * k) ** n
     f = -1 / (-g + 1j * k)
     return complex(f)
 
 def mp_arccot(x):
     """arccot on the branch (0, pi)."""
-    return float(mp.pi / 2 - mp.atan(mp.mpf(repr(float(x)))))
+    return float(mp.pi / 2 - mp.atan(mp.mpf(float(x))))
 
 
 def richardson_derivative(f, x, h0=1e-2, levels=5):
@@ -151,9 +151,9 @@ def mp_norm_integral(eps, energy, mass=1.0):
     The radial integrand has scales kappa = sqrt(-m E) and 1/eps, so the
     interval is split at both.
     """
-    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
-    energy = mp.mpf(repr(float(energy)))
-    mass = mp.mpf(repr(float(mass)))
+    alpha = mp.mpf(float(eps)) ** 2 / 2
+    energy = mp.mpf(float(energy))
+    mass = mp.mpf(float(mass))
     kappa = mp.sqrt(-mass * energy)
     width = 1 / mp.sqrt(alpha)
     points = sorted({mp.mpf(0), kappa, 10 * kappa, width, 10 * width})
@@ -169,8 +169,8 @@ def mp_pole_energy(lam, e_mol, eps, guess, mass=1.0):
 
     Solved in kappa = sqrt(-m E), where the bracket stays real on both sides.
     """
-    lam, e_mol, mass = (mp.mpf(repr(float(v))) for v in (lam, e_mol, mass))
-    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
+    lam, e_mol, mass = (mp.mpf(float(v)) for v in (lam, e_mol, mass))
+    alpha = mp.mpf(float(eps)) ** 2 / 2
 
     def bracket(kappa):
         loop = (mass / (2 * mp.pi**2)) * (
@@ -179,7 +179,7 @@ def mp_pole_energy(lam, e_mol, eps, guess, mass=1.0):
         )
         return (-kappa * kappa / mass - e_mol) / (2 * lam * lam) - loop
 
-    kappa = mp.findroot(bracket, mp.sqrt(-mass * mp.mpf(repr(float(guess)))))
+    kappa = mp.findroot(bracket, mp.sqrt(-mass * mp.mpf(float(guess))))
     return float(-kappa * kappa / mass)
 
 
@@ -200,8 +200,8 @@ def open_overlap_quadrature(lam, eps, e1, beta1, e2, beta2, mass=1.0):
 
 def mp_pole_residual(coeffs, q):
     """h(q) = g(-q^2) + q at the float q, evaluated at 40 digits."""
-    q = mp.mpf(repr(float(q)))
-    return sum(mp.mpf(repr(float(c))) * (-q * q) ** n for n, c in enumerate(coeffs)) + q
+    q = mp.mpf(float(q))
+    return sum(mp.mpf(float(c)) * (-q * q) ** n for n, c in enumerate(coeffs)) + q
 
 
 def mp_bound_poles(coeffs, q_min, q_max):
@@ -212,7 +212,7 @@ def mp_bound_poles(coeffs, q_min, q_max):
     the complex plane, and counts as real when the refined imaginary part
     vanishes to 25 digits.
     """
-    cs = [mp.mpf(repr(float(c))) for c in coeffs]
+    cs = [mp.mpf(float(c)) for c in coeffs]
 
     def h(q):
         return sum(c * (-q * q) ** n for n, c in enumerate(cs)) + q
@@ -234,9 +234,9 @@ def mp_bound_poles(coeffs, q_min, q_max):
 
 def mp_loop_integral(eps, energy, mass=1.0):
     """I(E < 0) in closed form with mpmath's erfc at 40 digits."""
-    alpha = mp.mpf(repr(float(eps))) ** 2 / 2
-    mass = mp.mpf(repr(float(mass)))
-    kappa = mp.sqrt(-mass * mp.mpf(repr(float(energy))))
+    alpha = mp.mpf(float(eps)) ** 2 / 2
+    mass = mp.mpf(float(mass))
+    kappa = mp.sqrt(-mass * mp.mpf(float(energy)))
     return (mass / (2 * mp.pi**2)) * (
         -mp.sqrt(mp.pi / alpha) / 2
         + mp.pi * kappa * mp.exp(kappa * kappa * alpha) * mp.erfc(kappa * mp.sqrt(alpha)) / 2

@@ -550,7 +550,7 @@ def test_verify_choices_match_battery():
     assert cli.build_parser().parse_args(["verify", "all"]).seed == verify.DEFAULT_SEED
 
 
-def test_one_channel_commands_import_no_scipy(tmp_path):
+def test_commands_other_than_verify_import_no_scipy(tmp_path):
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     script = f"""
@@ -562,15 +562,25 @@ for argv in (
     ["bound-state", "--a", "1", "--rstar", "1"],
     ["modified-norm", "--coeffs=-1,0.5,0.8,-0.3"],
     ["feshbach", "sweep", "--species", {str(species)!r}, "--min", "90", "--max", "110"],
+    ["two-channel", "params", "--a", "1", "--rstar", "1", "--eps", "0.1"],
+    ["two-channel", "bound", "--a", "1", "--rstar", "1", "--eps", "0.1"],
+    ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--min", "0.01", "--max", "0.2"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 loaded += [m for m in sys.modules if m.split(".")[0] == "scipy"]
 print(sorted(set(loaded)))
+# Above threshold the amplitude needs the Dawson function, imported on first use.
+from resokit import twochannel
+p = twochannel.params_for_targets(1.0, 1.0, 0.1)
+print(repr(twochannel.amplitude(p, 0.5)), "scipy.special" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "(-0.5538946206952625+0.2675607094661291j) True",
+    ]
 
 
 def test_console_script_entry_point():

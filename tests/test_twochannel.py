@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -245,6 +246,92 @@ class TestParameterMaps:
             values.append(tc.emol_for_target_a(1.0, p) + d)
         assert values[1] / values[0] == pytest.approx(2.0, rel=1e-12)
         assert values[2] / values[1] == pytest.approx(2.0, rel=1e-12)
+
+
+class TestKernels:
+    def test_erfcx_against_mpmath(self):
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([
+            10.0 ** rng.uniform(-8.0, math.log10(tc.SERIES_X), 1500),
+            rng.uniform(0.0, tc.SERIES_X, 1500),
+            [1e-8, 0.5, 1.0, 2.0, math.nextafter(tc.SERIES_X, 0.0)],
+        ])
+        worst = 0.0
+        for x in map(float, xs):
+            ref = mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
+            worst = max(worst, float(abs(tc._erfcx(x) - ref) / ref))
+        assert worst <= 1e-15
+
+    def test_loop_scale_constant(self):
+        with mp.workdps(60):
+            ref = mp.sqrt(2 * mp.pi) / (4 * mp.pi**2)
+            assert tc._LOOP_SCALE_HI == float(ref)
+            total = mp.mpf(tc._LOOP_SCALE_HI) + mp.mpf(tc._LOOP_SCALE_LO)
+            assert abs(total - ref) <= mp.mpf("1e-32") * ref
+
+    def test_threshold_bracket_correctly_rounded(self):
+        # including near-edge draws, where e_mol/(2 lam^2) and -I(0) cancel
+        # to a few ulp of either
+        rng = np.random.default_rng(42)
+        for i in range(300):
+            a = float(10.0 ** rng.uniform(-1.0, 17.0 if i % 2 else 2.0))
+            p = tc.params_for_targets(
+                a, float(rng.uniform(0.1, 10.0)), float(10.0 ** rng.uniform(-4.0, 0.0)),
+                float(10.0 ** rng.uniform(-2.0, 2.0)),
+            )
+            with mp.workdps(80):
+                lam, e_mol, eps, m = (mp.mpf(v) for v in (p.lam, p.e_mol, p.eps, p.mass))
+                scale = mp.mpf(tc._LOOP_SCALE_HI) + mp.mpf(tc._LOOP_SCALE_LO)
+                ref = float(scale * m / eps - e_mol / (2 * lam**2))
+            assert tc._threshold_bracket(p) == ref
+
+    @pytest.mark.parametrize(
+        "a_range, eps_range, draws",
+        [((0.3, 30.0), (1e-3, 0.5), 400), ((1e2, 1e6), (1e-4, 1e-2), 100)],
+        ids=["targets", "a-much-larger-than-eps"],
+    )
+    def test_bound_state_energies_against_mpmath(self, a_range, eps_range, draws):
+        # B(0-) is exact, so only roundings of terms of B's own size remain;
+        # where a/eps is large the e_mol - 1/eps cancellation would amplify
+        # an inexact B(0-) by up to a/eps.
+        rng = np.random.default_rng(43)
+        log_a, log_eps = np.log10(a_range), np.log10(eps_range)
+        worst = 0.0
+        for _ in range(draws):
+            a = 10.0 ** rng.uniform(*log_a) if a_range[0] >= 1.0 else rng.uniform(*a_range)
+            p = tc.params_for_targets(
+                float(a), float(rng.uniform(0.1, 10.0)), float(10.0 ** rng.uniform(*log_eps))
+            )
+            energy = tc.bound_state(p).energy
+            ref = mp_pole_energy(p.lam, p.e_mol, p.eps, energy)
+            worst = max(worst, abs(energy - ref) / abs(ref))
+        assert worst <= 4e-15
+
+    def test_newton_step_leaving_the_bracket_bisects(self, monkeypatch):
+        p = reference_params(eps=0.1)
+        b0 = tc._threshold_bracket(p)
+        root = mp_pole_energy(p.lam, p.e_mol, p.eps, E_REFERENCE)
+        # B(hi) > 0 just right of the root, so Newton from the left overshoots hi
+        lo, hi = 4.0 * root, root * (1.0 - 1e-9)
+        b, j = tc._pole_terms(p, b0, lo)
+        assert b < 0.0 < tc._pole_terms(p, b0, hi)[0]
+        calls = []
+        pole_terms = tc._pole_terms
+
+        def recorded(p_, b0_, energy):
+            calls.append(energy)
+            return pole_terms(p_, b0_, energy)
+
+        monkeypatch.setattr(tc, "_pole_terms", recorded)
+        energy, j_root = tc._pole_energy(p, b0, lo, hi, b, j)
+        x0 = calls[0]
+        b_x0, j_x0 = pole_terms(p, b0, x0)
+        assert b_x0 < 0.0
+        assert x0 - b_x0 / (0.5 / p.lam**2 + j_x0) > hi
+        # bisection of log|E| over [x0, hi]
+        assert calls[1] == -math.sqrt(-x0) * math.sqrt(-hi)
+        assert abs(energy - root) <= 4e-15 * abs(root)
+        assert j_root == tc.norm_integral(p, energy)
 
 
 class TestBoundState:

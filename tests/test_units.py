@@ -50,6 +50,15 @@ class TestScatteringLengthOfField:
         assert expected == 0.5
         assert scattering_length_of_field(res, 2.0) == pytest.approx(0.5, rel=1e-15)
 
+    def test_fields_near_the_float_limit_stay_finite(self):
+        # a_bg (B - B0 - dB) overflows there although a(B) is close to a_bg
+        res = natural_res(a_bg=3.7, delta_b=0.0072, b0=917.6)
+        fields = np.array([1e308, 1.35e308, 1.7e308])
+        np.testing.assert_allclose(
+            scattering_length_of_field(res, fields), res.a_bg, rtol=1e-15
+        )
+        assert scattering_length_of_field(res, 1.7e308) == pytest.approx(res.a_bg, rel=1e-15)
+
     def test_pole_raises(self):
         res = natural_res(b0=1.25)
         with pytest.raises(PoleAtResonance):

@@ -16,7 +16,9 @@ Core objects:
   resonance data ingestion.
 
 All analysis code works in natural units (hbar = 1, atom mass = 1, so
-E = k^2); conversions happen at the boundary.
+E = k^2), and its formulas carry no hbar or mass constants; only the
+two-channel model keeps its atom mass as a parameter. Conversions happen
+at the boundary.
 
 Only :mod:`~resokit.verify` imports scipy at import time;
 :mod:`~resokit.twochannel` imports its Dawson function on the first

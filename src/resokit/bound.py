@@ -5,7 +5,7 @@ E = -q^2 and the pole condition of the amplitude reads g(E) + q = 0. The
 normalization constant |A|^2 follows from requiring unit norm with respect
 to the modified scalar product, which reduces to
 
-    |A|^2 = (1/4 pi) * 2 / (1/q - (hbar^2/mu) g'(E)).
+    |A|^2 = (1/4 pi) * 2 / (1/q - 2 g'(E)).
 
 A non-positive denominator is reported through ``norm_sign`` rather than
 raised: such states fall outside the model's validity window but are still
@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .contact import ATOM_MASS, HBAR, REDUCED_MASS, PhaseShiftModel
+from .contact import PhaseShiftModel
 from .errors import InvalidInput, RootAtGridBoundary
 
 Q_MIN_DEFAULT = 1e-8
@@ -46,13 +46,13 @@ class BoundState:
 
 def _pole_condition(model: PhaseShiftModel, q):
     """h(q) = g(-q^2) + q; roots are the bound states."""
-    energy = -(HBAR**2 / ATOM_MASS) * q * q
+    energy = -q * q
     return model.g(energy) + q
 
 
 def _normalization_parts(model: PhaseShiftModel, q: float):
-    energy = -(HBAR**2 / ATOM_MASS) * q * q
-    denom = 1.0 / q - (HBAR**2 / REDUCED_MASS) * model.g_prime(energy)
+    energy = -q * q
+    denom = 1.0 / q - 2.0 * model.g_prime(energy)
     if denom == 0.0:
         return math.inf, "negative"
     a2 = 0.5 / (math.pi * denom)
@@ -64,8 +64,8 @@ def _polish(model: PhaseShiftModel, q: float, lo: float, hi: float) -> float:
     # eigenvalues of the companion matrix alone do not guarantee.
     h = _pole_condition(model, q)
     for _ in range(2):
-        energy = -(HBAR**2 / ATOM_MASS) * q * q
-        hp = 1.0 - 2.0 * q * (HBAR**2 / ATOM_MASS) * model.g_prime(energy)
+        energy = -q * q
+        hp = 1.0 - 2.0 * q * model.g_prime(energy)
         if h == 0.0 or hp == 0.0:
             return q
         q_new = q - h / hp
@@ -92,7 +92,7 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     empty list means no bound state, not a failure.
 
     At a tangent pole h'(q) = 0, and the norm denominator
-    1/q - (hbar^2/mu) g'(E) equals h'(q)/q, so |A|^2 diverges: ``norm_sign``
+    1/q - 2 g'(E) equals h'(q)/q, so |A|^2 diverges: ``norm_sign``
     then follows the sign of the rounded denominator ("negative" with
     ``a2 = inf`` when it is exactly zero).
 
@@ -102,10 +102,10 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     """
     if not q_max > Q_MIN_DEFAULT:
         raise InvalidInput(f"q_max must exceed {Q_MIN_DEFAULT:g}")
-    # h(q) = sum_n c_n (-hbar^2/m)^n q^(2n) + q, in increasing powers of q.
+    # h(q) = sum_n c_n (-1)^n q^(2n) + q, in increasing powers of q.
     coeffs = np.asarray(model.coeffs)
     h = np.zeros(max(2, 2 * len(coeffs) - 1))
-    h[0::2] = coeffs * (-(HBAR**2 / ATOM_MASS)) ** np.arange(len(coeffs))
+    h[0::2] = coeffs * (-1.0) ** np.arange(len(coeffs))
     h[1] += 1.0
     candidates: list[float] = []
     for z in map(complex, polyroots(h).tolist()):  # sorted by real part
@@ -132,7 +132,7 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
                 stacklevel=2,
             )
         a2, sign = _normalization_parts(model, q)
-        energy = -(HBAR**2 / ATOM_MASS) * q * q
+        energy = -q * q
         states.append(BoundState(q=q, energy=energy, a2=a2, norm_sign=sign))
     return states
 
@@ -152,12 +152,10 @@ def wavefunction(state: BoundState, r):
 def modified_norm_check(model: PhaseShiftModel, state: BoundState) -> float:
     """|(phi|phi)_0 - 1| with the closed-form plain norm 4 pi |A|^2/(2q).
 
-    The modified norm subtracts (2 pi hbar^2/mu) |A|^2 g'(E) from the plain
+    The modified norm subtracts 4 pi |A|^2 g'(E) from the plain
     one; for a state normalized as :func:`find_bound_states` does the result
     is 1 up to rounding, for any polynomial model.
     """
     plain = 4.0 * math.pi * state.a2 / (2.0 * state.q)
-    modified = plain - (
-        2.0 * math.pi * HBAR**2 / REDUCED_MASS
-    ) * state.a2 * model.g_prime(state.energy)
+    modified = plain - 4.0 * math.pi * state.a2 * model.g_prime(state.energy)
     return abs(modified - 1.0)

@@ -4,7 +4,9 @@ The model stores the coefficients of g(E) = sum_n c_n E^n, where
 g = k cot(delta_s) and E is the relative energy. In the working units
 (hbar = 1, atom mass = 1) the dispersion is E = k^2, a bound state of decay
 constant q has E = -q^2, and the two-term case g = -1/a - R* k^2 is the
-effective-range description of a narrow resonance.
+effective-range description of a narrow resonance. The formulas here and
+in the modules built on them carry no hbar or mass constants; the reduced
+mass 1/2 enters as a literal factor.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-
-HBAR = 1.0
-ATOM_MASS = 1.0
-REDUCED_MASS = ATOM_MASS / 2.0
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,10 @@ class PhaseShiftModel:
 
     @classmethod
     def from_effective_range(cls, a: float, rstar: float = 0.0) -> "PhaseShiftModel":
-        """Two-term model with c_0 = -1/a and c_1 = -R* m/hbar^2."""
+        """Two-term model with c_0 = -1/a and c_1 = -R*."""
         if a == 0.0:
             raise InvalidInput("scattering length must be nonzero")
-        return cls((-1.0 / a, -rstar * ATOM_MASS / HBAR**2))
+        return cls((-1.0 / a, -rstar))
 
     @property
     def degree(self) -> int:
@@ -61,10 +59,10 @@ class PhaseShiftModel:
 
     @property
     def width_radius(self) -> float:
-        """R* = -c_1 hbar^2/m; zero for a constant model."""
+        """R* = -c_1; zero for a constant model."""
         if self.degree < 1:
             return 0.0
-        return -self.coeffs[1] * HBAR**2 / ATOM_MASS
+        return -self.coeffs[1]
 
     @property
     def effective_range(self) -> float:
@@ -72,14 +70,14 @@ class PhaseShiftModel:
         return -2.0 * self.width_radius
 
     def validity_scale(self) -> float:
-        """Energy scale hbar^2/(mu r_e^2) bounding the model's low-energy window.
+        """Energy scale 1/(mu r_e^2), mu = 1/2, bounding the model's low-energy window.
 
         Informational only; evaluation is not restricted to it.
         """
         r_e = self.effective_range
         if r_e == 0.0:
             return math.inf
-        return HBAR**2 / (REDUCED_MASS * r_e**2)
+        return 1.0 / (0.5 * r_e**2)
 
     def g(self, energy):
         """Evaluate g(E) by Horner's rule; accepts scalars or arrays."""

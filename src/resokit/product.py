@@ -3,7 +3,7 @@
 For two eigenstates with source amplitudes A_1, A_2 and energies E_1, E_2,
 the usual scalar product of the zero-range limit equals
 
-    <1|2> = (2 pi hbar^2 / mu) conj(A_1) A_2 (g(E_1) - g(E_2))/(E_1 - E_2),
+    <1|2> = 4 pi conj(A_1) A_2 (g(E_1) - g(E_2))/(E_1 - E_2),
 
 so subtracting that quantity defines a product under which nondegenerate
 eigenstates are orthogonal. Two equivalent routes are provided: the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bound import BoundState
-from .contact import ATOM_MASS, HBAR, REDUCED_MASS, PhaseShiftModel
+from .contact import PhaseShiftModel
 from .errors import InvalidInput, KindMismatch, SingularSystem
 
 
@@ -56,10 +56,10 @@ class ContactEigenstate:
 
     @property
     def q(self) -> float:
-        """Decay constant sqrt(-m E)/hbar; bound states only."""
+        """Decay constant sqrt(-E); bound states only."""
         if self.kind != "bound":
             raise KindMismatch("q is defined for bound states only")
-        return math.sqrt(-ATOM_MASS * self.energy) / HBAR
+        return math.sqrt(-self.energy)
 
 
 def plain_overlap_bound(s1: ContactEigenstate, s2: ContactEigenstate) -> complex:
@@ -97,26 +97,26 @@ def modified_product(
     s2: ContactEigenstate,
     plain: complex,
 ) -> complex:
-    """(1|2)_0 = plain - (2 pi hbar^2/mu) conj(A_1) A_2 D.
+    """(1|2)_0 = plain - 4 pi conj(A_1) A_2 D.
 
     D is the difference quotient of g between the two energies, evaluated in
     the stable telescoped-sum form, which equals g'(E) at E_1 = E_2.
     """
     quotient = _difference_quotient(model.coeffs, s1.energy, s2.energy)
-    prefactor = 2.0 * math.pi * HBAR**2 / REDUCED_MASS
+    prefactor = 4.0 * math.pi
     return plain - prefactor * s1.amplitude.conjugate() * s2.amplitude * quotient
 
 
 def reg_matrix_element(s: ContactEigenstate, n: int) -> complex:
     """Regularized large-k limit of <k|(p^2/2mu)^n|s>.
 
-    Equals -(2 pi hbar^2 A/mu) E^(n-1) for n >= 1 and 0 for n = 0.
+    Equals -4 pi A E^(n-1) for n >= 1 and 0 for n = 0.
     """
     if n < 0:
         raise InvalidInput("power must be nonnegative")
     if n == 0:
         return 0.0j
-    prefactor = -2.0 * math.pi * HBAR**2 / REDUCED_MASS
+    prefactor = -4.0 * math.pi
     return prefactor * s.amplitude * s.energy ** (n - 1)
 
 
@@ -142,7 +142,7 @@ def modified_product_series(
                 * reg_matrix_element(s2, p)
             )
         acc += c * inner
-    return plain - (REDUCED_MASS / (2.0 * math.pi * HBAR**2)) * acc
+    return plain - (1.0 / (4.0 * math.pi)) * acc
 
 
 def construct_two_pole_model(q1: float, q2: float) -> PhaseShiftModel:
@@ -152,8 +152,8 @@ def construct_two_pole_model(q1: float, q2: float) -> PhaseShiftModel:
     """
     if not (q1 > 0.0 and q2 > 0.0):
         raise InvalidInput("decay constants must be positive")
-    e1 = -(HBAR**2 / ATOM_MASS) * q1 * q1
-    e2 = -(HBAR**2 / ATOM_MASS) * q2 * q2
+    e1 = -q1 * q1
+    e2 = -q2 * q2
     det = e2 - e1
     if det == 0.0:
         raise SingularSystem("coincident energies: the two poles must differ")

@@ -20,13 +20,13 @@ import math
 
 import numpy as np
 
-from .contact import ATOM_MASS, HBAR, PhaseShiftModel
+from .contact import PhaseShiftModel
 from .errors import DivergentAmplitude, InvalidInput
 
 
 def energy(k):
-    """Relative energy E = (hbar k)^2/m of a wavenumber or an array of them."""
-    return np.float_power(HBAR * np.asarray(k, dtype=float), 2.0) / ATOM_MASS
+    """Relative energy E = k^2 of a wavenumber or an array of them."""
+    return np.float_power(np.asarray(k, dtype=float), 2.0)
 
 
 def _evaluate(model: PhaseShiftModel, k, positive: bool):

@@ -3,17 +3,18 @@
 Open-channel atom pairs (mass m each) couple with amplitude ``lam`` to a
 structureless molecular level of internal energy ``e_mol`` through the
 momentum-space form factor chi(k) = exp(-k^2 eps^2/4). Everything here is
-the two-body relative motion at zero total momentum, with hbar = 1.
+the two-body relative motion at zero total momentum, with hbar = 1 and the
+atom mass m the only mass, so the formulas carry no hbar.
 
 The scattering amplitude is
 
-    f(E) = -(m/4 pi hbar^2) chi(k0)^2 / [ (E - e_mol)/(2 lam^2) - I(E) ],
+    f(E) = -(m/4 pi) chi(k0)^2 / [ (E - e_mol)/(2 lam^2) - I(E) ],
 
 where I(E) is the regularized loop integral over intermediate atom pairs.
 At low energy the model reproduces a two-term phase function with
 scattering length a_eps and range parameter rstar_eps; as eps -> 0 at fixed
 (a, R*) it converges to the one-channel effective-range description, and
-R* = 2 pi hbar^4/(m^2 lam^2) exactly.
+R* = 2 pi/(m^2 lam^2) exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contact import HBAR
 from .errors import InvalidInput, NoBoundState, ParameterMismatch, PoleHit
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -64,7 +64,7 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # upper 26 significand bits of x, so both halves square exactly.
 _SPLITTER = 134217729.0
 
-# sqrt(2 pi)/(4 pi^2) = -I(0) hbar^2 eps/m as the unevaluated sum of two
+# sqrt(2 pi)/(4 pi^2) = -I(0) eps/m as the unevaluated sum of two
 # doubles, hi + lo, within 1e-32 relative (mpmath; pinned by a test).
 _LOOP_SCALE_HI = 0.06349363593424097
 _LOOP_SCALE_LO = 8.203159112775494e-19
@@ -102,7 +102,7 @@ class TwoChannelParams:
         # quotients must stay finite (e_mol = 1e308 overflows the first).
         if not (
             0.0 < (self.lam * self.lam) * (self.mass * self.mass) < math.inf
-            and math.isfinite(_detuning(self))
+            and math.isfinite(_molecular_term(self))
             and math.isfinite(rstar_from_lambda(self.lam, self.mass))
         ):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
@@ -136,7 +136,7 @@ class TwoChannelBoundState:
     def psi(self, k: float) -> float:
         """Open-channel momentum wavefunction sqrt(2) lam beta chi(k)/(E - k^2/m)."""
         p = self.params
-        denom = self.energy - (HBAR * k) ** 2 / p.mass
+        denom = self.energy - k**2 / p.mass
         return math.sqrt(2.0) * p.lam * self.beta * p.chi(k) / denom
 
 
@@ -147,9 +147,10 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     threshold it involves erfcx(x) = exp(x^2) erfc(x) at
     x = kappa eps/sqrt(2) (:func:`_shapes`), summed as its asymptotic series
     from ``SERIES_X`` on, which keeps the evaluation finite for arbitrarily
-    deep energies. Above it the principal value involves the Dawson
-    function, the only scipy function in this module, imported on first use
-    there; the on-shell imaginary part is exact.
+    deep energies. Above it the principal value is I(0) (1 - 2x D(x)) with
+    the Dawson function D at x = k0 eps/sqrt(2), the only scipy function in
+    this module, imported on first use there; the on-shell imaginary part is
+    exact.
     """
     if energy < 0.0:
         return complex(_below_threshold(p, energy)[1], 0.0)
@@ -159,43 +160,40 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
 
     m = p.mass
     alpha = 0.5 * p.eps**2
-    prefactor = m / (2.0 * math.pi**2 * HBAR**2)
-    k0 = math.sqrt(m * energy) / HBAR
+    k0 = math.sqrt(m * energy)
     x = k0 * math.sqrt(alpha)
-    real = -prefactor * (
-        0.5 * math.sqrt(math.pi / alpha) - math.sqrt(math.pi) * k0 * float(dawsn(x))
-    )
-    imag = -(m * k0 / (4.0 * math.pi * HBAR**2)) * math.exp(-alpha * k0 * k0)
+    real = _loop_scale(p) * (2.0 * x * float(dawsn(x)) - 1.0)
+    imag = -(m * k0 / (4.0 * math.pi)) * math.exp(-alpha * k0 * k0)
     return complex(real, imag)
 
 
 def _loop_scale(p: TwoChannelParams) -> float:
-    """-I(0) = m sqrt(2 pi)/(4 pi^2 hbar^2 eps), the scale of I below threshold."""
-    return _LOOP_SCALE_HI * p.mass / (HBAR**2 * p.eps)
+    """-I(0) = m sqrt(2 pi)/(4 pi^2 eps), the scale of I below threshold."""
+    return _LOOP_SCALE_HI * p.mass / p.eps
+
+
+def _kappa(p: TwoChannelParams, energy: float) -> float:
+    """kappa = sqrt(-m E) below threshold, by two roots: m E can underflow where kappa does not."""
+    return math.sqrt(p.mass) * math.sqrt(-energy)
 
 
 def _below_threshold(p: TwoChannelParams, energy: float) -> tuple[float, float, float]:
     """I(E) - I(0), I(E) and J(E) = -I'(E) for E < 0, from one erfcx value.
 
-    With kappa = sqrt(-m E)/hbar and x = kappa eps/sqrt(2),
+    With kappa = sqrt(-m E) and x = kappa eps/sqrt(2),
     I - I(0) = -I(0) sqrt(pi) x erfcx(x) and
-    J = (m^2/(8 pi hbar^4 kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
+    J = (m^2/(8 pi kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
     """
-    m = p.mass
-    # Two square roots, as m E can underflow to 0 where kappa does not.
-    kappa = math.sqrt(m) * math.sqrt(-energy) / HBAR
-    rise, loop_shape, norm_shape = _shapes(kappa * p.eps / math.sqrt(2.0))
+    kappa = _kappa(p, energy)
+    rise, loop_shape, norm_shape = _shapes(p, kappa)
     scale = _loop_scale(p)
-    return (
-        scale * rise,
-        scale * loop_shape,
-        m * m / (8.0 * math.pi * HBAR**4 * kappa) * norm_shape,
-    )
+    return scale * rise, scale * loop_shape, p.mass * p.mass / (8.0 * math.pi * kappa) * norm_shape
 
 
-def _bracket(p: TwoChannelParams, energy: float) -> complex:
-    """Denominator of f: (E - e_mol)/(2 lam^2) - I(E); it vanishes at the pole."""
-    return (energy - p.e_mol) / (2.0 * p.lam**2) - loop_integral(p, energy)
+def _detuning_and_bracket(p: TwoChannelParams, energy: float, loop: complex | float):
+    """(E - e_mol)/(2 lam^2) and B = that - I(E), the denominator of f, given I(E) = ``loop``."""
+    detuning = (energy - p.e_mol) / (2.0 * p.lam**2)
+    return detuning, detuning - loop
 
 
 def _series(coeffs, x: float) -> float:
@@ -223,13 +221,14 @@ def _erfcx(x: float) -> float:
     return math.erfc(x) * math.exp(hi) * (1.0 + lo)
 
 
-def _shapes(x: float) -> tuple[float, float, float]:
-    """Brackets of I and J at x >= 0, from one erfcx value below ``SERIES_X``.
+def _shapes(p: TwoChannelParams, kappa: float) -> tuple[float, float, float]:
+    """Brackets of I and J at x = kappa eps/sqrt(2), from one erfcx value below ``SERIES_X``.
 
     They are sqrt(pi) x erfcx(x), that minus 1, and
     (1 + 2x^2) erfcx(x) - 2x/sqrt(pi); from ``SERIES_X`` on, the last two
     are their asymptotic series.
     """
+    x = kappa * p.eps / math.sqrt(2.0)
     if x < SERIES_X:
         e = _erfcx(x)
         rise = SQRT_PI * x * e
@@ -241,8 +240,7 @@ def _shapes(x: float) -> tuple[float, float, float]:
 def norm_integral(p: TwoChannelParams, energy: float) -> float:
     """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 below threshold.
 
-    With kappa = sqrt(-m E)/hbar and x = kappa eps/sqrt(2) the closed form is
-    J = (m^2/(8 pi hbar^4 kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
+    Its closed form is the one of :func:`_below_threshold`.
     """
     if not energy < 0.0:
         raise InvalidInput("the norm integral needs an energy below threshold")
@@ -256,9 +254,14 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     1/f the numerically tame direction (the continued chi^2 grows, its
     inverse decays).
     """
-    bracket = _bracket(p, energy)
-    chi2_inv = math.exp(p.mass * energy * p.eps**2 / (2.0 * HBAR**2))
-    return -(4.0 * math.pi * HBAR**2 / p.mass) * bracket * chi2_inv
+    _, bracket = _detuning_and_bracket(p, energy, loop_integral(p, energy))
+    return _inverse_from_bracket(p, energy, bracket)
+
+
+def _inverse_from_bracket(p: TwoChannelParams, energy: float, bracket: complex) -> complex:
+    """1/f(E) = -(4 pi/m) B(E)/chi(k0)^2 from the bracket B(E)."""
+    chi2_inv = math.exp(p.mass * energy * p.eps**2 / 2.0)
+    return -(4.0 * math.pi / p.mass) * bracket * chi2_inv
 
 
 def amplitude(p: TwoChannelParams, energy: float) -> complex:
@@ -267,12 +270,10 @@ def amplitude(p: TwoChannelParams, energy: float) -> complex:
     A vanishing bracket is the bound state, not a scattering point.
     """
     loop = loop_integral(p, energy)
-    detuning = (energy - p.e_mol) / (2.0 * p.lam**2)
-    bracket = detuning - loop
-    scale = max(abs(detuning), abs(loop))
-    if abs(bracket) <= POLE_RTOL * scale:
+    detuning, bracket = _detuning_and_bracket(p, energy, loop)
+    if abs(bracket) <= POLE_RTOL * max(abs(detuning), abs(loop)):
         raise PoleHit(f"amplitude pole within tolerance at E = {energy!r}")
-    inv = inverse_amplitude(p, energy)
+    inv = _inverse_from_bracket(p, energy, bracket)
     if inv == 0.0:
         raise InvalidInput("energy too deep below threshold for the continued amplitude")
     return 1.0 / inv
@@ -281,12 +282,12 @@ def amplitude(p: TwoChannelParams, energy: float) -> complex:
 def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     """Closed-form low-energy parameters (a_eps, rstar_eps).
 
-    1/a_eps = sqrt(2/pi)/eps - 2 pi hbar^2 e_mol/(lam^2 m) (a_eps is inf
+    1/a_eps = sqrt(2/pi)/eps - 2 pi e_mol/(lam^2 m) (a_eps is inf
     where it vanishes) and rstar_eps = R* - sqrt(2/pi) eps + eps^2/(2 a_eps).
     :func:`resokit.verify.fit_effective_params` checks them against a
     low-energy fit of Re(1/f).
     """
-    inv_a = SQRT_2_OVER_PI / p.eps - _detuning(p)
+    inv_a = SQRT_2_OVER_PI / p.eps - _molecular_term(p)
     a_eps = math.inf if inv_a == 0.0 else 1.0 / inv_a
     rstar = -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass)
     if math.isfinite(a_eps):
@@ -294,43 +295,38 @@ def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     return a_eps, rstar
 
 
-def _detuning(p: TwoChannelParams) -> float:
-    """2 pi hbar^2 e_mol/(lam^2 m), the molecular term of 1/a_eps."""
-    return 2.0 * math.pi * HBAR**2 * p.e_mol / (p.lam**2 * p.mass)
+def _molecular_term(p: TwoChannelParams) -> float:
+    """2 pi e_mol/(lam^2 m), the molecular term of 1/a_eps."""
+    return 2.0 * math.pi * p.e_mol / (p.lam**2 * p.mass)
 
 
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:
-    """Coupling amplitude reproducing a given width radius, lam = sqrt(2 pi hbar^4/(m^2 R*))."""
+    """Coupling amplitude reproducing a given width radius, lam = sqrt(2 pi/(m^2 R*))."""
     if not rstar > 0.0:
         raise InvalidInput("this mapping covers only rstar > 0")
-    return math.sqrt(2.0 * math.pi * HBAR**4 / (mass**2 * rstar))
+    return math.sqrt(2.0 * math.pi / (mass**2 * rstar))
 
 
 def rstar_from_lambda(lam: float, mass: float = 1.0) -> float:
-    """Width radius of the zero-range limit, R* = 2 pi hbar^4/(m^2 lam^2)."""
+    """Width radius of the zero-range limit, R* = 2 pi/(m^2 lam^2)."""
     if lam == 0.0:
         raise InvalidInput("coupling amplitude must be nonzero")
-    return 2.0 * math.pi * HBAR**4 / (mass**2 * lam**2)
+    return 2.0 * math.pi / (mass**2 * lam**2)
 
 
 def emol_for_target_a(a_target: float, p: TwoChannelParams) -> float:
     """Molecular energy that sets the scattering length to ``a_target``."""
     if a_target == 0.0:
         raise InvalidInput("target scattering length must be nonzero")
-    return (p.lam**2 * p.mass / (2.0 * math.pi * HBAR**2)) * (
+    return (p.lam**2 * p.mass / (2.0 * math.pi)) * (
         SQRT_2_OVER_PI / p.eps - 1.0 / a_target
     )
 
 
-def params_for_targets(
-    a: float, rstar: float, eps: float, mass: float = 1.0
-) -> TwoChannelParams:
+def params_for_targets(a: float, rstar: float, eps: float, mass: float = 1.0) -> TwoChannelParams:
     """Parameter set holding (a_eps, R*) = (a, rstar) at regulator width eps."""
-    lam = lambda_from_rstar(rstar, mass)
-    probe = TwoChannelParams(lam=lam, e_mol=0.0, eps=eps, mass=mass)
-    return TwoChannelParams(
-        lam=lam, e_mol=emol_for_target_a(a, probe), eps=eps, mass=mass
-    )
+    probe = TwoChannelParams(lam=lambda_from_rstar(rstar, mass), e_mol=0.0, eps=eps, mass=mass)
+    return replace(probe, e_mol=emol_for_target_a(a, probe))
 
 
 def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
@@ -338,24 +334,25 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
 
     Below threshold the bracket B(E) = (E - e_mol)/(2 lam^2) - I(E) rises
     strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
-    B(0-) = m/(4 pi hbar^2 a_eps), so there is exactly one pole when
+    B(0-) = m/(4 pi a_eps), so there is exactly one pole when
     0 < a_eps < inf and none otherwise (:class:`NoBoundState`, also raised
     when the computed a_eps and the correctly rounded B(0-) disagree in
     sign, which 1/a_eps at the level of its own rounding can cause). The
     lower end of the bracket starts at the zero-range energy
-    -hbar^2/(m a_eps^2) and moves down geometrically until B < 0;
+    -1/(m a_eps^2) and moves down geometrically until B < 0;
     :func:`_pole_energy` then solves B = 0 by safeguarded Newton steps. The
     closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
     norm, and the tail amplitude follows from the plateau of k^2 psi(k),
     sampled at k = c/eps and extrapolated against the inverse-square window
-    variable.
+    variable; a regulator width so small that k^2 overflows there raises
+    :class:`InvalidInput`.
     """
     a_eps, _ = effective_params(p)
     b0 = _threshold_bracket(p) if 0.0 < a_eps < math.inf else 0.0
     if not b0 > 0.0:
         raise NoBoundState(f"no pole below threshold for a_eps = {a_eps!r}")
-    # The zero-range energy -hbar^2/(m a_eps^2), clamped to finite nonzero.
-    k0 = HBAR / a_eps
+    # The zero-range energy -1/(m a_eps^2), clamped to finite nonzero.
+    k0 = 1.0 / a_eps
     hi, lo = 0.0, min(max(-(k0 * k0) / p.mass, -sys.float_info.max), -sys.float_info.min)
     b, j = _pole_terms(p, b0, lo)
     while b >= 0.0:
@@ -378,28 +375,34 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     lo, hi = TAIL_FRACTIONS
     # Error model: plateau approached like 1/k^2 from the shallow side; with
     # samples at k and 2k the extrapolant is (4 P(2k) - P(k))/3.
-    a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
+    try:
+        a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
+    except OverflowError:
+        raise InvalidInput("the tail samples k = c/eps overflow for this eps") from None
     return replace(state, a_tail=a_tail)
 
 
 def _threshold_bracket(p: TwoChannelParams) -> float:
     """B(0-) = -I(0) - e_mol/(2 lam^2), correctly rounded.
 
-    Its terms cancel to m/(4 pi hbar^2 a_eps), by a factor of about
-    a_eps/eps, which amplifies every rounding in them. So it is evaluated in
-    exact rational arithmetic on the inputs, with sqrt(2 pi)/(4 pi^2) to
-    106 bits, and rounded once.
+    Its terms cancel to m/(4 pi a_eps), by a factor of about a_eps/eps,
+    which amplifies every rounding in them. So it is evaluated in exact
+    rational arithmetic on the inputs, with sqrt(2 pi)/(4 pi^2) to 106 bits,
+    and rounded once; a result beyond the float range raises
+    :class:`InvalidInput`.
     """
     (kh, khd), (kl, kld) = (c.as_integer_ratio() for c in (_LOOP_SCALE_HI, _LOOP_SCALE_LO))
     mn, md = p.mass.as_integer_ratio()
-    hn, hd = HBAR.as_integer_ratio()
     en, ed = p.eps.as_integer_ratio()
     un, ud = p.e_mol.as_integer_ratio()
     ln, ld = p.lam.as_integer_ratio()
     # -I(0) = sn/sd and e_mol/(2 lam^2) = dn/dd.
-    sn, sd = (kh * kld + kl * khd) * mn * hd * hd * ed, khd * kld * md * hn * hn * en
+    sn, sd = (kh * kld + kl * khd) * mn * ed, khd * kld * md * en
     dn, dd = un * ld * ld, 2 * ud * ln * ln
-    return (sn * dd - dn * sd) / (sd * dd)
+    try:
+        return (sn * dd - dn * sd) / (sd * dd)
+    except OverflowError:
+        raise InvalidInput("the threshold bracket B(0-) overflows for these parameters") from None
 
 
 def _pole_terms(p: TwoChannelParams, b0: float, energy: float) -> tuple[float, float]:
@@ -414,7 +417,7 @@ def _pole_terms(p: TwoChannelParams, b0: float, energy: float) -> tuple[float, f
     rise, loop, j = _below_threshold(p, energy)
     if rise < -loop:
         return b0 + energy / (2.0 * p.lam**2) - rise, j
-    return (energy - p.e_mol) / (2.0 * p.lam**2) - loop, j
+    return _detuning_and_bracket(p, energy, loop)[1], j
 
 
 def _pole_energy(
@@ -463,18 +466,16 @@ def _pole_energy(
 
 
 def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:
-    """Zero-range-limit relation A = sqrt(2) m lam beta/(4 pi hbar^2)."""
-    return math.sqrt(2.0) * p.mass * p.lam * beta / (4.0 * math.pi * HBAR**2)
+    """Zero-range-limit relation A = sqrt(2) m lam beta/(4 pi)."""
+    return math.sqrt(2.0) * p.mass * p.lam * beta / (4.0 * math.pi)
 
 
-def open_channel_overlap(
-    s1: TwoChannelBoundState, s2: TwoChannelBoundState
-) -> float:
+def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> float:
     """<1_open|2_open> = 2 lam^2 beta_1 beta_2 K for two states of one model.
 
     K = int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)) is by partial
     fractions (I(E_1) - I(E_2))/(E_2 - E_1), the mean of J over [E_2, E_1].
-    In decay constants that mean is (m^2/(4 pi hbar^4)) S/(kappa_1 + kappa_2),
+    In decay constants that mean is (m^2/(4 pi)) S/(kappa_1 + kappa_2),
     with S the mean of the bracket of J, (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at
     x = kappa eps/sqrt(2), over [kappa_2, kappa_1]. S is taken by
     Gauss-Legendre when the kappas are within ``OVERLAP_GAUSS_GAP``, which
@@ -482,14 +483,13 @@ def open_channel_overlap(
     """
     p = s1.params
     m = p.mass
-    k1, k2 = (math.sqrt(-m * s.energy) / HBAR for s in (s1, s2))
+    k1, k2 = (_kappa(p, s.energy) for s in (s1, s2))
     if abs(k1 - k2) <= OVERLAP_GAUSS_GAP * (k1 + k2):
         mid, half = 0.5 * (k1 + k2), 0.5 * (k1 - k2)
         mean = 0.5 * sum(
-            w * _shapes((mid + half * t) * p.eps / math.sqrt(2.0))[2]
-            for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
+            w * _shapes(p, mid + half * t)[2] for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
         )
-        integral = m * m * mean / (4.0 * math.pi * HBAR**4 * (k1 + k2))
+        integral = m * m * mean / (4.0 * math.pi * (k1 + k2))
     else:
         e1, e2 = s1.energy, s2.energy
         integral = (loop_integral(p, e1).real - loop_integral(p, e2).real) / (e2 - e1)
@@ -526,19 +526,12 @@ def product_identity_check(
     for s in (s1, s2):
         q = s.params
         if (q.lam, q.eps, q.mass) != (p.lam, p.eps, p.mass):
-            raise ParameterMismatch(
-                "states must share coupling, regulator width and mass"
-            )
+            raise ParameterMismatch("states must share coupling, regulator width and mass")
     rstar = rstar_from_lambda(p.lam, p.mass)
     beta_product = s1.beta * s2.beta
     tail_product = 4.0 * math.pi * rstar * s1.a_tail * s2.a_tail
-    exact_tail = (
-        4.0
-        * math.pi
-        * rstar
-        * tail_amplitude_from_beta(p, s1.beta)
-        * tail_amplitude_from_beta(p, s2.beta)
-    )
+    a1, a2 = (tail_amplitude_from_beta(p, s.beta) for s in (s1, s2))
+    exact_tail = 4.0 * math.pi * rstar * a1 * a2
     return IdentityReport(
         beta_product=beta_product,
         tail_product=tail_product,

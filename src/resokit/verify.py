@@ -109,7 +109,7 @@ def check_unitarity_two_channel(seed: int = DEFAULT_SEED) -> CheckResult:
             eps=eps,
         )
         for k0 in np.geomspace(1e-3, 1.0 / eps, 40):
-            energy = (twochannel.HBAR * k0) ** 2 / p.mass
+            energy = k0**2 / p.mass
             inv = twochannel.inverse_amplitude(p, float(energy))
             worst = max(worst, abs(inv.imag + k0) / k0)
     tol = 1e-12
@@ -239,12 +239,12 @@ def loop_integral_quadrature(p: twochannel.TwoChannelParams, energy: float) -> f
 
     if energy <= 0.0:
         def integrand(k):
-            return g(k) / (energy - (twochannel.HBAR * k) ** 2 / m)
+            return g(k) / (energy - k**2 / m)
 
         value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=300)
         return value / (2.0 * math.pi**2)
 
-    k0 = math.sqrt(m * energy) / twochannel.HBAR
+    k0 = math.sqrt(m * energy)
 
     def paired(u):
         gp = g(k0 + u)
@@ -259,7 +259,7 @@ def loop_integral_quadrature(p: twochannel.TwoChannelParams, energy: float) -> f
         return g(k) / (k * k - k0 * k0)
 
     tail, _ = quad(outer, 2.0 * k0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=300)
-    return -(m / twochannel.HBAR**2) * (inner + tail) / (2.0 * math.pi**2)
+    return -m * (inner + tail) / (2.0 * math.pi**2)
 
 
 def check_loop_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -290,20 +290,20 @@ def check_loop_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
 def fit_effective_params(p: twochannel.TwoChannelParams) -> tuple[float, float]:
     """(a_eps, rstar_eps) from a quadratic fit of Re(1/f) at low energy.
 
-    The fit window spans [1e-6, 1e-3] in units of hbar^2/(m l^2), where l is
+    The fit window spans [1e-6, 1e-3] in units of 1/(m l^2), where l is
     the largest length scale of the model, so it stays inside the expansion
     region for any parameter set. It is the independent reference for the
     closed form in :func:`resokit.twochannel.effective_params`.
     """
     a_cf, r_cf = twochannel.effective_params(p)
     scale_len = max(p.eps, abs(r_cf), abs(a_cf) if math.isfinite(a_cf) else p.eps)
-    e_scale = twochannel.HBAR**2 / (p.mass * scale_len**2)
+    e_scale = 1.0 / (p.mass * scale_len**2)
     energies = np.linspace(1e-6, 1e-3, 24) * e_scale
     values = np.array([twochannel.inverse_amplitude(p, e).real for e in energies])
     x = energies / energies[-1]
     coef = np.polyfit(x, values, 2)
     inv_a_fit = -coef[2]
-    rstar_fit = -coef[1] / energies[-1] * twochannel.HBAR**2 / p.mass
+    rstar_fit = -coef[1] / energies[-1] / p.mass
     a_fit = math.inf if inv_a_fit == 0.0 else 1.0 / inv_a_fit
     return a_fit, rstar_fit
 

@@ -513,6 +513,9 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
          "--steps", "3"],
         ["amplitude", "--a", "1", "--min=-inf", "--max", "1", "--steps", "3"],
         ["feshbach", "classify", "--species", "SPECIES", "--threshold", "nan"],
+        ["two-channel", "bound", "--lambda", "1", "--emol", "-1", "--eps", "1e-157"],
+        ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--eps", "1e-160",
+         "--mass", "1e150"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):

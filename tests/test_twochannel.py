@@ -180,6 +180,21 @@ class TestAmplitude:
         with pytest.raises(PoleHit):
             tc.amplitude(p, state.energy)
 
+    def test_one_dawson_call_above_threshold(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        dawsn = scipy.special.dawsn
+
+        def counted(x):
+            calls.append(x)
+            return dawsn(x)
+
+        monkeypatch.setattr(scipy.special, "dawsn", counted)
+        f = tc.amplitude(reference_params(eps=0.1), 0.5)
+        assert len(calls) == 1
+        assert f == 1.0 / tc.inverse_amplitude(reference_params(eps=0.1), 0.5)
+
 
 class TestEffectiveParams:
     def test_reference_values(self):
@@ -507,6 +522,11 @@ class TestProductIdentity:
         )
         oracle = open_overlap_quadrature(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
         assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_open_overlap_at_tiny_mass(self):
+        # m E ~ -1.6e-311 is subnormal: kappa must come from sqrt(m) sqrt(-E)
+        s = tc.bound_state(tc.params_for_targets(1e10, 2.0 * math.pi / 1e-300, 1.0, mass=1e-150))
+        assert tc.open_channel_overlap(s, s) == pytest.approx(s.open_norm, rel=1e-15, abs=0.0)
 
     def test_parameter_mismatch_rejected(self):
         p1 = reference_params(eps=0.1)

@@ -98,15 +98,21 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
 
     A root within ``EDGE_REL`` of ``q_max`` triggers a
     :class:`RootAtGridBoundary` warning, since rounding may move it, or a
-    neighbour, across the window edge.
+    neighbour, across the window edge. Coefficients whose companion matrix
+    overflows raise :class:`InvalidInput`.
     """
     if not q_max > Q_MIN_DEFAULT:
         raise InvalidInput(f"q_max must exceed {Q_MIN_DEFAULT:g}")
     # h(q) = sum_n c_n (-1)^n q^(2n) + q, in increasing powers of q.
-    coeffs = np.asarray(model.coeffs)
-    h = np.zeros(max(2, 2 * len(coeffs) - 1))
-    h[0::2] = coeffs * (-1.0) ** np.arange(len(coeffs))
+    coeffs = model.coeffs
+    h = [0.0] * max(2, 2 * len(coeffs) - 1)
+    h[0::2] = [-c if n % 2 else c for n, c in enumerate(coeffs)]
     h[1] += 1.0
+    # The companion matrix holds h[n]/h[-1], which overflows when the top
+    # coefficient is tiny against the others; the largest such quotient,
+    # taken here in the same double arithmetic, shows it.
+    if max(map(abs, h)) / abs(h[-1]) == math.inf:
+        raise InvalidInput("the companion matrix of h(q) overflows")
     candidates: list[float] = []
     for z in map(complex, polyroots(h).tolist()):  # sorted by real part
         # Im z >= 0 keeps one member of each conjugate pair.

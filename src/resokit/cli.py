@@ -25,6 +25,7 @@ from .errors import (
     DivergentAmplitude,
     InvalidInput,
     NoBoundState,
+    NoConvergence,
     ParseError,
     PoleHit,
     ResokitError,
@@ -33,11 +34,12 @@ from .species import load_species
 from .units import classify_resonance, scattering_length_of_field, vdw_length, width_radius
 
 # Every other ResokitError is an input error.
-NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, PoleHit)
+NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence, PoleHit)
 
 # The verify subcommand's groups and default seed, kept here so that parsing
-# a command line does not import the battery (and with it scipy); a test
-# pins them to resokit.verify.
+# a command line does not import the battery; a test pins them to
+# resokit.verify. Of the groups only mapping and all import scipy, for the
+# loop-integral oracle's quadrature.
 VERIFY_GROUPS = ("all", "identity", "mapping", "orthogonality", "unitarity")
 VERIFY_DEFAULT_SEED = 20260810
 

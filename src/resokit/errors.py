@@ -37,6 +37,10 @@ class NoBoundState(ResokitError):
     """The two-channel model has no bound-state pole below threshold."""
 
 
+class NoConvergence(ResokitError):
+    """An iterative solve reached its step cap without converging."""
+
+
 class ParameterMismatch(ResokitError):
     """States were built with incompatible model parameters."""
 

@@ -5,7 +5,8 @@ and its tolerance. The CLI ``verify`` subcommand and the acceptance test
 module both run these functions, so there is a single source of truth for
 what "passing" means. Derived reference values are produced by independent
 oracles (adaptive quadrature of defining integrals, closed-form roots)
-rather than by the code paths under test.
+rather than by the code paths under test. Only the quadrature oracle
+imports scipy, so only the ``mapping`` group (and ``all``) loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bound, scattering, twochannel
 from .contact import PhaseShiftModel
@@ -229,8 +229,11 @@ def loop_integral_quadrature(p: twochannel.TwoChannelParams, energy: float) -> f
 
     Below threshold the radial integrand is smooth; above it the principal
     value is taken by pairing symmetric intervals around the on-shell
-    wavenumber. Kept independent of the closed-form implementation.
+    wavenumber. Kept independent of the closed-form implementation, and
+    the only user of scipy in the package, which it imports on first call.
     """
+    from scipy.integrate import quad
+
     m = p.mass
     alpha = 0.5 * p.eps**2
 

@@ -241,3 +241,20 @@ def mp_loop_integral(eps, energy, mass=1.0):
         -mp.sqrt(mp.pi / alpha) / 2
         + mp.pi * kappa * mp.exp(kappa * kappa * alpha) * mp.erfc(kappa * mp.sqrt(alpha)) / 2
     )
+
+
+def mp_dawson(x, dps=50):
+    """Dawson's integral D(x) and D'(x) = 1 - 2x D(x) from mpmath's erfi at ``dps`` digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(float(x))
+        d = mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
+        return d, 1 - 2 * x * d
+
+
+def mp_loop_integral_above(eps, energy, mass=1.0):
+    """Re I(E > 0) = I(0) (1 - 2x D(x)) at x = k0 eps/sqrt(2), at 50 digits."""
+    with mp.workdps(50):
+        eps, mass = mp.mpf(float(eps)), mp.mpf(float(mass))
+        x = mp.sqrt(mass * mp.mpf(float(energy))) * eps / mp.sqrt(2)
+        loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
+        return loop_zero * mp_dawson(x, dps=50)[1]

@@ -83,6 +83,12 @@ class TestFindBoundStates:
         with pytest.raises(InvalidInput, match=r"^q_max must exceed 1e-08$"):
             bound.find_bound_states(CONST, q_max=1e-9)
 
+    def test_overflowing_companion_matrix_rejected(self):
+        # h(q) = 1e-300 + q - 5e-324 q^2: the companion matrix holds 1/5e-324
+        model = PhaseShiftModel((1e-300, 5e-324))
+        with pytest.raises(InvalidInput, match="companion matrix"):
+            bound.find_bound_states(model, q_max=1e300)
+
 
 class TestPolynomialRoots:
     @pytest.mark.parametrize("q2", [1.001, 1.003])

@@ -516,6 +516,7 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "1", "--emol", "-1", "--eps", "1e-157"],
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--eps", "1e-160",
          "--mass", "1e150"],
+        ["bound-state", "--coeffs", "1e-300,5e-324", "--qmax", "1e300"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
@@ -554,12 +555,21 @@ def test_verify_choices_match_battery():
 
 
 def test_commands_other_than_verify_import_no_scipy(tmp_path):
+    # Neither do the battery module, its unitarity, orthogonality and
+    # identity groups, nor a two-channel amplitude above threshold: only the
+    # quadrature oracle of verify mapping (and all) imports scipy.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     script = f"""
 import contextlib, io, sys
 import resokit.cli as cli
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import resokit.verify
+from resokit import twochannel
+
+def scipy_loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+loaded = scipy_loaded()
 for argv in (
     ["amplitude", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "2", "--steps", "5"],
     ["bound-state", "--a", "1", "--rstar", "1"],
@@ -568,22 +578,49 @@ for argv in (
     ["two-channel", "params", "--a", "1", "--rstar", "1", "--eps", "0.1"],
     ["two-channel", "bound", "--a", "1", "--rstar", "1", "--eps", "0.1"],
     ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--min", "0.01", "--max", "0.2"],
+    ["verify", "unitarity"],
+    ["verify", "orthogonality"],
+    ["verify", "identity"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-loaded += [m for m in sys.modules if m.split(".")[0] == "scipy"]
-print(sorted(set(loaded)))
-# Above threshold the amplitude needs the Dawson function, imported on first use.
-from resokit import twochannel
 p = twochannel.params_for_targets(1.0, 1.0, 0.1)
-print(repr(twochannel.amplitude(p, 0.5)), "scipy.special" in sys.modules)
+print(repr(twochannel.amplitude(p, 0.5)))
+print(sorted(set(loaded + scipy_loaded())))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "mapping"]) == 0
+print("scipy.integrate" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "(-0.5538946206952625+0.2675607094661291j)",
         "[]",
-        "(-0.5538946206952625+0.2675607094661291j) True",
+        "True",
     ]
+
+
+def test_pole_far_above_an_overflowing_start(capsys):
+    # The zero-range start -1/(m a_eps^2) overflows and the pole lies 50
+    # decades above -float_info.max.
+    code, out, err = run_cli(
+        capsys, "two-channel", "bound", "--lambda", "4.015714583431735e+25",
+        "--emol", "2.9493435390456395e-107", "--eps", "8.029334432772652e-156",
+        "--mass", "2.9464939187426935e+108",
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert float(rows[0][header.index("E")]) == pytest.approx(-6.28960850114286e257, rel=1e-14)
+
+
+def test_pole_solve_step_cap_exits_3(capsys, monkeypatch):
+    from resokit import twochannel
+
+    monkeypatch.setattr(twochannel, "POLE_MAX_STEPS", 1)
+    code, out, err = run_cli(capsys, "two-channel", "bound", "--a", "1", "--rstar", "1")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and "did not converge" in err
 
 
 def test_console_script_entry_point():

@@ -8,7 +8,9 @@ import pytest
 
 from oracles import (
     loop_imag_eta_oracle,
+    mp_dawson,
     mp_loop_integral,
+    mp_loop_integral_above,
     mp_norm_integral,
     mp_pole_energy,
     open_overlap_quadrature,
@@ -122,6 +124,23 @@ class TestLoopIntegral:
                 ref = float(mp_loop_integral(eps, energy))
                 assert abs(tc.loop_integral(p, energy).real - ref) <= 1e-13 * abs(ref)
 
+    def test_against_mpmath_above_threshold(self):
+        # Re I = I(0) D'(x) at x = k0 eps/sqrt(2), across the Dawson
+        # crossovers and up to x = 1e4, where 1 - 2x D(x) would cancel by
+        # 2x^2. Re I changes sign at the maximum of D, x = 0.924; near it
+        # only the absolute error is meaningful.
+        xs = np.geomspace(1e-3, 1e4, 301).tolist() + [
+            c * f for c in (tc.DAWSON_TAYLOR_X, tc.SERIES_X) for f in (1 - 1e-12, 1.0, 1 + 1e-12)
+        ] + [8.9e3]
+        for eps in (0.1, 1.0):
+            p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps)
+            loop_zero = tc.loop_integral(p, 0.0).real
+            for x in xs:
+                energy = (x * math.sqrt(2.0) / eps) ** 2
+                ref = float(mp_loop_integral_above(eps, energy))
+                tol = 1e-15 * abs(loop_zero) if abs(x - 0.924) < 0.05 else 1e-13 * abs(ref)
+                assert abs(tc.loop_integral(p, energy).real - ref) <= tol, x
+
     def test_no_overflow_for_extreme_energies(self):
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=1.0)
         value = tc.loop_integral(p, -1e12)
@@ -154,6 +173,19 @@ class TestAmplitude:
             inv = tc.inverse_amplitude(p, energy)
             assert abs(inv.imag + k0) / k0 < 1e-12
 
+    def test_far_above_threshold(self):
+        # 1/chi(k0)^2 = exp(m E eps^2/2) overflows once m E eps^2/2 > 709.78
+        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1)
+        f = tc.amplitude(p, 1e5)
+        assert f == 1.0 / tc.inverse_amplitude(p, 1e5)
+        assert f != 0.0 and math.isfinite(abs(f))
+        assert tc.amplitude(p, 1.5e5) == 0.0
+        with pytest.raises(InvalidInput, match="overflows"):
+            tc.inverse_amplitude(p, 1.5e5)
+        # just past the overflow f = -(m/4 pi) chi^2/B is subnormal
+        f = tc.amplitude(p, 1.42e5)
+        assert f.real < 0.0 and 0.0 < abs(f) < 1e-300
+
     def test_threshold_matches_effective_scattering_length(self):
         p = reference_params(eps=0.1)
         a_eps, _ = tc.effective_params(p)
@@ -181,16 +213,14 @@ class TestAmplitude:
             tc.amplitude(p, state.energy)
 
     def test_one_dawson_call_above_threshold(self, monkeypatch):
-        import scipy.special
-
         calls = []
-        dawsn = scipy.special.dawsn
+        dawson = tc._dawson
 
         def counted(x):
             calls.append(x)
-            return dawsn(x)
+            return dawson(x)
 
-        monkeypatch.setattr(scipy.special, "dawsn", counted)
+        monkeypatch.setattr(tc, "_dawson", counted)
         f = tc.amplitude(reference_params(eps=0.1), 0.5)
         assert len(calls) == 1
         assert f == 1.0 / tc.inverse_amplitude(reference_params(eps=0.1), 0.5)
@@ -276,6 +306,32 @@ class TestKernels:
             ref = mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
             worst = max(worst, float(abs(tc._erfcx(x) - ref) / ref))
         assert worst <= 1e-15
+
+    def test_dawson_against_mpmath(self):
+        # [0, 1e6] with points on both sides of each crossover; D' is
+        # checked away from its zero at x = 0.924, where it carries the
+        # absolute rounding error of its terms.
+        rng = np.random.default_rng(44)
+        crossovers = [
+            c * f for c in (tc.DAWSON_TAYLOR_X, tc.SERIES_X) for f in (1 - 1e-12, 1.0, 1 + 1e-12)
+        ]
+        xs = np.concatenate([
+            10.0 ** rng.uniform(-8.0, 6.0, 1500),
+            rng.uniform(0.0, 1.2 * tc.SERIES_X, 1500),
+            crossovers,
+            [math.nextafter(c, 0.0) for c in (tc.DAWSON_TAYLOR_X, tc.SERIES_X)],
+            [1e-300, 1.0, 1e6],
+        ])
+        worst_d = worst_slope = 0.0
+        for x in map(float, xs):
+            d, slope = tc._dawson(x)
+            ref_d, ref_slope = mp_dawson(x)
+            worst_d = max(worst_d, float(abs(d - ref_d) / ref_d))
+            if abs(x - 0.924) >= 0.05:
+                worst_slope = max(worst_slope, float(abs(slope - ref_slope) / abs(ref_slope)))
+        assert worst_d <= 2e-15
+        assert worst_slope <= 1e-14
+        assert tc._dawson(0.0) == (0.0, 1.0)
 
     def test_loop_scale_constant(self):
         with mp.workdps(60):
@@ -424,6 +480,28 @@ class TestBoundState:
         assert state.energy == pytest.approx(
             mp_pole_energy(p.lam, p.e_mol, p.eps, state.energy), rel=1e-15
         )
+
+    def test_pole_far_above_an_overflowing_start(self):
+        # -1/(m a_eps^2) and the line -2 lam^2 B(0-) overflow, so the
+        # bracket starts at [-float_info.max, 0] and a Newton step from its
+        # lower end lands above threshold; the pole lies 50 decades higher.
+        p = tc.TwoChannelParams(
+            lam=4.015714583431735e25, e_mol=2.9493435390456395e-107,
+            eps=8.029334432772652e-156, mass=2.9464939187426935e108,
+        )
+        energy = tc.bound_state(p).energy
+        # x = kappa eps/sqrt(2) ~ 8e27, where -I(E) = -I(0) (1/(2x^2) - 3/(4x^4))
+        # up to a relative x^-4 ~ 1e-110
+        with mp.workdps(60):
+            lam, e_mol, eps, m = (mp.mpf(v) for v in (p.lam, p.e_mol, p.eps, p.mass))
+
+            def bracket(e):
+                x2 = -m * e * eps**2 / 2
+                scale = m * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
+                return (e - e_mol) / (2 * lam**2) + scale * (1 / (2 * x2) - 3 / (4 * x2**2))
+
+            e = mp.mpf(energy)
+            assert bracket(e * (1 + mp.mpf("4e-15"))) < 0 < bracket(e * (1 - mp.mpf("4e-15")))
 
     def test_shallow_pole_to_full_precision(self):
         # a large scattering length puts the pole at |E| ~ 1e-3

@@ -258,3 +258,48 @@ def mp_loop_integral_above(eps, energy, mass=1.0):
         x = mp.sqrt(mass * mp.mpf(float(energy))) * eps / mp.sqrt(2)
         loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
         return loop_zero * mp_dawson(x, dps=50)[1]
+
+
+def mp_loop_shapes(x, dps=40):
+    """r = sqrt(pi) x erfcx(x) and 1 - r at ``dps`` digits relative, x >= 0.
+
+    I(E < 0) = I(0) (1 - r) at x = kappa eps/sqrt(2). Below x = 1e3 both
+    are taken at 20 extra digits, more than the log10(2x^2) that 1 - r
+    loses to cancellation; from there on 1 - r is the asymptotic series
+    -sum_{n>=1} (-1)^n (2n-1)!!/(2x^2)^n up to its smallest term, since
+    exp(x^2) erfc(x) at fixed precision loses log10(x^2) digits.
+    """
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        if x < 1000:
+            with mp.workdps(dps + 20):
+                r = mp.sqrt(mp.pi) * x * mp.exp(x * x) * mp.erfc(x)
+                return +r, +(1 - r)
+        total, term, n = mp.mpf(0), mp.mpf(1), 0
+        while abs(term) > mp.eps:
+            n += 1
+            term *= -(2 * n - 1) / (2 * x * x)
+            total -= term
+        return 1 - total, total
+
+
+def mp_pole_bracket(lam, e_mol, eps, mass, energy, dps=800):
+    """B(E) = (E - e_mol)/(2 lam^2) - I(E) below threshold at ``dps`` digits.
+
+    I(E) = I(0) (1 - r) with I(0) = -m sqrt(2 pi)/(4 pi^2 eps) and r of
+    :func:`mp_loop_shapes`. Where r < 1/2, B is summed as
+    (E - e_mol)/(2 lam^2) - I(0) + I(0) r, whose first terms can cancel by
+    hundreds of digits and are exact at ``dps`` digits; otherwise as
+    (E - e_mol)/(2 lam^2) - I(0) (1 - r), whose terms cancel by no more
+    than the energy offset of a sign test. Either way r or 1 - r is needed
+    only to 40 digits.
+    """
+    with mp.workdps(dps):
+        lam, e_mol, eps, mass, energy = (mp.mpf(v) for v in (lam, e_mol, eps, mass, energy))
+        x = mp.sqrt(-mass * energy) * eps / mp.sqrt(2)
+        loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
+        r, shape = mp_loop_shapes(x)
+        detuning = (energy - e_mol) / (2 * lam * lam)
+        if r < 0.5:
+            return detuning - loop_zero + loop_zero * r
+        return detuning - loop_zero * shape

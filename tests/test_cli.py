@@ -517,6 +517,13 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--eps", "1e-160",
          "--mass", "1e150"],
         ["bound-state", "--coeffs", "1e-300,5e-324", "--qmax", "1e300"],
+        # two-channel poles above -float_info.min and below -float_info.max
+        ["two-channel", "bound", "--lambda", "3.134949096248444e-58",
+         "--emol", "3.7428694277135415e-100", "--eps", "6.208915557726983e+98",
+         "--mass", "5.745028699624415e+124"],
+        ["two-channel", "bound", "--lambda", "5.8690101901473526e+128",
+         "--emol=-1.766495962707357e+221", "--eps", "2.2142039495934917e-124",
+         "--mass", "135501145.64314356"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
@@ -601,8 +608,8 @@ print("scipy.integrate" in sys.modules)
 
 
 def test_pole_far_above_an_overflowing_start(capsys):
-    # The zero-range start -1/(m a_eps^2) overflows and the pole lies 50
-    # decades above -float_info.max.
+    # The line -2 lam^2 B(0-) overflows and the pole lies 50 decades above
+    # -float_info.max.
     code, out, err = run_cli(
         capsys, "two-channel", "bound", "--lambda", "4.015714583431735e+25",
         "--emol", "2.9493435390456395e-107", "--eps", "8.029334432772652e-156",
@@ -611,6 +618,28 @@ def test_pole_far_above_an_overflowing_start(capsys):
     assert code == 0, err
     header, rows = parse_csv(out)
     assert float(rows[0][header.index("E")]) == pytest.approx(-6.28960850114286e257, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "argv, beta2",
+    [
+        # m^2/(8 pi kappa) overflows, J = 6.5e224 does not
+        (["--lambda", "6.391712545612873e-48", "--emol", "3.553014767997292e-83",
+          "--eps", "6.035555872700008e+66", "--mass", "1.621860810576458e+139"],
+         1.8691700531e-131),
+        # 2 lam^2 J ~ 4e314 overflows: the open channel holds all the norm
+        (["--lambda", "3.726451249627612e+50", "--emol", "1.125294904109281e+78",
+          "--eps", "1.8053957803634334e+86", "--mass", "4.3113782818265566e+102"], 0.0),
+    ],
+)
+def test_overflowing_norm_integral_columns_finite(capsys, argv, beta2):
+    code, out, err = run_cli(capsys, "two-channel", "bound", *argv)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert all(math.isfinite(v) for v in row.values()), row
+    assert row["beta2"] == pytest.approx(beta2, rel=1e-10, abs=0.0)
+    assert row["open_norm"] == 1.0 and row["norm_residual"] == 0.0
 
 
 def test_pole_solve_step_cap_exits_3(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from oracles import (
     mp_loop_integral,
     mp_loop_integral_above,
     mp_norm_integral,
+    mp_pole_bracket,
     mp_pole_energy,
     open_overlap_quadrature,
     richardson_derivative,
@@ -384,25 +385,77 @@ class TestKernels:
         root = mp_pole_energy(p.lam, p.e_mol, p.eps, E_REFERENCE)
         # B(hi) > 0 just right of the root, so Newton from the left overshoots hi
         lo, hi = 4.0 * root, root * (1.0 - 1e-9)
-        b, j = tc._pole_terms(p, b0, lo)
-        assert b < 0.0 < tc._pole_terms(p, b0, hi)[0]
+        assert tc._pole_terms(p, b0, lo)[0] < 0.0 < tc._pole_terms(p, b0, hi)[0]
         calls = []
         pole_terms = tc._pole_terms
 
         def recorded(p_, b0_, energy):
             calls.append(energy)
-            return pole_terms(p_, b0_, energy)
+            b, j = pole_terms(p_, b0_, energy)
+            # J overflowing at the start makes the first Newton step zero
+            return b, math.inf if len(calls) == 1 else j
 
         monkeypatch.setattr(tc, "_pole_terms", recorded)
-        energy, j_root = tc._pole_energy(p, b0, lo, hi, b, j)
-        x0 = calls[0]
-        b_x0, j_x0 = pole_terms(p, b0, x0)
-        assert b_x0 < 0.0
-        assert x0 - b_x0 / (0.5 / p.lam**2 + j_x0) > hi
-        # bisection of log|E| over [x0, hi]
-        assert calls[1] == -math.sqrt(-x0) * math.sqrt(-hi)
+        energy, j_root = tc._pole_energy(p, b0, lo, hi)
+        assert calls[0] == hi
+        # the zero step from B(hi) > 0 is replaced by bisection of log|E|
+        x1 = calls[1]
+        assert x1 == -math.sqrt(-lo) * math.sqrt(-hi)
+        b1, j1 = pole_terms(p, b0, x1)
+        assert b1 < 0.0
+        assert x1 - b1 / (0.5 / p.lam**2 + j1) > hi
+        # so is the Newton step from x1 that leaves [x1, hi]
+        assert calls[2] == -math.sqrt(-x1) * math.sqrt(-hi)
         assert abs(energy - root) <= 4e-15 * abs(root)
         assert j_root == tc.norm_integral(p, energy)
+
+    @pytest.mark.parametrize(
+        "a_range, eps_range, draws",
+        [((0.3, 30.0), (1e-3, 0.5), 200), ((1e2, 1e6), (1e-4, 1e-2), 100)],
+        ids=["targets", "a-much-larger-than-eps"],
+    )
+    def test_pole_bracket_against_mpmath(self, a_range, eps_range, draws):
+        # the effective-range pole and the line B(0-) + E/(2 lam^2) bracket the pole
+        rng = np.random.default_rng(44)
+        log_a, log_eps = np.log10(a_range), np.log10(eps_range)
+        for _ in range(draws):
+            a = 10.0 ** rng.uniform(*log_a) if a_range[0] >= 1.0 else rng.uniform(*a_range)
+            p = tc.params_for_targets(
+                float(a), float(rng.uniform(0.1, 10.0)), float(10.0 ** rng.uniform(*log_eps))
+            )
+            lo, hi = tc._pole_bracket(p, tc._threshold_bracket(p))
+            assert lo <= hi
+            b_lo, b_hi = (
+                mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, e, dps=60) for e in (lo, hi)
+            )
+            assert b_lo <= 0 <= b_hi
+
+    def test_pole_far_below_its_upper_end(self, monkeypatch):
+        # The pole lies 383 decades below hi, the effective-range pole, and
+        # within 0.2% of lo; bisection of log|E| reaches it in about 20 steps.
+        p = tc.TwoChannelParams(
+            lam=1.4257383677677716e43, e_mol=-1.7438521467977464e96,
+            eps=7.865298955609291e94, mass=5.978136818830484e102,
+        )
+        calls = []
+        pole_terms = tc._pole_terms
+
+        def counted(*args):
+            calls.append(args[-1])
+            return pole_terms(*args)
+
+        monkeypatch.setattr(tc, "_pole_terms", counted)
+        energy = tc.bound_state(p).energy
+        assert len(calls) <= 30
+        assert_is_pole(p, energy)
+
+
+def assert_is_pole(p, energy, rel=1e-12):
+    """B changes sign across energy (1 -+ rel) in 800-digit mpmath."""
+    below, above = (
+        mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, energy * (1.0 + s * rel)) for s in (1, -1)
+    )
+    assert below <= 0 <= above, (p, energy)
 
 
 class TestBoundState:
@@ -482,9 +535,8 @@ class TestBoundState:
         )
 
     def test_pole_far_above_an_overflowing_start(self):
-        # -1/(m a_eps^2) and the line -2 lam^2 B(0-) overflow, so the
-        # bracket starts at [-float_info.max, 0] and a Newton step from its
-        # lower end lands above threshold; the pole lies 50 decades higher.
+        # The line -2 lam^2 B(0-) overflows, so the lower end of the
+        # bracket is -float_info.max; the pole lies 50 decades higher.
         p = tc.TwoChannelParams(
             lam=4.015714583431735e25, e_mol=2.9493435390456395e-107,
             eps=8.029334432772652e-156, mass=2.9464939187426935e108,
@@ -502,6 +554,65 @@ class TestBoundState:
 
             e = mp.mpf(energy)
             assert bracket(e * (1 + mp.mpf("4e-15"))) < 0 < bracket(e * (1 - mp.mpf("4e-15")))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # the pole lies above -float_info.min, among the subnormals
+            dict(lam=3.134949096248444e-58, e_mol=3.7428694277135415e-100,
+                 eps=6.208915557726983e98, mass=5.745028699624415e124),
+            # and here below -float_info.max
+            dict(lam=5.8690101901473526e128, e_mol=-1.766495962707357e221,
+                 eps=2.2142039495934917e-124, mass=135501145.64314356),
+        ],
+        ids=["subnormal", "beyond-float-max"],
+    )
+    def test_pole_outside_the_normal_range(self, fields):
+        with pytest.raises(InvalidInput, match="outside the normal floating-point range"):
+            tc.bound_state(tc.TwoChannelParams(**fields))
+
+    def test_norm_integral_past_an_overflowing_intermediate(self):
+        # m^2/(8 pi kappa) ~ 3e313 overflows, J ~ 6.5e224 does not. An
+        # infinite J would make the Newton step zero, and beta2 = 0 with
+        # open_norm = nan.
+        p = tc.TwoChannelParams(
+            lam=6.391712545612873e-48, e_mol=3.553014767997292e-83,
+            eps=6.035555872700008e66, mass=1.621860810576458e139,
+        )
+        state = tc.bound_state(p)
+        assert_is_pole(p, state.energy)
+        # x = kappa eps/sqrt(2) ~ 4e29, so J = m^2/(8 pi kappa sqrt(pi) x^3)
+        # up to a relative x^-2
+        with mp.workdps(40):
+            m = mp.mpf(p.mass)
+            kappa = mp.sqrt(-m * mp.mpf(state.energy))
+            x = kappa * mp.mpf(p.eps) / mp.sqrt(2)
+            j = m**2 / (8 * mp.pi * kappa * mp.sqrt(mp.pi) * x**3)
+            beta2 = 1 / (1 + 2 * mp.mpf(p.lam) ** 2 * j)
+        assert tc.norm_integral(p, state.energy) == pytest.approx(float(j), rel=1e-14)
+        assert state.beta2 == pytest.approx(float(beta2), rel=1e-14)
+        assert state.open_norm == 1.0
+
+    def test_extreme_range_fuzz(self):
+        # lam, e_mol, eps and mass over 120, 320, 260 and 300 decades: every
+        # pole is a pole and every column of two-channel bound is finite
+        rng = np.random.default_rng(3)
+        solved = 0
+        for _ in range(1000):
+            lam = float(10.0 ** rng.uniform(-60, 60))
+            e_mol = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-160, 160))
+            eps = float(10.0 ** rng.uniform(-160, 100))
+            mass = float(10.0 ** rng.uniform(-150, 150))
+            try:
+                p = tc.TwoChannelParams(lam=lam, e_mol=e_mol, eps=eps, mass=mass)
+                state = tc.bound_state(p)
+            except (InvalidInput, NoBoundState):
+                continue
+            solved += 1
+            assert_is_pole(p, state.energy)
+            columns = (state.energy, state.beta2, state.a_tail**2, state.open_norm)
+            assert all(math.isfinite(c) for c in columns), (p, columns)
+        assert solved >= 600
 
     def test_shallow_pole_to_full_precision(self):
         # a large scattering length puts the pole at |E| ~ 1e-3

@@ -19,6 +19,7 @@ R* = 2 pi/(m^2 lam^2) exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -354,9 +355,7 @@ def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     """
     inv_a = SQRT_2_OVER_PI / p.eps - _molecular_term(p)
     a_eps = math.inf if inv_a == 0.0 else 1.0 / inv_a
-    rstar = -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass)
-    if math.isfinite(a_eps):
-        rstar += p.eps**2 / (2.0 * a_eps)
+    rstar = -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass) + p.eps**2 / (2.0 * a_eps)
     return a_eps, rstar
 
 
@@ -406,7 +405,7 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     :func:`_pole_energy` solves B = 0 between the effective-range pole and
     the zero of B(0-) + E/(2 lam^2) (:func:`_pole_bracket`). The
     closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
-    norm (0, with open_norm = 1, where 2 lam^2 J overflows), and the tail
+    norm (0, with open_norm = 1, only where 2 lam^2 J overflows), and the tail
     amplitude follows from the plateau of k^2 psi(k), sampled at k = c/eps
     and extrapolated against the inverse-square window variable; a
     regulator width so small that k^2 overflows there raises :class:`InvalidInput`.
@@ -417,6 +416,12 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
         raise NoBoundState(f"no pole below threshold for a_eps = {a_eps!r}")
     energy, j = _pole_energy(p, b0, *_pole_bracket(p, b0))
     weight = 2.0 * p.lam**2 * j
+    if j == math.inf:  # 2 lam^2 J = (lam m)^2 S/(4 pi kappa) from significands and exponents
+        kappa = _kappa(p, energy)
+        factors = (p.lam * p.mass, _shapes(p, kappa)[2], 4.0 * math.pi * kappa)
+        (f, e), (fs, es), (fk, ek) = (math.frexp(v) for v in factors)
+        with contextlib.suppress(OverflowError):  # else 2 lam^2 J overflows too
+            weight = math.ldexp(f * f * fs / fk, 2 * e + es - ek)
     beta2 = 1.0 / (1.0 + weight)
     open_norm = weight * beta2 if weight < math.inf else 1.0
     state = TwoChannelBoundState(
@@ -478,16 +483,16 @@ def _pole_terms(p: TwoChannelParams, b0: float, energy: float) -> tuple[float, f
 def _pole_bracket(p: TwoChannelParams, b0: float) -> tuple[float, float]:
     """Ends lo <= hi around the pole of B given B(0-) = ``b0`` > 0, clamped to normal floats.
 
-    As erfcx <= 1, B >= (m/4 pi)(1/a_eps - kappa - R* kappa^2), the
-    effective-range bracket, so B >= 0 at its pole hi = -(kappa/sqrt m)^2;
-    its root kappa is written with the exact B(0-) = m/(4 pi a_eps), so that
-    it neither cancels nor overflows. As I(E) >= I(0), B <= 0 at
-    lo = -2 lam^2 B(0-).
+    As erfcx <= 1, B >= 0 at hi = -kappa^2/m, the pole of the effective-range
+    bracket (m/4 pi)(1/a_eps - kappa - R* kappa^2), whose root kappa is written
+    with the exact B(0-) = m/(4 pi a_eps) and halved terms, so that it neither
+    cancels nor overflows. As I(E) >= I(0), B <= 0 at lo = -2 lam^2 B(0-).
     """
-    c = p.mass / (4.0 * math.pi)
-    kappa = 2.0 * b0 / (c + math.hypot(c, math.sqrt(2.0 * b0) / (abs(p.lam) * math.sqrt(p.mass))))
+    c = p.mass / (8.0 * math.pi)
+    s = math.sqrt(0.5 * b0) / (abs(p.lam) * math.sqrt(p.mass))
+    root = b0 / (c + math.hypot(c, s)) / math.sqrt(p.mass)
     lo = max(-2.0 * p.lam**2 * b0, -sys.float_info.max)
-    hi = min(max(-((kappa / math.sqrt(p.mass)) ** 2), -sys.float_info.max), -sys.float_info.min)
+    hi = min(max(-(root * root), -sys.float_info.max), -sys.float_info.min)
     return lo, hi
 
 
@@ -509,7 +514,7 @@ def _pole_energy(p: TwoChannelParams, b0: float, lo: float, hi: float) -> tuple[
     """
     x, fmax = hi, sys.float_info.max
     b, j = _pole_terms(p, b0, x)
-    if (b < 0.0 and hi in (-sys.float_info.min, -fmax)) or (
+    if hi == -fmax or (b < 0.0 and hi == -sys.float_info.min) or (
         lo == -fmax and _pole_terms(p, b0, lo)[0] > 0.0
     ):
         raise InvalidInput("the pole lies outside the normal floating-point range")

@@ -524,6 +524,9 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "5.8690101901473526e+128",
          "--emol=-1.766495962707357e+221", "--eps", "2.2142039495934917e-124",
          "--mass", "135501145.64314356"],
+        # the effective-range pole, the upper end of the bracket, overflows
+        ["two-channel", "bound", "--lambda", "1e100", "--emol", "0", "--eps", "1e-145",
+         "--mass", "1e-20"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):

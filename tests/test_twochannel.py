@@ -1,6 +1,7 @@
 """Two-channel resonance model: loop integral, mapping, bound state, identity."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -564,8 +565,11 @@ class TestBoundState:
             # and here below -float_info.max
             dict(lam=5.8690101901473526e128, e_mol=-1.766495962707357e221,
                  eps=2.2142039495934917e-124, mass=135501145.64314356),
+            # and here the effective-range pole -kappa^2/m is about -6e309,
+            # where kappa/sqrt(m) ~ 8e154 squares past float_info.max
+            dict(lam=1e100, e_mol=0.0, eps=1e-145, mass=1e-20),
         ],
-        ids=["subnormal", "beyond-float-max"],
+        ids=["subnormal", "beyond-float-max", "effective-range-pole-overflows"],
     )
     def test_pole_outside_the_normal_range(self, fields):
         with pytest.raises(InvalidInput, match="outside the normal floating-point range"):
@@ -592,6 +596,37 @@ class TestBoundState:
         assert tc.norm_integral(p, state.energy) == pytest.approx(float(j), rel=1e-14)
         assert state.beta2 == pytest.approx(float(beta2), rel=1e-14)
         assert state.open_norm == 1.0
+
+    def test_pole_past_an_overflowing_twice_threshold_bracket(self):
+        # B(0-) = 1e308, so 2 B(0-) overflows; the pole lies near e_mol,
+        # within rounding of both ends of the bracket
+        p = tc.TwoChannelParams(lam=1e-4, e_mol=-2e300, eps=1.0, mass=100.0)
+        assert tc._threshold_bracket(p) > sys.float_info.max / 2.0
+        for end in tc._pole_bracket(p, tc._threshold_bracket(p)):
+            assert end == pytest.approx(-2e300, rel=4e-15)
+        energy = tc.bound_state(p).energy
+        assert energy == pytest.approx(-2e300, rel=4e-15)
+        assert_is_pole(p, energy)
+
+    def test_beta2_where_only_the_norm_integral_overflows(self):
+        # J ~ 10^313.6 overflows, 2 lam^2 J ~ 10^219.8 does not: beta2 is
+        # about 1e-220, not the 0 of the overflowing limit
+        p = tc.TwoChannelParams(
+            lam=9.102995853625582e-48, e_mol=1.0260614212873525e-08,
+            eps=8.330301008194824e46, mass=4.835278429074239e134,
+        )
+        state = tc.bound_state(p)
+        assert_is_pole(p, state.energy)
+        assert tc.norm_integral(p, state.energy) == math.inf
+        with mp.workdps(40):
+            m = mp.mpf(p.mass)
+            kappa = mp.sqrt(-m * mp.mpf(state.energy))
+            x = kappa * mp.mpf(p.eps) / mp.sqrt(2)
+            shape = (1 + 2 * x * x) * mp.exp(x * x) * mp.erfc(x) - 2 * x / mp.sqrt(mp.pi)
+            weight = 2 * mp.mpf(p.lam) ** 2 * m**2 / (8 * mp.pi * kappa) * shape
+            beta2 = 1 / (1 + weight)
+        assert state.beta2 == pytest.approx(float(beta2), rel=1e-13)
+        assert state.open_norm == pytest.approx(1.0, rel=1e-15)
 
     def test_extreme_range_fuzz(self):
         # lam, e_mol, eps and mass over 120, 320, 260 and 300 decades: every

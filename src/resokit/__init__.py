@@ -20,10 +20,8 @@ E = k^2), and its formulas carry no hbar or mass constants; only the
 two-channel model keeps its atom mass as a parameter. Conversions happen
 at the boundary.
 
-The library needs numpy only: scipy is imported by the quadrature oracle
-of :mod:`~resokit.verify` alone, on its first call (the ``mapping`` and
-``all`` groups). The two-channel names below are served lazily, so that
-the one-channel layers load without the two-channel model.
+The package needs numpy only. The two-channel names below are served
+lazily, so that the one-channel layers load without the two-channel model.
 """
 
 __version__ = "0.1.0"

@@ -103,6 +103,8 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     """
     if not q_max > Q_MIN_DEFAULT:
         raise InvalidInput(f"q_max must exceed {Q_MIN_DEFAULT:g}")
+    if q_max == math.inf:
+        raise InvalidInput("q_max must be finite")
     # h(q) = sum_n c_n (-1)^n q^(2n) + q, in increasing powers of q.
     coeffs = model.coeffs
     h = [0.0] * max(2, 2 * len(coeffs) - 1)

@@ -38,8 +38,7 @@ NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence, PoleHit)
 
 # The verify subcommand's groups and default seed, kept here so that parsing
 # a command line does not import the battery; a test pins them to
-# resokit.verify. Of the groups only mapping and all import scipy, for the
-# loop-integral oracle's quadrature.
+# resokit.verify.
 VERIFY_GROUPS = ("all", "identity", "mapping", "orthogonality", "unitarity")
 VERIFY_DEFAULT_SEED = 20260810
 
@@ -253,6 +252,9 @@ def _cmd_tc_sweep(args) -> int:
 
 
 def _cmd_fb_classify(args) -> int:
+    # checked before the file is read, so that a table without rows fails too
+    if not math.isfinite(args.threshold):
+        raise InvalidInput(f"threshold must be finite, got {args.threshold!r}")
     columns = ["species", "Rstar", "RvdW", "ratio", "class"]
     rows = []
     for res in load_species(args.species, mode=args.units):

@@ -73,7 +73,7 @@ _RYBICKI_OFFSETS = tuple(
 # difference of loop integrals cancels there. Against mpmath the average
 # stays within 1e-13 relative and the difference within 5e-12.
 OVERLAP_GAUSS_GAP = 0.2
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GAUSS_NODES, _GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(8))
 
 # exp(x) is finite exactly for x <= _LOG_FLOAT_MAX.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)

@@ -208,6 +208,17 @@ class TestFeshbachCommand:
         code, _, _ = run_cli(capsys, "feshbach", "classify", "--species", "/nope.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "-inf"])
+    def test_non_finite_threshold_rejected_without_rows(self, capsys, tmp_path, threshold):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(SYNTHETIC_SPECIES_CSV.splitlines(keepends=True)[1])
+        code, out, err = run_cli(
+            capsys, "feshbach", "classify", "--species", str(header_only),
+            f"--threshold={threshold}", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert "threshold must be finite" in err
+
 
 class TestConfig:
     def test_config_presets_flags(self, capsys, tmp_path):
@@ -517,6 +528,8 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--eps", "1e-160",
          "--mass", "1e150"],
         ["bound-state", "--coeffs", "1e-300,5e-324", "--qmax", "1e300"],
+        ["bound-state", "--a", "1", "--rstar", "1", "--qmax", "inf", "--format", "json"],
+        ["modified-norm", "--a", "1", "--rstar", "1", "--qmax", "inf"],
         # two-channel poles above -float_info.min and below -float_info.max
         ["two-channel", "bound", "--lambda", "3.134949096248444e-58",
          "--emol", "3.7428694277135415e-100", "--eps", "6.208915557726983e+98",
@@ -564,26 +577,24 @@ def test_verify_choices_match_battery():
     assert cli.build_parser().parse_args(["verify", "all"]).seed == verify.DEFAULT_SEED
 
 
-def test_commands_other_than_verify_import_no_scipy(tmp_path):
-    # Neither do the battery module, its unitarity, orthogonality and
-    # identity groups, nor a two-channel amplitude above threshold: only the
-    # quadrature oracle of verify mapping (and all) imports scipy.
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is not a runtime dependency: with its import blocked, every
+    # command exits 0, the verify groups included, and so does a
+    # two-channel amplitude above threshold.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     script = f"""
 import contextlib, io, sys
+sys.modules["scipy"] = None
 import resokit.cli as cli
-import resokit.verify
 from resokit import twochannel
 
-def scipy_loaded():
-    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-
-loaded = scipy_loaded()
 for argv in (
     ["amplitude", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "2", "--steps", "5"],
+    ["phase-shift", "--a", "1", "--rstar", "1", "--k", "0.5"],
     ["bound-state", "--a", "1", "--rstar", "1"],
     ["modified-norm", "--coeffs=-1,0.5,0.8,-0.3"],
+    ["feshbach", "classify", "--species", {str(species)!r}],
     ["feshbach", "sweep", "--species", {str(species)!r}, "--min", "90", "--max", "110"],
     ["two-channel", "params", "--a", "1", "--rstar", "1", "--eps", "0.1"],
     ["two-channel", "bound", "--a", "1", "--rstar", "1", "--eps", "0.1"],
@@ -591,22 +602,20 @@ for argv in (
     ["verify", "unitarity"],
     ["verify", "orthogonality"],
     ["verify", "identity"],
+    ["verify", "mapping"],
+    ["verify", "all"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 p = twochannel.params_for_targets(1.0, 1.0, 0.1)
 print(repr(twochannel.amplitude(p, 0.5)))
-print(sorted(set(loaded + scipy_loaded())))
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "mapping"]) == 0
-print("scipy.integrate" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "(-0.5538946206952625+0.2675607094661291j)",
-        "[]",
-        "True",
+        "['scipy']",
     ]
 
 

@@ -1,5 +1,6 @@
 """Two-channel resonance model: loop integral, mapping, bound state, identity."""
 
+import itertools
 import math
 import sys
 
@@ -95,6 +96,35 @@ class TestLoopIntegral:
                 closed = tc.loop_integral(p, energy).real
                 oracle = loop_integral_quadrature(p, energy)
                 assert abs(closed - oracle) / abs(oracle) < 1e-8
+
+    @staticmethod
+    def _worst_oracle_errors(masses, epses, magnitudes):
+        """Worst relative error of the quadrature oracle below and above threshold."""
+        worst = {-1.0: 0.0, 1.0: 0.0}
+        for mass in masses:
+            for eps in epses:
+                p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps, mass=mass)
+                for sign, magnitude in itertools.product(worst, magnitudes):
+                    energy = sign * magnitude
+                    mp_ref = mp_loop_integral if sign < 0 else mp_loop_integral_above
+                    ref = float(mp_ref(eps, energy, mass))
+                    got = loop_integral_quadrature(p, energy)
+                    assert type(got) is float
+                    worst[sign] = max(worst[sign], abs(got - ref) / abs(ref))
+        return worst[-1.0], worst[1.0]
+
+    def test_quadrature_oracle_against_mpmath_on_battery_grid(self):
+        below, above = self._worst_oracle_errors(
+            [1.0], [0.05, 0.1, 0.2, 0.5, 1.0], np.geomspace(1e-6, 100.0, 15).tolist()
+        )
+        assert below < 1e-14 and above < 1e-13
+
+    def test_quadrature_oracle_against_mpmath_on_wide_grid(self):
+        below, above = self._worst_oracle_errors(
+            np.geomspace(1e-3, 1e3, 7).tolist(), np.geomspace(1e-3, 10.0, 9).tolist(),
+            np.geomspace(1e-10, 1e4, 15).tolist(),
+        )
+        assert below < 1e-13 and above < 1e-11
 
     def test_imaginary_part_exact_form(self):
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=1.0)
@@ -736,6 +766,16 @@ class TestProductIdentity:
         assert tc.open_channel_overlap(states[0], states[0]) == pytest.approx(
             states[0].open_norm, rel=1e-14
         )
+
+    def test_open_overlap_is_a_python_float_on_both_branches(self):
+        p = reference_params(eps=0.1)
+        s1, s2 = (
+            tc.TwoChannelBoundState(params=p, energy=e, beta2=0.5, a_tail=1.0, open_norm=0.5)
+            for e in (-1.0, -4.0)
+        )
+        # equal kappas take Gauss-Legendre, kappas 1 and 2 the partial fraction
+        assert type(tc.open_channel_overlap(s1, s1)) is float
+        assert type(tc.open_channel_overlap(s1, s2)) is float
 
     def test_open_overlap_of_deep_states(self):
         # x ~ 350 and 700: the difference of loop integrals on the series branch

@@ -129,18 +129,19 @@ def modified_product_series(
     """(1|2)_0 through the double series of regularized matrix elements.
 
     Exact finite sum for a polynomial model; no truncation is involved.
+    Each matrix element is formed once per state and power.
     """
+    powers = range(1, model.degree + 1)
+    left = [reg_matrix_element(s1, j).conjugate() for j in powers]
+    right = [reg_matrix_element(s2, j) for j in powers]
     acc = 0.0j
-    for n in range(1, model.degree + 1):
+    for n in powers:
         c = model.coeffs[n]
         if c == 0.0:
             continue
         inner = 0.0j
         for p in range(1, n + 1):
-            inner += (
-                reg_matrix_element(s1, n - p + 1).conjugate()
-                * reg_matrix_element(s2, p)
-            )
+            inner += left[n - p] * right[p - 1]
         acc += c * inner
     return plain - (1.0 / (4.0 * math.pi)) * acc
 

@@ -1,0 +1,135 @@
+"""The battery against its per-draw loops: same draws, same bits.
+
+The checks draw their cases as Python floats and batch only evaluation.
+Each reference below is the straightforward per-draw form of a check,
+with numpy scalars and ``rng.choice`` for random signs; the check must
+return exactly its ``worst`` value.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from resokit import scattering, verify
+from resokit.contact import PhaseShiftModel
+from resokit.product import (
+    ContactEigenstate,
+    modified_product,
+    modified_product_series,
+    reg_matrix_element,
+)
+
+SEEDS = (verify.DEFAULT_SEED, 0, 1, 2, 3, 4)
+# At this seed series-quotient reads 1.50e-12 against its 1e-12 tolerance.
+SERIES_BREACH_SEED = 1225879262
+
+
+def _random_model_numpy(rng, max_degree, coeff_range=2.0):
+    degree = int(rng.integers(0, max_degree + 1))
+    coeffs = rng.uniform(-coeff_range, coeff_range, degree + 1)
+    if abs(coeffs[0]) < 1e-3:
+        coeffs[0] = math.copysign(1e-3, coeffs[0] if coeffs[0] != 0.0 else 1.0)
+    if degree > 0 and coeffs[degree] == 0.0:
+        coeffs[degree] = 0.5
+    return PhaseShiftModel(tuple(coeffs))
+
+
+def _unitarity_per_model(seed):
+    rng = np.random.default_rng(seed)
+    ks = np.geomspace(1e-2, 1e2, 50)
+    worst = 0.0
+    for _ in range(200):
+        model = _random_model_numpy(rng, max_degree=6)
+        worst = max(worst, float(scattering.unitarity_residual(model, ks).max()))
+    return worst
+
+
+def _series_by_double_loop(model, s1, s2, plain):
+    acc = 0.0j
+    for n in range(1, model.degree + 1):
+        c = model.coeffs[n]
+        if c == 0.0:
+            continue
+        inner = 0.0j
+        for p in range(1, n + 1):
+            inner += reg_matrix_element(s1, n - p + 1).conjugate() * reg_matrix_element(s2, p)
+        acc += c * inner
+    return plain - (1.0 / (4.0 * math.pi)) * acc
+
+
+def _series_quotient_per_draw(seed):
+    rng = np.random.default_rng(seed + 3)
+    worst = 0.0
+    for i in range(500):
+        model = _random_model_numpy(rng, max_degree=8)
+        e1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
+        mode = i % 5
+        if mode == 0:
+            e2 = e1
+        elif mode in (1, 2):
+            e2 = e1 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))
+        else:
+            e2 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
+        amps = rng.normal(size=4)
+        s1 = ContactEigenstate(e1, complex(amps[0], amps[1]))
+        s2 = ContactEigenstate(e2, complex(amps[2], amps[3]))
+        plain = complex(rng.normal(), rng.normal())
+        lhs = modified_product(model, s1, s2, plain)
+        rhs = _series_by_double_loop(model, s1, s2, plain)
+        scale = max(abs(lhs), abs(rhs), abs(plain), 1e-30)
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_unitarity_equals_per_model_loop(seed):
+    assert verify.check_unitarity_one_channel(seed).worst == _unitarity_per_model(seed)
+
+
+def test_unitarity_kernel_of_a_stack_equals_one_model_calls():
+    ks = np.geomspace(1e-2, 1e2, 50)
+    models = [PhaseShiftModel((-1.0, 0.3, -2.0e-3)), PhaseShiftModel((0.7,)),
+              PhaseShiftModel((1e-3, -1.9, 0.4, 1.2))]
+    stacked = scattering.unitarity_kernel(ks, np.array([m.g(scattering.energy(ks)) for m in models]))
+    for row, model in zip(stacked, models):
+        assert row.tolist() == scattering.unitarity_residual(model, ks).tolist()
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_series_equals_double_loop_exactly(degree):
+    rng = np.random.default_rng(100 + degree)
+    for trial in range(40):
+        coeffs = rng.uniform(-2.0, 2.0, degree + 1).tolist()
+        if degree > 2 and trial % 4 == 0:
+            coeffs[1] = 0.0  # a skipped interior power
+        model = PhaseShiftModel(tuple(coeffs))
+        e1 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-2.0, 1.0)
+        for e2 in (e1, e1 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0)), -e1):
+            a1, b1, a2, b2 = rng.normal(size=4).tolist()
+            s1 = ContactEigenstate(e1, complex(a1, b1))
+            s2 = ContactEigenstate(e2, complex(a2, b2))
+            plain = complex(rng.normal(), rng.normal())
+            assert modified_product_series(model, s1, s2, plain) == _series_by_double_loop(
+                model, s1, s2, plain
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_series_quotient_equals_per_draw_loop(seed):
+    assert verify.check_series_quotient(seed).worst == _series_quotient_per_draw(seed)
+
+
+def test_series_quotient_breach_seed_is_unchanged():
+    result = verify.check_series_quotient(SERIES_BREACH_SEED)
+    assert result.worst == _series_quotient_per_draw(SERIES_BREACH_SEED)
+    assert f"{result.worst:.2e}" == "1.50e-12"
+    assert not result.passed
+
+
+@pytest.mark.parametrize("seed", (verify.DEFAULT_SEED, 7))
+def test_every_check_reports_python_floats(seed):
+    for result in verify.run_battery("all", seed):
+        assert type(result.worst) is float, result.name
+        assert type(result.tolerance) is float, result.name
+        assert type(result.passed) is bool, result.name

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from .contact import PhaseShiftModel
 from .errors import InvalidInput, RootAtGridBoundary
@@ -82,8 +81,9 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     """All roots of h(q) = g(-q^2) + q on (Q_MIN_DEFAULT, q_max], by increasing q.
 
     h is a polynomial of degree 2N in q for a degree-N model, so its roots
-    are the eigenvalues of one companion matrix. A root z counts as real
-    when |Im z| <= ``REAL_ROOT_REL`` |z|. Simple real roots come back with
+    are the eigenvalues of its companion matrix, which is built in place and
+    handed to ``np.linalg.eigvals``. A root z counts as real when
+    |Im z| <= ``REAL_ROOT_REL`` |z|. Simple real roots come back with
     Im z = 0 exactly; the band admits a tangent (double) root, which
     rounding splits by about sqrt(machine eps) into either a conjugate pair
     or two real roots. Either way the pair is reported once, at its mean, so
@@ -115,8 +115,20 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     # taken here in the same double arithmetic, shows it.
     if max(map(abs, h)) / abs(h[-1]) == math.inf:
         raise InvalidInput("the companion matrix of h(q) overflows")
+    # numpy's polycompanion(h), built in place: ones on the subdiagonal and
+    # last column 0 - h[n]/h[-1]. A linear h has the one root -h[0]/h[1].
+    n = len(h) - 1
+    if n == 1:
+        roots = [-h[0] / h[1]]
+    else:
+        mat = np.zeros((n, n))
+        mat.ravel()[n :: n + 1] = 1.0
+        mat[:, -1] = [0.0 - c / h[-1] for c in h[:-1]]
+        eig = np.linalg.eigvals(mat)
+        eig.sort()
+        roots = eig.tolist()
     candidates: list[float] = []
-    for z in map(complex, polyroots(h).tolist()):  # sorted by real part
+    for z in map(complex, roots):  # sorted by real part
         # Im z >= 0 keeps one member of each conjugate pair.
         if not 0.0 <= z.imag <= REAL_ROOT_REL * abs(z):
             continue
@@ -148,7 +160,7 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
 def wavefunction(state: BoundState, r):
     """phi(r) = -A exp(-q r)/r with A = +sqrt(|A|^2) (real positive phase)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise InvalidInput("radius must be positive")
     if not (math.isfinite(state.a2) and state.a2 >= 0.0):
         raise InvalidInput("state has no real amplitude (non-positive norm)")

@@ -22,9 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import InvalidInput, NoBoundState, NoConvergence, ParameterMismatch, PoleHit
 
@@ -71,9 +69,17 @@ _RYBICKI_OFFSETS = tuple(
 # Open-channel overlaps of states whose decay constants differ by at most
 # this fraction of their sum average J by Gauss-Legendre, because the
 # difference of loop integrals cancels there. Against mpmath the average
-# stays within 1e-13 relative and the difference within 5e-12.
+# stays within 1e-13 relative and the difference within 5e-12. The rule's
+# nodes and weights are numpy's leggauss(8), bit for bit (pinned by a test).
 OVERLAP_GAUSS_GAP = 0.2
-_GAUSS_NODES, _GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(8))
+_GAUSS_NODES = (
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362
+)
+_GAUSS_WEIGHTS = (
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706
+)
 
 # exp(x) is finite exactly for x <= _LOG_FLOAT_MAX.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -153,9 +159,13 @@ class TwoChannelBoundState:
 
     def psi(self, k: float) -> float:
         """Open-channel momentum wavefunction sqrt(2) lam beta chi(k)/(E - k^2/m)."""
-        p = self.params
-        denom = self.energy - k**2 / p.mass
-        return math.sqrt(2.0) * p.lam * self.beta * p.chi(k) / denom
+        return _open_psi(self.params, self.energy, self.beta2, k)
+
+
+def _open_psi(p: TwoChannelParams, energy: float, beta2: float, k: float) -> float:
+    """:meth:`TwoChannelBoundState.psi` of the state with this energy and beta^2."""
+    denom = energy - k**2 / p.mass
+    return math.sqrt(2.0) * p.lam * math.sqrt(beta2) * p.chi(k) / denom
 
 
 def loop_integral(p: TwoChannelParams, energy: float) -> complex:
@@ -390,7 +400,7 @@ def emol_for_target_a(a_target: float, p: TwoChannelParams) -> float:
 def params_for_targets(a: float, rstar: float, eps: float, mass: float = 1.0) -> TwoChannelParams:
     """Parameter set holding (a_eps, R*) = (a, rstar) at regulator width eps."""
     probe = TwoChannelParams(lam=lambda_from_rstar(rstar, mass), e_mol=0.0, eps=eps, mass=mass)
-    return replace(probe, e_mol=emol_for_target_a(a, probe))
+    return TwoChannelParams(probe.lam, emol_for_target_a(a, probe), eps, mass)
 
 
 def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
@@ -424,13 +434,10 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
             weight = math.ldexp(f * f * fs / fk, 2 * e + es - ek)
     beta2 = 1.0 / (1.0 + weight)
     open_norm = weight * beta2 if weight < math.inf else 1.0
-    state = TwoChannelBoundState(
-        params=p, energy=energy, beta2=beta2, a_tail=math.nan, open_norm=open_norm
-    )
 
     def plateau(c):
         k = c / p.eps
-        return -(k * k * state.psi(k)) / (4.0 * math.pi)
+        return -(k * k * _open_psi(p, energy, beta2, k)) / (4.0 * math.pi)
 
     lo, hi = TAIL_FRACTIONS
     # Error model: plateau approached like 1/k^2 from the shallow side; with
@@ -439,7 +446,9 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
         a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
     except OverflowError:
         raise InvalidInput("the tail samples k = c/eps overflow for this eps") from None
-    return replace(state, a_tail=a_tail)
+    return TwoChannelBoundState(
+        params=p, energy=energy, beta2=beta2, a_tail=a_tail, open_norm=open_norm
+    )
 
 
 def _threshold_bracket(p: TwoChannelParams) -> float:

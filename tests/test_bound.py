@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polycompanion
 
 from oracles import mp_bound_poles, mp_pole_residual, radial_norm_quadrature
 from resokit import bound
@@ -19,6 +20,35 @@ EFF = PhaseShiftModel.from_effective_range(1.0, 1.0)
 # formula in high precision
 Q_EFF = float((-1 + mp.sqrt(5)) / 2)
 A2_EFF = float(mp.mpf(1) / (4 * mp.pi) * 2 / (1 / ((-1 + mp.sqrt(5)) / 2) + 2))
+
+
+def reference_bound_states(model, q_max):
+    """find_bound_states with the roots taken as eigvals(polycompanion(h)), sorted.
+
+    The real-root filter, tangent merge and polish are those of
+    find_bound_states; each state is (q, energy, a2, norm_sign).
+    """
+    coeffs = model.coeffs
+    h = [0.0] * max(2, 2 * len(coeffs) - 1)
+    h[0::2] = [-c if n % 2 else c for n, c in enumerate(coeffs)]
+    h[1] += 1.0
+    roots = np.linalg.eigvals(polycompanion(h))
+    roots.sort()
+    candidates = []
+    for z in map(complex, roots.tolist()):
+        if not 0.0 <= z.imag <= bound.REAL_ROOT_REL * abs(z):
+            continue
+        if candidates and z.real - candidates[-1] <= bound.REAL_ROOT_REL * abs(z):
+            candidates[-1] = 0.5 * (candidates[-1] + z.real)
+            continue
+        candidates.append(z.real)
+    q_min = bound.Q_MIN_DEFAULT
+    qs = sorted(bound._polish(model, q, q_min, q_max) for q in candidates if q_min < q <= q_max)
+    return [(q, -q * q, *bound._normalization_parts(model, q)) for q in qs]
+
+
+def state_bits(states):
+    return [(q.hex(), e.hex(), a2.hex(), sign) for q, e, a2, sign in states]
 
 
 class TestFindBoundStates:
@@ -131,6 +161,29 @@ class TestPolynomialRoots:
             assert len(states) == 1
             assert states[0].q == pytest.approx(q0, rel=1e-14, abs=0.0)
 
+    @pytest.mark.filterwarnings("ignore::resokit.errors.RootAtGridBoundary")
+    def test_matches_polycompanion_reference_bit_for_bit(self):
+        rng = np.random.default_rng(1401)
+        # degrees 0 to 8, then 2000 draws like the resonance-scan benchmark's
+        degrees = [d for d in range(9) for _ in range(20)]
+        degrees += rng.integers(1, 7, 2000).tolist()
+        models = [
+            (PhaseShiftModel(tuple(rng.uniform(-2.0, 2.0, d + 1))), 10.0 ** rng.uniform(1.0, 4.0))
+            for d in degrees
+        ]
+        for _ in range(100):
+            q1 = 10.0 ** rng.uniform(-1.0, 1.0)
+            q2 = q1 * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
+            models.append((construct_two_pole_model(q1, q2), 100.0))
+        models.append((PhaseShiftModel((-0.5, 0.5)), 10.0))  # tangent pole at q = 1
+        found = 0
+        for model, q_max in models:
+            states = bound.find_bound_states(model, q_max)
+            found += len(states)
+            got = [(s.q, s.energy, s.a2, s.norm_sign) for s in states]
+            assert state_bits(got) == state_bits(reference_bound_states(model, q_max))
+        assert found > len(models) // 2
+
     @pytest.mark.parametrize("c0", [-1.0, -(1.0 + 1e-8) / 2.0])
     def test_complex_pair_not_reported(self, c0):
         # h(q) = c0 + q - q^2/2 has roots 1 +- i sqrt(-1 - 2 c0): Im z/|z| is
@@ -174,9 +227,12 @@ class TestWavefunction:
         state = self.make_state()
         assert abs(bound.wavefunction(state, 50.0)) < 1e-20
 
-    def test_origin_rejected(self):
+    @pytest.mark.parametrize(
+        "r", [0.0, math.nan, pytest.param([1.0, math.nan], id="array-with-nan")]
+    )
+    def test_origin_rejected(self, r):
         with pytest.raises(InvalidInput):
-            bound.wavefunction(self.make_state(), 0.0)
+            bound.wavefunction(self.make_state(), r)
 
     def test_negative_norm_state_rejected(self):
         state = bound.BoundState(q=1.0, energy=-1.0, a2=-0.5, norm_sign="negative")

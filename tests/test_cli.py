@@ -577,15 +577,16 @@ def test_verify_choices_match_battery():
     assert cli.build_parser().parse_args(["verify", "all"]).seed == verify.DEFAULT_SEED
 
 
-def test_every_command_runs_without_scipy(tmp_path):
-    # scipy is not a runtime dependency: with its import blocked, every
-    # command exits 0, the verify groups included, and so does a
-    # two-channel amplitude above threshold.
+def test_every_command_runs_without_scipy_or_numpy_polynomial(tmp_path):
+    # scipy is not a runtime dependency, and numpy.polynomial is not used:
+    # with both imports blocked, every command exits 0, the verify groups
+    # included, and so does a two-channel amplitude above threshold.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     script = f"""
 import contextlib, io, sys
 sys.modules["scipy"] = None
+sys.modules["numpy.polynomial"] = None
 import resokit.cli as cli
 from resokit import twochannel
 

@@ -372,6 +372,11 @@ class TestKernels:
             total = mp.mpf(tc._LOOP_SCALE_HI) + mp.mpf(tc._LOOP_SCALE_LO)
             assert abs(total - ref) <= mp.mpf("1e-32") * ref
 
+    def test_gauss_legendre_rule_is_numpys(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert [x.hex() for x in tc._GAUSS_NODES] == [x.hex() for x in nodes.tolist()]
+        assert [w.hex() for w in tc._GAUSS_WEIGHTS] == [w.hex() for w in weights.tolist()]
+
     def test_threshold_bracket_correctly_rounded(self):
         # including near-edge draws, where e_mol/(2 lam^2) and -I(0) cancel
         # to a few ulp of either
@@ -700,6 +705,23 @@ class TestBoundState:
         k = 0.075 / p.eps
         plateau = -(k * k * float(state.psi(k))) / (4.0 * math.pi)
         assert plateau == pytest.approx(state.a_tail, rel=0.05)
+
+    def test_tail_is_the_extrapolated_plateau_of_psi(self):
+        # a_tail and psi share one open-channel wavefunction, bit for bit
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            p = tc.params_for_targets(
+                float(rng.uniform(0.3, 30.0)), float(rng.uniform(0.1, 10.0)),
+                float(10.0 ** rng.uniform(-3.0, math.log10(0.5))),
+            )
+            state = tc.bound_state(p)
+
+            def plateau(c):
+                k = c / p.eps
+                return -(k * k * state.psi(k)) / (4.0 * math.pi)
+
+            expected = (4.0 * plateau(0.1) - plateau(0.05)) / 3.0
+            assert state.a_tail.hex() == expected.hex()
 
 
 class TestZeroRangeAmplitudeConvergence:

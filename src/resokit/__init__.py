@@ -20,63 +20,50 @@ E = k^2), and its formulas carry no hbar or mass constants; only the
 two-channel model keeps its atom mass as a parameter. Conversions happen
 at the boundary.
 
-The package needs numpy only. The two-channel names below are served
-lazily, so that the one-channel layers load without the two-channel model.
+The package needs numpy only, and loads it only with a layer that does
+array work. Every name below is served lazily: ``import resokit`` loads no
+submodule, and a name loads its defining module on first use.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bound import BoundState, find_bound_states, modified_norm_check, wavefunction
-from .contact import PhaseShiftModel, parse_model_literal
-from .product import (
-    ContactEigenstate,
-    construct_two_pole_model,
-    modified_product,
-    modified_product_series,
-    plain_overlap_bound,
-    reg_matrix_element,
-)
-from .units import (
-    NATURAL,
-    ResonanceData,
-    UnitSystem,
-    classify_resonance,
-    convert_resonance,
-    scattering_length_of_field,
-    vdw_length,
-    width_radius,
-)
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BoundState": "bound",
+    "ContactEigenstate": "product",
+    "NATURAL": "units",
+    "PhaseShiftModel": "contact",
+    "ResonanceData": "units",
+    "TwoChannelBoundState": "twochannel",
+    "TwoChannelParams": "twochannel",
+    "UnitSystem": "units",
+    "classify_resonance": "units",
+    "construct_two_pole_model": "product",
+    "convert_resonance": "units",
+    "find_bound_states": "bound",
+    "modified_norm_check": "bound",
+    "modified_product": "product",
+    "modified_product_series": "product",
+    "parse_model_literal": "contact",
+    "plain_overlap_bound": "product",
+    "reg_matrix_element": "product",
+    "scattering_length_of_field": "units",
+    "vdw_length": "units",
+    "wavefunction": "bound",
+    "width_radius": "units",
+}
 
-__all__ = [
-    "__version__",
-    "BoundState",
-    "ContactEigenstate",
-    "NATURAL",
-    "PhaseShiftModel",
-    "ResonanceData",
-    "TwoChannelBoundState",
-    "TwoChannelParams",
-    "UnitSystem",
-    "classify_resonance",
-    "construct_two_pole_model",
-    "convert_resonance",
-    "find_bound_states",
-    "modified_norm_check",
-    "modified_product",
-    "modified_product_series",
-    "parse_model_literal",
-    "plain_overlap_bound",
-    "reg_matrix_element",
-    "scattering_length_of_field",
-    "vdw_length",
-    "wavefunction",
-    "width_radius",
-]
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name):
-    if name in ("TwoChannelBoundState", "TwoChannelParams"):
-        from . import twochannel
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
-        return getattr(twochannel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

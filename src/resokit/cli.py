@@ -11,15 +11,11 @@ from ``--config`` or the ``RESOKIT_CONFIG`` environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, bound, scattering
+from . import __version__
 from .contact import PhaseShiftModel, parse_model_literal
 from .errors import (
     DivergentAmplitude,
@@ -59,6 +55,9 @@ def fmt(value) -> str:
 
 def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
     """Reproducible JSON record of one CLI invocation, newline-terminated."""
+    import json
+    from datetime import datetime, timezone
+
     payload = {
         "command": command,
         "inputs": inputs,
@@ -73,14 +72,14 @@ def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
 def _write_output(args, command: str, table: dict, inputs: dict, residuals=None) -> None:
     """Write ``table`` (column name -> values) as CSV or as the JSON report.
 
-    Numeric columns are written with 17 significant digits and text columns
-    as they are; each row goes through one ``%`` template.
+    A column is a list or a numeric array. Numeric columns are written with
+    17 significant digits and text columns (of str) as they are; each row
+    goes through one ``%`` template.
     """
-    columns, specs = [], []
-    for values in map(np.asarray, table.values()):
-        numeric = values.dtype.kind in "fiu"
-        columns.append((values.astype(float) if numeric else values).tolist())
-        specs.append("%.17g" if numeric else "%s")
+    columns = [values.tolist() if hasattr(values, "tolist") else values
+               for values in table.values()]
+    specs = ["%s" if column and isinstance(column[0], str) else "%.17g"
+             for column in columns]
     if args.format == "json":
         cells = [list(map(spec.__mod__, column)) for spec, column in zip(specs, columns)]
         outputs = [dict(zip(table, row)) for row in zip(*cells)]
@@ -105,8 +104,10 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _grid(args, what: str) -> np.ndarray:
+def _grid(args, what: str):
     """The --min/--max/--steps/--log sweep grid; ``what`` names the sweep in errors."""
+    import numpy as np
+
     if args.min is None or args.max is None:
         raise InvalidInput(f"{what} needs --min --max --steps")
     # written so that a NaN bound fails too
@@ -121,11 +122,17 @@ def _grid(args, what: str) -> np.ndarray:
     if args.log and args.min <= 0.0:
         raise InvalidInput("log sweep needs min > 0")
     space = np.geomspace if args.log else np.linspace
-    return space(args.min, args.max, args.steps)
+    try:
+        return space(args.min, args.max, args.steps)
+    except ValueError as exc:
+        # numpy refuses a point count beyond its array size limit
+        raise InvalidInput(f"sweep has too many steps: {exc}") from None
 
 
 def _model_from_args(args) -> PhaseShiftModel:
     if args.coeffs:
+        if args.a is not None or args.rstar is not None:
+            raise InvalidInput("give either --coeffs or --a/--rstar, not both")
         try:
             coeffs = tuple(float(c) for c in args.coeffs.split(","))
         except ValueError as exc:
@@ -137,6 +144,10 @@ def _model_from_args(args) -> PhaseShiftModel:
 
 
 def _cmd_amplitude(args) -> int:
+    import numpy as np
+
+    from . import scattering
+
     model = _model_from_args(args)
     inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
     if args.k is None:
@@ -161,6 +172,8 @@ def _cmd_amplitude(args) -> int:
 
 
 def _cmd_bound_state(args) -> int:
+    from . import bound
+
     model = _model_from_args(args)
     states = bound.find_bound_states(model, q_max=args.qmax)
     columns = ["q", "E", "A2", "norm_sign"]
@@ -171,6 +184,8 @@ def _cmd_bound_state(args) -> int:
 
 
 def _cmd_modified_norm(args) -> int:
+    from . import bound
+
     model = _model_from_args(args)
     states = bound.find_bound_states(model, q_max=args.qmax)
     columns = ["q", "E", "A2", "norm_sign", "residual"]

@@ -14,10 +14,9 @@ radius hbar^2/(m a_bg dmu dB) is dimensionally closed in every mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Literal
-
-import numpy as np
 
 from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
 
@@ -160,6 +159,8 @@ def scattering_length_of_field(res: ResonanceData, field):
     first. ``field`` may be an array; any field exactly at B0 raises
     :class:`PoleAtResonance`.
     """
+    import numpy as np
+
     field = np.asarray(field, dtype=float)
     if (field == res.b0).any():
         raise PoleAtResonance("scattering length diverges at B = B0")
@@ -195,7 +196,7 @@ def classify_resonance(res: ResonanceData, threshold: float = 1.0) -> str:
     The ratio is dimensionless, so the result does not depend on the unit
     mode the data is expressed in.
     """
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise InvalidInput(f"threshold must be finite, got {threshold!r}")
     ratio = abs(width_radius(res)) / vdw_length(res)
     return "narrow" if ratio > threshold else "broad"

@@ -105,6 +105,16 @@ class TestAmplitudeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("log", [[], ["--log"]])
+    def test_steps_beyond_array_limit_is_input_error(self, capsys, species_file, log):
+        # numpy refuses 1e20 points before it allocates any
+        for argv in (["amplitude", "--a", "1"], ["feshbach", "sweep", "--species", species_file]):
+            code, out, err = run_cli(capsys, *argv, "--min", "0.1", "--max", "1",
+                                     "--steps", "100000000000000000000", *log)
+            assert code == 2, err
+            assert out == ""
+            assert "input error" in err and "too many steps" in err
+
 
 class TestBoundStateCommand:
     def test_effective_range_row(self, capsys):
@@ -306,6 +316,9 @@ class TestConfig:
         ("min = 0.1", ["phase-shift", "--a", "1", "--k", "1"]),
         ("lambda = 3\nemol = 0.5", ["two-channel", "params", "--a", "1", "--rstar", "1"]),
         ("a = 1\nrstar = 1", ["two-channel", "bound", "--lambda", "3", "--emol", "0.5"]),
+        ("g = [-2, -1]", ["bound-state", "--a", "1"]),
+        ("a = 1", ["bound-state", "--coeffs=-2,-1"]),
+        ("rstar = 0.5", ["amplitude", "--coeffs=-1,-1", "--k", "1"]),
     ])
     def test_config_conflicting_with_flags_is_input_error(self, capsys, tmp_path, line, argv):
         cfg = tmp_path / "conflict.conf"
@@ -560,6 +573,9 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
         ["two-channel", "params", "--emol", "0", "--a", "1", "--rstar", "1"],
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--a", "1"],
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--rstar", "1"],
+        ["bound-state", "--a", "1", "--coeffs=-2,-1"],
+        ["modified-norm", "--rstar", "0", "--coeffs=-1,-1"],
+        ["amplitude", "--a", "1", "--rstar", "1", "--coeffs=-1,-1", "--k", "1"],
     ],
 )
 def test_conflicting_inputs_exit_2(capsys, argv):
@@ -618,6 +634,49 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         "(-0.5538946206952625+0.2675607094661291j)",
         "['scipy']",
     ]
+
+
+def test_two_channel_and_classify_run_without_numpy(tmp_path):
+    # With numpy blocked, these commands print what an unblocked process
+    # prints, and the unblocked process loads no numpy, neither with
+    # `import resokit.cli` nor running them.
+    species = tmp_path / "species.csv"
+    species.write_text(SYNTHETIC_SPECIES_CSV)
+    commands = [
+        ["two-channel", "params", "--a", "1", "--rstar", "1", "--eps", "0.05"],
+        ["two-channel", "params", "--lambda", "2.5", "--emol", "7", "--mass", "2"],
+        ["two-channel", "bound", "--a", "1", "--rstar", "1"],
+        ["two-channel", "bound", "--lambda", "2.5066282746310002", "--emol", "6.978845608028654"],
+        ["feshbach", "classify", "--species", str(species), "--units", "si"],
+    ]
+    script = """
+import contextlib, io, json, re, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import resokit
+import resokit.cli as cli
+
+runs = []
+for argv in json.loads(sys.argv[2]):
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([*argv, "--format", fmt])
+        runs.append([code, re.sub(r'"timestamp": "[^"]*"', "", buf.getvalue())])
+numpy = [m for m in sys.modules if m.split(".")[0] == "numpy" and sys.modules[m]]
+print(json.dumps([runs, numpy]))
+"""
+    results = []
+    for mode in ("block", "plain"):
+        proc = subprocess.run([sys.executable, "-c", script, mode, json.dumps(commands)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    (blocked, _), (plain, numpy) = results
+    assert blocked == plain
+    assert [code for code, _ in plain] == [0] * 2 * len(commands)
+    assert all(text for _, text in plain)
+    assert numpy == []
 
 
 def test_pole_far_above_an_overflowing_start(capsys):

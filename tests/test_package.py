@@ -7,17 +7,14 @@ import pytest
 
 import resokit
 
-PUBLIC = [name for name in resokit.__all__ if name != "__version__"]
-
 
 def test_names_are_the_objects_of_their_defining_modules():
-    for name in PUBLIC:
-        module = importlib.import_module(f"resokit.{resokit._EXPORTS[name]}")
+    for name, module_name in resokit._EXPORTS.items():
+        module = importlib.import_module(f"resokit.{module_name}")
         obj = getattr(resokit, name)
         assert obj is getattr(module, name), name
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert obj.__module__ == module.__name__, name
-    assert resokit.find_bound_states is importlib.import_module("resokit.bound").find_bound_states
 
 
 def test_dir_lists_every_name():

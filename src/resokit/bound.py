@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .contact import PhaseShiftModel
 from .errors import InvalidInput, RootAtGridBoundary
 
@@ -77,19 +75,49 @@ def _polish(model: PhaseShiftModel, q: float, lo: float, hi: float) -> float:
     return q
 
 
+def _quadratic_roots(c0: float, c1: float) -> list:
+    """Both roots of h(q) = c0 + q - c1 q^2 (c1 != 0), sorted as numpy sorts them.
+
+    With d = 1 + 4 c0 c1 and t = -(1 + sqrt d)/2 the larger root is t/(-c1)
+    and the other c0/t, so neither subtracts. Each is formed in integer
+    arithmetic on the exact ratios of c0 and c1, with sqrt d truncated
+    2^-64 below its exact value, and rounded once: a root is within half an
+    ulp of the exact one, plus a 2^-64 relative part, at any magnitude. For
+    d < 0 the roots are the conjugate pair (1 +- i sqrt(-d))/(2 c1).
+    """
+    n0, m0 = c0.as_integer_ratio()
+    n1, m1 = c1.as_integer_ratio()
+    num, den = m0 * m1 + 4 * n0 * n1, m0 * m1  # d = num/den
+    scale = den << 64
+    root = math.isqrt(abs(num) * den << 128)  # floor(scale sqrt|d|)
+    if num < 0:
+        im = root * m1 / (2 * scale * abs(n1))
+        return [complex(0.5 / c1, -im), complex(0.5 / c1, im)]
+    s = scale + root  # -2t scale
+    return sorted((s * m1 / (2 * scale * n1), -2 * n0 * scale / (m0 * s)))
+
+
 def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     """All roots of h(q) = g(-q^2) + q on (Q_MIN_DEFAULT, q_max], by increasing q.
 
-    h is a polynomial of degree 2N in q for a degree-N model, so its roots
-    are the eigenvalues of its companion matrix, which is built in place and
-    handed to ``np.linalg.eigvals``. A root z counts as real when
-    |Im z| <= ``REAL_ROOT_REL`` |z|. Simple real roots come back with
-    Im z = 0 exactly; the band admits a tangent (double) root, which
-    rounding splits by about sqrt(machine eps) into either a conjugate pair
-    or two real roots. Either way the pair is reported once, at its mean, so
-    two real roots closer than ``REAL_ROOT_REL`` relative count as one
-    tangent pole. Each kept root is polished with guarded Newton steps. An
-    empty list means no bound state, not a failure.
+    h is a polynomial of degree 2N in q for a degree-N model. For N = 0 its
+    one root is -c0. For the effective-range model, N = 1, it is the
+    quadratic c0 + q - c1 q^2, whose roots :func:`_quadratic_roots` gives in
+    closed form: the cancellation-free pair t/(-c1), c0/t with
+    t = -(1 + sqrt d)/2, from the exact discriminant d = 1 + 4 c0 c1 and
+    rounded once. Newton steps on h in plain arithmetic would move them away
+    again (by about u/gap for a close pair), so they are not polished. For
+    N >= 2 the roots are the eigenvalues of the companion matrix, built in
+    place and handed to ``np.linalg.eigvals``, and each kept root is
+    polished with guarded Newton steps; only this branch imports numpy.
+
+    A root z counts as real when |Im z| <= ``REAL_ROOT_REL`` |z|. Simple
+    real roots come with Im z = 0 exactly; the band admits a tangent
+    (double) root, which rounding splits by about sqrt(machine eps) into
+    either a conjugate pair or two real roots. Either way the pair is
+    reported once, at its mean, so two real roots closer than
+    ``REAL_ROOT_REL`` relative count as one tangent pole. An empty list
+    means no bound state, not a failure.
 
     At a tangent pole h'(q) = 0, and the norm denominator
     1/q - 2 g'(E) equals h'(q)/q, so |A|^2 diverges: ``norm_sign``
@@ -115,12 +143,16 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     # taken here in the same double arithmetic, shows it.
     if max(map(abs, h)) / abs(h[-1]) == math.inf:
         raise InvalidInput("the companion matrix of h(q) overflows")
-    # numpy's polycompanion(h), built in place: ones on the subdiagonal and
-    # last column 0 - h[n]/h[-1]. A linear h has the one root -h[0]/h[1].
     n = len(h) - 1
     if n == 1:
         roots = [-h[0] / h[1]]
+    elif n == 2:
+        roots = _quadratic_roots(*coeffs)
     else:
+        import numpy as np
+
+        # numpy's polycompanion(h), built in place: ones on the subdiagonal
+        # and last column 0 - h[n]/h[-1].
         mat = np.zeros((n, n))
         mat.ravel()[n :: n + 1] = 1.0
         mat[:, -1] = [0.0 - c / h[-1] for c in h[:-1]]
@@ -140,7 +172,8 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
             continue
         candidates.append(z.real)
     roots = sorted(
-        _polish(model, q, Q_MIN_DEFAULT, q_max) for q in candidates if Q_MIN_DEFAULT < q <= q_max
+        _polish(model, q, Q_MIN_DEFAULT, q_max) if n > 2 else q
+        for q in candidates if Q_MIN_DEFAULT < q <= q_max
     )
 
     states = []
@@ -159,6 +192,8 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
 
 def wavefunction(state: BoundState, r):
     """phi(r) = -A exp(-q r)/r with A = +sqrt(|A|^2) (real positive phase)."""
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):
         raise InvalidInput("radius must be positive")

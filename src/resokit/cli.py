@@ -26,8 +26,6 @@ from .errors import (
     PoleHit,
     ResokitError,
 )
-from .species import load_species
-from .units import classify_resonance, scattering_length_of_field, vdw_length, width_radius
 
 # Every other ResokitError is an input error.
 NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence, PoleHit)
@@ -267,6 +265,9 @@ def _cmd_tc_sweep(args) -> int:
 
 
 def _cmd_fb_classify(args) -> int:
+    from .species import load_species
+    from .units import classify_resonance, vdw_length, width_radius
+
     # checked before the file is read, so that a table without rows fails too
     if not math.isfinite(args.threshold):
         raise InvalidInput(f"threshold must be finite, got {args.threshold!r}")
@@ -286,6 +287,9 @@ def _cmd_fb_classify(args) -> int:
 
 def _cmd_fb_sweep(args) -> int:
     """Field sweep of a(B) for one species of the file."""
+    from .species import load_species
+    from .units import scattering_length_of_field
+
     rows_in = load_species(args.species, mode=args.units)
     if not 0 <= args.index < len(rows_in):
         raise InvalidInput(f"species index {args.index} out of range (file has {len(rows_in)})")

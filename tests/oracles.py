@@ -232,6 +232,29 @@ def mp_bound_poles(coeffs, q_min, q_max):
     return sorted(found)
 
 
+def mp_quadratic_poles(c0, c1, q_min, q_max, real_rel):
+    """Bound states of the degree-1 model g = c0 + c1 E at 60 digits.
+
+    h(q) = c0 + q - c1 q^2 has the roots (1 +- sqrt d)/(2 c1), d = 1 + 4 c0 c1;
+    the one of smaller modulus is taken from their product -c0/c1, so that
+    no magnitude of the coefficients cancels digits. A conjugate pair with
+    |Im z| <= ``real_rel`` |z|, or two real roots closer than ``real_rel``
+    relative, is one tangent pole at its mean 1/(2 c1). Returns the sorted
+    (q, tangent) pairs with q in (q_min, q_max].
+    """
+    with mp.workdps(60):
+        c0, c1 = mp.mpf(float(c0)), mp.mpf(float(c1))
+        d = 1 + 4 * c0 * c1
+        mean = 1 / (2 * c1)
+        if d < 0:
+            poles = [(mean, True)] if mp.sqrt(-d) <= real_rel * mp.sqrt(1 - d) else []
+        else:
+            big = (1 + mp.sqrt(d)) / (2 * c1)
+            lo, hi = sorted([big, -c0 / (c1 * big)])
+            poles = [(mean, True)] if hi - lo <= real_rel * abs(hi) else [(lo, False), (hi, False)]
+        return [(q, tangent) for q, tangent in poles if q_min < q <= q_max]
+
+
 def mp_loop_integral(eps, energy, mass=1.0):
     """I(E < 0) in closed form with mpmath's erfc at 40 digits."""
     alpha = mp.mpf(float(eps)) ** 2 / 2

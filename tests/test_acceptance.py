@@ -33,7 +33,7 @@ def test_criterion_02_unitarity_two_channel():
 
 
 def test_criterion_03_orthogonality():
-    # 100 two-pole models, |(1|2)_0| < 1e-12 |<1|2>|
+    # 100 two-pole models and 50 close pairs, |(1|2)_0| < 1e-12 |<1|2>|
     result = _run(verify.check_orthogonality, runtime_budget=1.0)
     assert result.tolerance == 1e-12
 

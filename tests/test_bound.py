@@ -1,13 +1,14 @@
 """Bound-state location, normalization and the modified-norm identity."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polycompanion
 
-from oracles import mp_bound_poles, mp_pole_residual, radial_norm_quadrature
+from oracles import mp_bound_poles, mp_pole_residual, mp_quadratic_poles, radial_norm_quadrature
 from resokit import bound
 from resokit.contact import PhaseShiftModel
 from resokit.product import construct_two_pole_model
@@ -49,6 +50,60 @@ def reference_bound_states(model, q_max):
 
 def state_bits(states):
     return [(q.hex(), e.hex(), a2.hex(), sign) for q, e, a2, sign in states]
+
+
+def resonance_scan_draws():
+    """(model, q_max) of every degree 0 to 8, 2000 draws like the resonance-scan
+    benchmark's, 100 close pairs and a tangent pole (h = -(q - 1)^2/2)."""
+    rng = np.random.default_rng(1401)
+    degrees = [d for d in range(9) for _ in range(20)]
+    degrees += rng.integers(1, 7, 2000).tolist()
+    models = [
+        (PhaseShiftModel(tuple(rng.uniform(-2.0, 2.0, d + 1))), 10.0 ** rng.uniform(1.0, 4.0))
+        for d in degrees
+    ]
+    for _ in range(100):
+        q1 = 10.0 ** rng.uniform(-1.0, 1.0)
+        q2 = q1 * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
+        models.append((construct_two_pole_model(q1, q2), 100.0))
+    models.append((PhaseShiftModel((-0.5, 0.5)), 10.0))
+    return models
+
+
+def degree_one_draws():
+    """(model, q_max) for the closed-form branch, in groups that the companion
+    route resolves: both signs of 1/a and R*, near-tangent pairs 10x inside
+    and outside the real-root band, roots 1e-9 below the window edge, and
+    coefficients up to 1e300 whose roots lie within 1e8 of each other."""
+    rng = np.random.default_rng(1601)
+
+    def sign():
+        return (-1.0, 1.0)[rng.integers(2)]
+
+    models = [(PhaseShiftModel((1e300, 1e300)), 10.0)]  # 1 + 4 c0 c1 overflows
+    for _ in range(400):
+        inv_a, rstar = (sign() * 10.0 ** rng.uniform(-2.0, 2.0) for _ in range(2))
+        models.append((PhaseShiftModel((-inv_a, -rstar)), 10.0 ** rng.uniform(1.0, 4.0)))
+    for _ in range(400):
+        # roots q0 (1 +- gap/2), real or a conjugate pair
+        q0 = 10.0 ** rng.uniform(-2.0, 2.0)
+        gap = 10.0 ** (rng.uniform(-9.0, -7.0) if rng.integers(2) else rng.uniform(-5.0, -3.0))
+        c1 = 1.0 / (2.0 * q0)
+        models.append((PhaseShiftModel((-c1 * q0 * q0 * (1.0 + sign() * gap * gap / 4.0), c1)),
+                       1e3))
+    edge = []
+    while len(edge) < 200:
+        model = PhaseShiftModel(tuple(rng.uniform(-2.0, 2.0, 2)))
+        states = bound.find_bound_states(model, q_max=1e6)
+        if states:
+            edge.append((model, states[-1].q * (1.0 + 1e-9)))
+    models += edge
+    for _ in range(400):
+        # roots near +-r for w >= 1, near -w r and r/w for w < 1
+        r = 10.0 ** rng.uniform(-7.0, 150.0)
+        w = 10.0 ** rng.uniform(-4.0, 300.0 - abs(math.log10(r)))
+        models.append((PhaseShiftModel((sign() * w * r, sign() * w / r)), 1e300))
+    return models
 
 
 class TestFindBoundStates:
@@ -163,19 +218,8 @@ class TestPolynomialRoots:
 
     @pytest.mark.filterwarnings("ignore::resokit.errors.RootAtGridBoundary")
     def test_matches_polycompanion_reference_bit_for_bit(self):
-        rng = np.random.default_rng(1401)
-        # degrees 0 to 8, then 2000 draws like the resonance-scan benchmark's
-        degrees = [d for d in range(9) for _ in range(20)]
-        degrees += rng.integers(1, 7, 2000).tolist()
-        models = [
-            (PhaseShiftModel(tuple(rng.uniform(-2.0, 2.0, d + 1))), 10.0 ** rng.uniform(1.0, 4.0))
-            for d in degrees
-        ]
-        for _ in range(100):
-            q1 = 10.0 ** rng.uniform(-1.0, 1.0)
-            q2 = q1 * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
-            models.append((construct_two_pole_model(q1, q2), 100.0))
-        models.append((PhaseShiftModel((-0.5, 0.5)), 10.0))  # tangent pole at q = 1
+        # degree 1 has its own closed form, checked below
+        models = [(m, q_max) for m, q_max in resonance_scan_draws() if m.degree != 1]
         found = 0
         for model, q_max in models:
             states = bound.find_bound_states(model, q_max)
@@ -183,6 +227,56 @@ class TestPolynomialRoots:
             got = [(s.q, s.energy, s.a2, s.norm_sign) for s in states]
             assert state_bits(got) == state_bits(reference_bound_states(model, q_max))
         assert found > len(models) // 2
+
+    def test_degree_one_closed_form_against_companion_and_mpmath(self):
+        # The companion route's states, with every q within 2 ulps of the
+        # 60-digit root. At a tangent pole the exact norm denominator
+        # 1/q - 2 c1 = h'(q)/q is 0, so both routes report the sign of its
+        # rounding; there it must be at the rounding level instead.
+        eps = np.finfo(float).eps
+        models = [(m, q_max) for m, q_max in resonance_scan_draws() if m.degree == 1]
+        models += degree_one_draws()
+        edge = tangent = 0
+        for model, q_max in models:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                states = bound.find_bound_states(model, q_max)
+            c0, c1 = model.coeffs
+            poles = mp_quadratic_poles(c0, c1, bound.Q_MIN_DEFAULT, q_max, bound.REAL_ROOT_REL)
+            ref = reference_bound_states(model, q_max)
+            assert len(states) == len(poles) == len(ref)
+            for s, (q_mp, is_tangent), (_, _, _, ref_sign) in zip(states, poles, ref):
+                assert abs(s.q - q_mp) <= 2 * math.ulp(float(q_mp))
+                if is_tangent:
+                    assert abs(1.0 - 2.0 * c1 * s.q) <= 8 * eps
+                    tangent += 1
+                else:
+                    assert s.norm_sign == ref_sign
+            at_edge = bool(states) and states[-1].q >= q_max * (1.0 - bound.EDGE_REL)
+            assert [w.category for w in caught] == [RootAtGridBoundary] * at_edge
+            edge += at_edge
+        assert edge >= 200 and tangent >= 200
+
+    def test_degree_one_over_the_float_range_against_mpmath(self):
+        # c0 and c1 drawn apart over 1e-300..1e300, roots up to 1e308 apart:
+        # eigenvalues of the companion matrix lose the smaller root of such
+        # a pair, the closed form keeps both within 2 ulps.
+        rng = np.random.default_rng(1602)
+        checked = 0
+        while checked < 500:
+            c0, c1 = ((-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-300.0, 300.0)
+                      for _ in range(2))
+            if max(abs(c0), 1.0) / abs(c1) == math.inf:
+                continue  # rejected: the companion matrix overflows
+            model = PhaseShiftModel((c0, c1))
+            states = bound.find_bound_states(model, 1e300)
+            poles = mp_quadratic_poles(c0, c1, bound.Q_MIN_DEFAULT, 1e300, bound.REAL_ROOT_REL)
+            assert len(states) == len(poles)
+            for s, (q_mp, _) in zip(states, poles):
+                assert abs(s.q - q_mp) <= 2 * math.ulp(float(q_mp))
+                denom = 1 / q_mp - 2 * mp.mpf(c1)
+                assert s.norm_sign == ("positive" if denom > 0 else "negative")
+            checked += 1
 
     @pytest.mark.parametrize("c0", [-1.0, -(1.0 + 1e-8) / 2.0])
     def test_complex_pair_not_reported(self, c0):

@@ -385,7 +385,7 @@ class TestVerifyCommand:
         assert all(entry["passed"] for entry in report["outputs"])
         by_name = {entry["name"]: entry for entry in report["outputs"]}
         cases = by_name["orthogonality"]["cases"]
-        assert len(cases) == 100
+        assert len(cases) == 150
         assert set(cases[0]) == {"model", "states", "plain", "modified", "residual"}
         assert all(case["residual"] < 1e-12 for case in cases)
 
@@ -639,7 +639,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_two_channel_and_classify_run_without_numpy(tmp_path):
     # With numpy blocked, these commands print what an unblocked process
     # prints, and the unblocked process loads no numpy, neither with
-    # `import resokit.cli` nor running them.
+    # `import resokit.cli` nor running them. bound-state and modified-norm
+    # take degree-1 models, whose poles come in closed form.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     commands = [
@@ -648,6 +649,11 @@ def test_two_channel_and_classify_run_without_numpy(tmp_path):
         ["two-channel", "bound", "--a", "1", "--rstar", "1"],
         ["two-channel", "bound", "--lambda", "2.5066282746310002", "--emol", "6.978845608028654"],
         ["feshbach", "classify", "--species", str(species), "--units", "si"],
+        ["bound-state", "--a", "1", "--rstar", "1"],
+        ["bound-state", "--a", "2", "--rstar", "-0.1", "--qmax", "5"],
+        ["bound-state", "--coeffs=-0.3333333333333333,0.6666666666666666"],
+        ["modified-norm", "--a", "1", "--rstar", "1"],
+        ["modified-norm", "--a", "2", "--rstar", "-0.1"],
     ]
     script = """
 import contextlib, io, json, re, sys

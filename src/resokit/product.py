@@ -70,24 +70,13 @@ def plain_overlap_bound(s1: ContactEigenstate, s2: ContactEigenstate) -> complex
 
 
 def _difference_quotient(coeffs, e1, e2):
-    # sum_{n>=1} c_n sum_{p=1..n} e1^{n-p} e2^{p-1}: algebraically equal to
-    # (g(e1)-g(e2))/(e1-e2) but free of the cancellation the literal quotient
-    # suffers when e1 ~ e2.
-    n_max = len(coeffs) - 1
-    pow1 = [1.0]
-    pow2 = [1.0]
-    for _ in range(n_max - 1):
-        pow1.append(pow1[-1] * e1)
-        pow2.append(pow2[-1] * e2)
-    total = 0.0
-    for n in range(1, n_max + 1):
-        c = coeffs[n]
-        if c == 0.0:
-            continue
-        inner = 0.0
-        for p in range(1, n + 1):
-            inner += pow1[n - p] * pow2[p - 1]
-        total += c * inner
+    # (g(e1)-g(e2))/(e1-e2) by synthetic division: the Horner partial sums b of
+    # g at e1 are the coefficients of q(x) = (g(x)-g(e1))/(x-e1), so the
+    # quotient is q(e2), free of cancellation at e1 ~ e2 and g'(e1) at e1 = e2.
+    b = total = 0.0
+    for c in reversed(coeffs[1:]):
+        b = b * e1 + c
+        total = total * e2 + b
     return total
 
 
@@ -99,8 +88,8 @@ def modified_product(
 ) -> complex:
     """(1|2)_0 = plain - 4 pi conj(A_1) A_2 D.
 
-    D is the difference quotient of g between the two energies, evaluated in
-    the stable telescoped-sum form, which equals g'(E) at E_1 = E_2.
+    D is the difference quotient of g between the two energies, evaluated by
+    synthetic division in one Horner pass, which gives g'(E) at E_1 = E_2.
     """
     quotient = _difference_quotient(model.coeffs, s1.energy, s2.energy)
     prefactor = 4.0 * math.pi

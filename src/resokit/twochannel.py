@@ -182,8 +182,6 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     """
     if energy < 0.0:
         return complex(_below_threshold(p, energy)[1], 0.0)
-    if energy == 0.0:
-        return complex(-_loop_scale(p), 0.0)
     m = p.mass
     alpha = 0.5 * p.eps**2
     k0 = math.sqrt(m * energy)

@@ -68,13 +68,6 @@ class CheckResult:
     seconds: float = 0.0
     cases: list | None = None
 
-    def __post_init__(self):
-        # Values computed from numpy scalars are numpy types; report Python
-        # ones, as JSON rejects numpy bools.
-        self.passed = bool(self.passed)
-        self.worst = float(self.worst)
-        self.tolerance = float(self.tolerance)
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -328,8 +321,8 @@ def fit_effective_params(p: twochannel.TwoChannelParams) -> tuple[float, float]:
     values = np.array([twochannel.inverse_amplitude(p, e).real for e in energies.tolist()])
     x = energies / energies[-1]
     coef = np.polyfit(x, values, 2)
-    inv_a_fit = -coef[2]
-    rstar_fit = -coef[1] / energies[-1] / p.mass
+    inv_a_fit = -float(coef[2])
+    rstar_fit = -float(coef[1]) / float(energies[-1]) / p.mass
     a_fit = math.inf if inv_a_fit == 0.0 else 1.0 / inv_a_fit
     return a_fit, rstar_fit
 
@@ -375,7 +368,7 @@ def check_zero_range_limit(seed: int = DEFAULT_SEED) -> CheckResult:
     ratios = [energy_errors[i] / energy_errors[i + 1] for i in range(3)]
     ratios_ok = all(1.5 <= r <= 2.5 for r in ratios)
     coeffs = np.polyfit(np.array(EPS_SEQUENCE), np.array(rstar_fits) - 1.0, 2)
-    slope = coeffs[1]
+    slope = float(coeffs[1])
     slope_target = -math.sqrt(2.0 / math.pi)
     slope_dev = abs(slope - slope_target) / abs(slope_target)
     passed = ratios_ok and a_dev < 1e-6 and slope_dev < 0.05

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from resokit.contact import PhaseShiftModel
 from resokit.errors import InvalidInput, KindMismatch, SingularSystem
 from resokit.product import (
     ContactEigenstate,
+    _difference_quotient,
     construct_two_pole_model,
     modified_product,
     modified_product_series,
@@ -117,7 +119,8 @@ class TestModifiedProduct:
             assert 1.8 < d1 / d2 < 2.2
 
     def test_near_degenerate_against_mpmath(self):
-        # relative energy gaps 1e-9 to 1e-12: the telescoped sum stays exact
+        # relative energy gaps 1e-9 to 1e-12: synthetic division does not
+        # cancel the way the literal quotient does
         coeffs = (-1.0, 0.5, 0.8, -0.3)
         model = PhaseShiftModel(coeffs)
         prefactor = 4.0 * math.pi
@@ -138,6 +141,50 @@ class TestModifiedProduct:
             lhs = modified_product(model, s1, s2, plain)
             rhs = modified_product(model, s2, s1, plain.conjugate()).conjugate()
             assert cmath.isclose(lhs, rhs, rel_tol=1e-13, abs_tol=1e-13)
+
+
+def _exact_quotient(coeffs, e1, e2):
+    """(g(e1) - g(e2))/(e1 - e2), or g'(e1) at e1 = e2, in exact rationals."""
+    cs = [Fraction(c) for c in coeffs]
+    x1, x2 = Fraction(e1), Fraction(e2)
+    if x1 == x2:
+        return sum(n * c * x1 ** (n - 1) for n, c in enumerate(cs) if n >= 1)
+
+    def g(x):
+        return sum(c * x**n for n, c in enumerate(cs))
+
+    return (g(x1) - g(x2)) / (x1 - x2)
+
+
+class TestDifferenceQuotient:
+    @pytest.mark.parametrize("degree", range(9))
+    def test_against_exact_rationals(self, degree):
+        # Forward error within 2N u sum_n |c_n| sum_p |e1|^(n-p) |e2|^(p-1):
+        # N multiply-adds for the partial sums and N for the outer Horner
+        # pass. Energies are equal, relatively 1e-12..1e-2 apart or drawn
+        # independently, with both signs.
+        rng = np.random.default_rng(500 + degree)
+        u = 2.0**-53
+        for trial in range(600):
+            coeffs = tuple(rng.uniform(-2.0, 2.0, degree + 1).tolist())
+            e1 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-2.0, 1.0)
+            mode = trial % 4
+            if mode == 0:
+                e2 = e1
+            elif mode == 1:
+                e2 = e1 * (1.0 + (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-12.0, -2.0))
+            else:
+                e2 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-2.0, 1.0)
+            scale = sum(
+                abs(coeffs[n]) * abs(e1) ** (n - p) * abs(e2) ** (p - 1)
+                for n in range(1, degree + 1)
+                for p in range(1, n + 1)
+            )
+            got = _difference_quotient(coeffs, e1, e2)
+            err = abs(Fraction(got) - _exact_quotient(coeffs, e1, e2))
+            assert err <= 2 * degree * u * scale, (coeffs, e1, e2)
+            if degree <= 1:  # 0.0 and c_1, bit for bit
+                assert got.hex() == (coeffs[1] if degree else 0.0).hex()
 
 
 class TestRegMatrixElement:
@@ -183,10 +230,11 @@ class TestSeriesEquivalence:
     @example(coeffs=[0.0] * 7 + [1.8828125, 1.140625], e1=7.152977259412175,
              e2=-7.5703125, re1=0.0, im2=0.0)
     def test_series_equals_quotient(self, coeffs, e1, e2, re1, im2):
-        # Both routes are finite sums of the same terms, so each must lie
-        # within the forward rounding bound gamma_k * scale of the exact
-        # value, k counting the roundings along the longest chain (powers,
-        # inner and outer sums, the complex prefactor and the subtraction).
+        # Both routes are finite sums (the double series, and the quotient by
+        # synthetic division), so each must lie within the forward rounding
+        # bound gamma_k * scale of the exact value, k counting the roundings
+        # along the longest chain (powers, inner and outer sums, the complex
+        # prefactor and the subtraction).
         model = PhaseShiftModel(tuple(coeffs))
         s1 = _any_state(e1, complex(re1, 0.3))
         s2 = _any_state(e2, complex(0.7, im2))

@@ -21,8 +21,9 @@ from resokit.product import (
 )
 
 SEEDS = (verify.DEFAULT_SEED, 0, 1, 2, 3, 4)
-# At this seed series-quotient reads 1.50e-12 against its 1e-12 tolerance.
-SERIES_BREACH_SEED = 1225879262
+# The series-quotient breach seeds of ROADMAP item 2 (tolerance 1e-12) and
+# the worst value each reads: the first breaches, the second passes.
+SERIES_BREACH_SEEDS = ((1225879262, "2.18e-12", False), (61097360, "4.89e-13", True))
 
 
 def _random_model_numpy(rng, max_degree, coeff_range=2.0):
@@ -120,11 +121,14 @@ def test_series_quotient_equals_per_draw_loop(seed):
     assert verify.check_series_quotient(seed).worst == _series_quotient_per_draw(seed)
 
 
-def test_series_quotient_breach_seed_is_unchanged():
-    result = verify.check_series_quotient(SERIES_BREACH_SEED)
-    assert result.worst == _series_quotient_per_draw(SERIES_BREACH_SEED)
-    assert f"{result.worst:.2e}" == "1.50e-12"
-    assert not result.passed
+@pytest.mark.parametrize(
+    "seed, worst, passed", SERIES_BREACH_SEEDS, ids=[str(s[0]) for s in SERIES_BREACH_SEEDS]
+)
+def test_series_quotient_breach_seed_is_unchanged(seed, worst, passed):
+    result = verify.check_series_quotient(seed)
+    assert result.worst == _series_quotient_per_draw(seed)
+    assert f"{result.worst:.2e}" == worst
+    assert result.passed is passed
 
 
 @pytest.mark.parametrize("seed", (verify.DEFAULT_SEED, 7))

@@ -86,14 +86,22 @@ class PhaseShiftModel:
             acc = acc * energy + c
         return acc
 
-    def g_prime(self, energy):
-        """Exact derivative dg/dE of the polynomial."""
-        if self.degree == 0:
-            return 0.0 * energy
-        acc = 0.0
-        for n in range(self.degree, 0, -1):
-            acc = acc * energy + n * self.coeffs[n]
-        return acc
+    def difference_quotient(self, e1: float, e2: float) -> float:
+        """(g(e1) - g(e2))/(e1 - e2), and g'(e1) at e1 = e2, by synthetic division.
+
+        The Horner partial sums b of g at e1 are the coefficients of
+        q(x) = (g(x) - g(e1))/(x - e1), so the quotient is q(e2) in one
+        Horner pass, free of cancellation at e1 ~ e2.
+        """
+        b = total = 0.0
+        for c in reversed(self.coeffs[1:]):
+            b = b * e1 + c
+            total = total * e2 + b
+        return total
+
+    def g_prime(self, energy: float) -> float:
+        """Exact derivative dg/dE, the diagonal of :meth:`difference_quotient`."""
+        return self.difference_quotient(energy, energy)
 
 
 _LITERAL_EFF_RANGE = re.compile(

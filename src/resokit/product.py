@@ -7,8 +7,9 @@ the usual scalar product of the zero-range limit equals
 
 so subtracting that quantity defines a product under which nondegenerate
 eigenstates are orthogonal. Two equivalent routes are provided: the
-difference-quotient subtraction (:func:`modified_product`) and the double
-series over regularized kinetic-power matrix elements
+difference-quotient subtraction (:func:`modified_product`, with the
+model's :meth:`PhaseShiftModel.difference_quotient`, whose diagonal is g')
+and the double series over regularized kinetic-power matrix elements
 (:func:`modified_product_series`). For a polynomial g both are finite sums
 and agree identically.
 """
@@ -69,17 +70,6 @@ def plain_overlap_bound(s1: ContactEigenstate, s2: ContactEigenstate) -> complex
     return s1.amplitude.conjugate() * s2.amplitude * 4.0 * math.pi / (s1.q + s2.q)
 
 
-def _difference_quotient(coeffs, e1, e2):
-    # (g(e1)-g(e2))/(e1-e2) by synthetic division: the Horner partial sums b of
-    # g at e1 are the coefficients of q(x) = (g(x)-g(e1))/(x-e1), so the
-    # quotient is q(e2), free of cancellation at e1 ~ e2 and g'(e1) at e1 = e2.
-    b = total = 0.0
-    for c in reversed(coeffs[1:]):
-        b = b * e1 + c
-        total = total * e2 + b
-    return total
-
-
 def modified_product(
     model: PhaseShiftModel,
     s1: ContactEigenstate,
@@ -88,10 +78,10 @@ def modified_product(
 ) -> complex:
     """(1|2)_0 = plain - 4 pi conj(A_1) A_2 D.
 
-    D is the difference quotient of g between the two energies, evaluated by
-    synthetic division in one Horner pass, which gives g'(E) at E_1 = E_2.
+    D is :meth:`PhaseShiftModel.difference_quotient` between the two
+    energies, the same synthetic division that gives g'(E) at E_1 = E_2.
     """
-    quotient = _difference_quotient(model.coeffs, s1.energy, s2.energy)
+    quotient = model.difference_quotient(s1.energy, s2.energy)
     prefactor = 4.0 * math.pi
     return plain - prefactor * s1.amplitude.conjugate() * s2.amplitude * quotient
 

@@ -53,13 +53,14 @@ _LOOP_SERIES = tuple(
 _NORM_SERIES = tuple(-2.0 * n * a for n, a in enumerate(_LOOP_SERIES, start=1))
 
 # Dawson's integral D(x) (:func:`_dawson`) is its Taylor series
-# sum_n (-2)^n x^(2n+1)/(2n+1)!! below DAWSON_TAYLOR_X (the first omitted
-# term is below 2e-20 relative there) and Rybicki's sampling sum with step
-# RYBICKI_STEP up to SERIES_X, over the odd n within RYBICKI_TERMS of x/h
+# x (1 + sum_{n>=1} (-2)^n x^(2n)/(2n+1)!!) below DAWSON_TAYLOR_X (the
+# first omitted term is below 2e-20 relative there; _DAWSON_TAYLOR holds the
+# n >= 1 coefficients) and Rybicki's sampling sum with step RYBICKI_STEP up
+# to SERIES_X, over the odd n within RYBICKI_TERMS of x/h
 # (the omitted terms carry exp(-u^2) < exp(-46)). With all odd n that sum
 # would be off by about exp(-(pi/2h)^2) = 2e-27.
 DAWSON_TAYLOR_X = 0.5
-_DAWSON_TAYLOR = tuple((-2.0) ** n / math.prod(range(1, 2 * n + 2, 2)) for n in range(14))
+_DAWSON_TAYLOR = tuple((-2.0) ** n / math.prod(range(1, 2 * n + 2, 2)) for n in range(1, 14))
 RYBICKI_STEP = 0.2
 RYBICKI_TERMS = 33
 _RYBICKI_OFFSETS = tuple(
@@ -206,11 +207,7 @@ def _dawson(x: float) -> tuple[float, float]:
     from its zero at x = 0.924 (pinned by tests).
     """
     if x < DAWSON_TAYLOR_X:
-        y = x * x
-        total = 0.0
-        for c in reversed(_DAWSON_TAYLOR):
-            total = total * y + c
-        d = x * total
+        d = x * (1.0 + _series(_DAWSON_TAYLOR, x * x))
         return d, 1.0 - 2.0 * x * d
     if x < SERIES_X:
         # x = n0 h + xp with n0 even, so that n0 + n is odd for odd n.
@@ -259,7 +256,7 @@ def _detuning_and_bracket(p: TwoChannelParams, energy: float, loop: complex | fl
 
 
 def _series(coeffs, y: float) -> float:
-    """sum_{n>=1} coeffs[n-1] y^n by Horner's rule; y = +-1/x^2 for the asymptotic series."""
+    """sum_{n>=1} coeffs[n-1] y^n by Horner's rule; y = +-1/x^2 or Dawson's Taylor x^2."""
     total = 0.0
     for c in reversed(coeffs):
         total = (total + c) * y
@@ -406,10 +403,9 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
 
     Below threshold the bracket B(E) = (E - e_mol)/(2 lam^2) - I(E) rises
     strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
-    B(0-) = m/(4 pi a_eps), so there is exactly one pole when
-    0 < a_eps < inf and none otherwise (:class:`NoBoundState`, also raised
-    when the computed a_eps and the correctly rounded B(0-) disagree in
-    sign, which 1/a_eps at the level of its own rounding can cause).
+    B(0-) = m/(4 pi a_eps), so there is exactly one pole when the correctly
+    rounded B(0-) of :func:`_threshold_bracket` is positive and none
+    otherwise (:class:`NoBoundState`).
     :func:`_pole_energy` solves B = 0 between the effective-range pole and
     the zero of B(0-) + E/(2 lam^2) (:func:`_pole_bracket`). The
     closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
@@ -418,10 +414,9 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     and extrapolated against the inverse-square window variable; a
     regulator width so small that k^2 overflows there raises :class:`InvalidInput`.
     """
-    a_eps, _ = effective_params(p)
-    b0 = _threshold_bracket(p) if 0.0 < a_eps < math.inf else 0.0
+    b0 = _threshold_bracket(p)
     if not b0 > 0.0:
-        raise NoBoundState(f"no pole below threshold for a_eps = {a_eps!r}")
+        raise NoBoundState(f"no pole below threshold for a_eps = {effective_params(p)[0]!r}")
     energy, j = _pole_energy(p, b0, *_pole_bracket(p, b0))
     weight = 2.0 * p.lam**2 * j
     if j == math.inf:  # 2 lam^2 J = (lam m)^2 S/(4 pi kappa) from significands and exponents
@@ -455,8 +450,8 @@ def _threshold_bracket(p: TwoChannelParams) -> float:
     Its terms cancel to m/(4 pi a_eps), by a factor of about a_eps/eps,
     which amplifies every rounding in them. So it is evaluated in exact
     rational arithmetic on the inputs, with sqrt(2 pi)/(4 pi^2) to 106 bits,
-    and rounded once; a result beyond the float range raises
-    :class:`InvalidInput`.
+    and rounded once. A negative result beyond the float range rounds to
+    -inf, a positive one raises :class:`InvalidInput`.
     """
     (kh, khd), (kl, kld) = (c.as_integer_ratio() for c in (_LOOP_SCALE_HI, _LOOP_SCALE_LO))
     mn, md = p.mass.as_integer_ratio()
@@ -466,9 +461,12 @@ def _threshold_bracket(p: TwoChannelParams) -> float:
     # -I(0) = sn/sd and e_mol/(2 lam^2) = dn/dd.
     sn, sd = (kh * kld + kl * khd) * mn * ed, khd * kld * md * en
     dn, dd = un * ld * ld, 2 * ud * ln * ln
+    num = sn * dd - dn * sd
     try:
-        return (sn * dd - dn * sd) / (sd * dd)
+        return num / (sd * dd)
     except OverflowError:
+        if num < 0:
+            return -math.inf
         raise InvalidInput("the threshold bracket B(0-) overflows for these parameters") from None
 
 
@@ -566,7 +564,8 @@ def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> 
     with S the mean of the bracket of J, (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at
     x = kappa eps/sqrt(2), over [kappa_2, kappa_1]. S is taken by
     Gauss-Legendre when the kappas are within ``OVERLAP_GAUSS_GAP``, which
-    gives K = J(E) at E_1 = E_2.
+    gives K = J(E) at E_1 = E_2. Otherwise, as in :func:`_pole_terms`, the
+    partial fraction subtracts the smaller pair, I - I(0) (shallow) or I.
     """
     p = s1.params
     m = p.mass
@@ -579,7 +578,8 @@ def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> 
         integral = m * m * mean / (4.0 * math.pi * (k1 + k2))
     else:
         e1, e2 = s1.energy, s2.energy
-        integral = (loop_integral(p, e1).real - loop_integral(p, e2).real) / (e2 - e1)
+        (r1, l1, _), (r2, l2, _) = (_below_threshold(p, e) for e in (e1, e2))
+        integral = (r1 - r2 if r1 + r2 < -(l1 + l2) else l1 - l2) / (e2 - e1)
     return 2.0 * p.lam**2 * s1.beta * s2.beta * integral
 
 

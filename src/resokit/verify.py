@@ -76,9 +76,9 @@ class CheckResult:
         )
 
 
-def _random_model(rng, max_degree, coeff_range=2.0):
+def _random_model(rng, max_degree):
     degree = int(rng.integers(0, max_degree + 1))
-    coeffs = rng.uniform(-coeff_range, coeff_range, degree + 1).tolist()
+    coeffs = rng.uniform(-2.0, 2.0, degree + 1).tolist()
     if abs(coeffs[0]) < 1e-3:
         coeffs[0] = math.copysign(1e-3, coeffs[0] if coeffs[0] != 0.0 else 1.0)
     if degree > 0 and coeffs[degree] == 0.0:
@@ -284,20 +284,16 @@ def loop_integral_quadrature(p: twochannel.TwoChannelParams, energy: float) -> f
 def check_loop_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form loop integral against the quadrature oracle on a 30x5 grid."""
     eps_values = (0.05, 0.1, 0.2, 0.5, 1.0)
-    neg = -np.geomspace(1e-6, 100.0, 15)
-    pos = np.geomspace(1e-6, 100.0, 15)
-    worst_neg = 0.0
-    worst_pos = 0.0
+    magnitudes = np.geomspace(1e-6, 100.0, 15).tolist()
+    by_sign = {-1.0: 0.0, 1.0: 0.0}
     for eps in eps_values:
         p = twochannel.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps)
-        for energy in neg:
-            closed = twochannel.loop_integral(p, float(energy)).real
-            oracle = loop_integral_quadrature(p, float(energy))
-            worst_neg = max(worst_neg, abs(closed - oracle) / abs(oracle))
-        for energy in pos:
-            closed = twochannel.loop_integral(p, float(energy)).real
-            oracle = loop_integral_quadrature(p, float(energy))
-            worst_pos = max(worst_pos, abs(closed - oracle) / abs(oracle))
+        for sign in by_sign:
+            for energy in (sign * magnitude for magnitude in magnitudes):
+                closed = twochannel.loop_integral(p, energy).real
+                oracle = loop_integral_quadrature(p, energy)
+                by_sign[sign] = max(by_sign[sign], abs(closed - oracle) / abs(oracle))
+    worst_neg, worst_pos = by_sign[-1.0], by_sign[1.0]
     passed = worst_neg < 1e-10 and worst_pos < 1e-8
     worst = max(worst_neg, worst_pos)
     return CheckResult(

@@ -199,6 +199,23 @@ def open_overlap_quadrature(lam, eps, e1, beta1, e2, beta2, mass=1.0):
     return 2.0 * lam * lam * beta1 * beta2 * value / (2.0 * math.pi**2)
 
 
+def mp_open_overlap(lam, eps, e1, beta1, e2, beta2, mass=1.0, dps=60):
+    """2 lam^2 beta_1 beta_2 (I(E_1) - I(E_2))/(E_2 - E_1) at ``dps`` digits.
+
+    I - I(0) = -I(0) r with r of :func:`mp_loop_shapes`, so the difference
+    of the loop integrals is I(0) (r_2 - r_1), free of the common I(0).
+    """
+    with mp.workdps(dps):
+        eps, mass = mp.mpf(float(eps)), mp.mpf(float(mass))
+        loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
+        r1, r2 = (
+            mp_loop_shapes(mp.sqrt(-mass * mp.mpf(float(e))) * eps / mp.sqrt(2), dps)[0]
+            for e in (e1, e2)
+        )
+        k = loop_zero * (r2 - r1) / (mp.mpf(float(e2)) - mp.mpf(float(e1)))
+        return 2 * mp.mpf(float(lam)) ** 2 * mp.mpf(float(beta1)) * mp.mpf(float(beta2)) * k
+
+
 def mp_pole_residual(coeffs, q):
     """h(q) = g(-q^2) + q at the float q, evaluated at 40 digits."""
     q = mp.mpf(float(q))

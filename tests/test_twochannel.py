@@ -14,6 +14,7 @@ from oracles import (
     mp_loop_integral,
     mp_loop_integral_above,
     mp_norm_integral,
+    mp_open_overlap,
     mp_pole_bracket,
     mp_pole_energy,
     open_overlap_quadrature,
@@ -557,6 +558,13 @@ class TestBoundState:
         with pytest.raises(NoBoundState):
             tc.bound_state(p)
 
+    def test_no_bound_state_past_a_negative_overflowing_threshold_bracket(self):
+        # e_mol/(2 lam^2) = 5e319: B(0-) rounds to -inf, which is no pole
+        p = tc.TwoChannelParams(lam=1e-10, e_mol=1e300, eps=1.0, mass=1e20)
+        assert tc._threshold_bracket(p) == -math.inf
+        with pytest.raises(NoBoundState):
+            tc.bound_state(p)
+
     def test_deep_pole(self):
         # strong coupling puts the pole far below the regulator scale 1/eps^2
         p = tc.TwoChannelParams(lam=1e4, e_mol=0.0, eps=0.1)
@@ -684,6 +692,23 @@ class TestBoundState:
             assert all(math.isfinite(c) for c in columns), (p, columns)
         assert solved >= 600
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(lam=1.2188098194285188, e_mol=74.78813971301692, eps=0.002522315167373921),
+            dict(lam=3.2258066116733604, e_mol=26.602193845433078, eps=0.04967288617277046),
+        ],
+    )
+    def test_pole_where_the_float_a_eps_overflows(self, fields):
+        # 1/a_eps rounds to 0 while the exact B(0-) is positive: the sign of
+        # B(0-) alone decides that the state exists
+        p = tc.TwoChannelParams(**fields)
+        assert tc.effective_params(p)[0] == math.inf
+        state = tc.bound_state(p)
+        assert_is_pole(p, state.energy)
+        columns = (state.energy, state.beta2, state.a_tail**2, state.open_norm)
+        assert all(math.isfinite(c) for c in columns), (p, columns)
+
     def test_shallow_pole_to_full_precision(self):
         # a large scattering length puts the pole at |E| ~ 1e-3
         p = tc.params_for_targets(28.454393197906118, 9.945882700671524, 0.04292441413980349)
@@ -808,6 +833,15 @@ class TestProductIdentity:
         )
         oracle = open_overlap_quadrature(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
         assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a, eps", [(1e2, 1e-3), (1e4, 1e-3), (1e6, 1e-4)])
+    def test_open_overlap_of_shallow_states(self, a, eps):
+        # I(E_1) and I(E_2) both sit near I(0), so the partial fraction must
+        # subtract the I - I(0) parts; the I parts lose log10(1/x) digits
+        s1, s2 = (tc.bound_state(tc.params_for_targets(t, 1.0, eps)) for t in (a, a / 3.0))
+        p = s1.params
+        oracle = mp_open_overlap(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
+        assert tc.open_channel_overlap(s1, s2) == pytest.approx(float(oracle), rel=1e-14, abs=0.0)
 
     def test_open_overlap_at_tiny_mass(self):
         # m E ~ -1.6e-311 is subnormal: kappa must come from sqrt(m) sqrt(-E)

@@ -32,7 +32,7 @@ SQRT_PI = math.sqrt(math.pi)
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
 
-# amplitude() reports a pole where |bracket| <= POLE_RTOL times its larger term.
+# amplitude() reports a pole where |B| <= POLE_RTOL times the largest real term it sums.
 POLE_RTOL = 1e-12
 
 # Below threshold I(E) carries the bracket sqrt(pi) x erfcx(x) - 1 and the
@@ -89,10 +89,13 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # upper 26 significand bits of x, so both halves square exactly.
 _SPLITTER = 134217729.0
 
-# sqrt(2 pi)/(4 pi^2) = -I(0) eps/m as the unevaluated sum of two
-# doubles, hi + lo, within 1e-32 relative (mpmath; pinned by a test).
-_LOOP_SCALE_HI = 0.06349363593424097
-_LOOP_SCALE_LO = 8.203159112775494e-19
+# sqrt(2 pi)/(4 pi^2) = -I(0) eps/m is _LOOP_SCALE_NUM/2^_LOOP_SCALE_BITS to
+# the nearest integer numerator, within 4e-58 relative, and _LOOP_SCALE correctly
+# rounded (mpmath; pinned by a test).
+_LOOP_SCALE_BITS = 192
+_LOOP_SCALE_NUM = 0x10411E71_D779590F_21D515DB_BC09F97B_6E98E29F_A37B0A47
+_LOOP_SCALE = _LOOP_SCALE_NUM / 2**_LOOP_SCALE_BITS
+_FOUR_PI_RATIO = (4.0 * math.pi).as_integer_ratio()
 
 # bound_state's pole solve stops once a step is at most this fraction of the
 # energy (brentq's rtol = 4 ulp). The cap is a backstop: a solve took at most
@@ -100,6 +103,20 @@ _LOOP_SCALE_LO = 8.203159112775494e-19
 # over 120 to 320 decades per parameter, and 6 (4.3) over 3000 target draws.
 POLE_RTOL_STEP = 4.0 * sys.float_info.epsilon
 POLE_MAX_STEPS = 100
+
+
+class _cached:
+    """cached_property storing by object.__setattr__, which keeps later attribute access fast."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -122,12 +139,12 @@ class TwoChannelParams:
         # lam = 0 and non-finite eps or lam.
         if not (0.0 < self.eps * self.eps < math.inf and 0.0 < self.lam * self.lam < math.inf):
             raise InvalidInput("eps and the coupling amplitude need finite, nonzero squares")
-        # effective_params divides by lam^2 m and lam^2 m^2: the product
-        # must neither underflow (m = 1e-300) nor overflow, and both
-        # quotients must stay finite (e_mol = 1e308 overflows the first).
+        # lam^2 m^2 must neither underflow (m = 1e-300) nor overflow, and
+        # R* = 2 pi/(lam^2 m^2) and the molecular term 2 pi e_mol/(lam^2 m)
+        # of 1/a_eps must stay finite (e_mol = 1e308 overflows the second).
         if not (
             0.0 < (self.lam * self.lam) * (self.mass * self.mass) < math.inf
-            and math.isfinite(_molecular_term(self))
+            and math.isfinite(2.0 * math.pi * self.e_mol / (self.lam**2 * self.mass))
             and math.isfinite(rstar_from_lambda(self.lam, self.mass))
         ):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
@@ -135,6 +152,32 @@ class TwoChannelParams:
     def chi(self, k: float) -> float:
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
         return math.exp(-0.25 * (k * self.eps) ** 2)
+
+    @_cached
+    def _threshold(self) -> tuple[float, float, float]:
+        """B(0-) = -I(0) - e_mol/(2 lam^2) = m/(4 pi a_eps), a_eps and eps^2/(2 a_eps).
+
+        The terms of B(0-) cancel by about a_eps/eps, so it is formed in exact
+        rational arithmetic, with sqrt(2 pi)/(4 pi^2) to ``_LOOP_SCALE_BITS``
+        bits, and all three are rounded once from it, with 4 pi as a float.
+        """
+        (mn, md), (en, ed) = self.mass.as_integer_ratio(), self.eps.as_integer_ratio()
+        (un, ud), (ln, ld) = self.e_mol.as_integer_ratio(), self.lam.as_integer_ratio()
+        fn, fd = _FOUR_PI_RATIO
+        # -I(0) = sn/sd, e_mol/(2 lam^2) = dn/dd, B(0-) = num/den, a_eps = an/ad.
+        sn, sd = _LOOP_SCALE_NUM * mn * ed, (md * en) << _LOOP_SCALE_BITS
+        dn, dd = un * ld * ld, 2 * ud * ln * ln
+        num, den = sn * dd - dn * sd, sd * dd
+        an, ad = mn * den * fd, md * num * fn
+        return _quotient(num, den), _quotient(an, ad), _quotient(en * en * ad, 2 * ed * ed * an)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num/den correctly rounded; +-inf beyond the float range, and inf for den = 0."""
+    try:
+        return num / den if den else math.inf
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 @dataclass(frozen=True)
@@ -181,15 +224,8 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     x = k0 eps/sqrt(2); :func:`_dawson` gives D' without the cancellation
     of 1 - 2x D at large x. The on-shell imaginary part is exact.
     """
-    if energy < 0.0:
-        return complex(_below_threshold(p, energy)[1], 0.0)
-    m = p.mass
-    alpha = 0.5 * p.eps**2
-    k0 = math.sqrt(m * energy)
-    x = k0 * math.sqrt(alpha)
-    real = -_loop_scale(p) * _dawson(x)[1]
-    imag = -(m * k0 / (4.0 * math.pi)) * math.exp(-alpha * k0 * k0)
-    return complex(real, imag)
+    _, loop, _, imag = _loop_terms(p, energy)
+    return complex(loop, imag)
 
 
 def _dawson(x: float) -> tuple[float, float]:
@@ -223,36 +259,52 @@ def _dawson(x: float) -> tuple[float, float]:
     return (1.0 - slope) / (2.0 * x), slope
 
 
-def _loop_scale(p: TwoChannelParams) -> float:
-    """-I(0) = m sqrt(2 pi)/(4 pi^2 eps), the scale of I below threshold."""
-    return _LOOP_SCALE_HI * p.mass / p.eps
-
-
 def _kappa(p: TwoChannelParams, energy: float) -> float:
     """kappa = sqrt(-m E) below threshold, by two roots: m E can underflow where kappa does not."""
     return math.sqrt(p.mass) * math.sqrt(-energy)
 
 
-def _below_threshold(p: TwoChannelParams, energy: float) -> tuple[float, float, float]:
-    """I(E) - I(0), I(E) and J(E) = -I'(E) for E < 0, from one erfcx value.
+def _loop_terms(p: TwoChannelParams, energy: float) -> tuple[float, float, float, float]:
+    """Re(I(E) - I(0)), Re I(E), J(E) = -I'(E) and Im I(E), from one erfcx or Dawson value.
 
-    With kappa = sqrt(-m E) and x = kappa eps/sqrt(2),
-    I - I(0) = -I(0) sqrt(pi) x erfcx(x) and
-    J = (m^2/(8 pi kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)].
+    Below threshold, at x = kappa eps/sqrt(2), I - I(0) = -I(0) sqrt(pi) x erfcx(x)
+    and J = (m^2/(8 pi kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)], and Im I = 0.
+    Above it, at x = k0 eps/sqrt(2), Re(I - I(0)) = -I(0) 2x D(x) and
+    Re I = I(0) D'(x), and J, which nothing uses there, is nan.
     """
-    kappa = _kappa(p, energy)
-    rise, loop_shape, norm_shape = _shapes(p, kappa)
-    scale = _loop_scale(p)
-    norm = p.mass * p.mass / (8.0 * math.pi * kappa) * norm_shape
-    if norm == math.inf:  # m^2/(8 pi kappa) overflowed; J itself may not
-        norm = p.mass / (8.0 * math.pi * kappa) * (p.mass * norm_shape)
-    return scale * rise, scale * loop_shape, norm
+    scale = _LOOP_SCALE * p.mass / p.eps  # -I(0)
+    if energy < 0.0:
+        kappa = _kappa(p, energy)
+        rise, loop_shape, norm_shape = _shapes(p, kappa)
+        norm = p.mass * p.mass / (8.0 * math.pi * kappa) * norm_shape
+        if norm == math.inf:  # m^2/(8 pi kappa) overflowed; J itself may not
+            norm = p.mass / (8.0 * math.pi * kappa) * (p.mass * norm_shape)
+        return scale * rise, scale * loop_shape, norm, 0.0
+    m = p.mass
+    alpha = 0.5 * p.eps**2
+    k0 = math.sqrt(m * energy)
+    x = k0 * math.sqrt(alpha)
+    d, slope = _dawson(x)
+    imag = -(m * k0 / (4.0 * math.pi)) * math.exp(-alpha * k0 * k0)
+    return scale * (2.0 * x * d), -scale * slope, math.nan, imag
 
 
-def _detuning_and_bracket(p: TwoChannelParams, energy: float, loop: complex | float):
-    """(E - e_mol)/(2 lam^2) and B = that - I(E), the denominator of f, given I(E) = ``loop``."""
-    detuning = (energy - p.e_mol) / (2.0 * p.lam**2)
-    return detuning, detuning - loop
+def _bracket(p: TwoChannelParams, energy: float):
+    """B(E) = (E - e_mol)/(2 lam^2) - I(E), the denominator of f; the real terms summed; J(E).
+
+    Re B = B(0-) + E/(2 lam^2) - Re(I - I(0)) too. The form subtracting the
+    smaller of |Re(I - I(0))| and |Re I| (:func:`_loop_terms`) is summed: the
+    first near threshold, where the exact B(0-) holds the e_mol - 1/eps
+    cancellation, the second far from it. B is real below threshold.
+    """
+    rise, loop, j, imag = _loop_terms(p, energy)
+    if rise < abs(loop):
+        terms = (p._threshold[0], energy / (2.0 * p.lam**2), rise)
+        real = terms[0] + terms[1] - rise
+    else:
+        terms = ((energy - p.e_mol) / (2.0 * p.lam**2), loop)
+        real = terms[0] - loop
+    return (real if energy < 0.0 else complex(real, -imag)), terms, j
 
 
 def _series(coeffs, y: float) -> float:
@@ -297,13 +349,10 @@ def _shapes(p: TwoChannelParams, kappa: float) -> tuple[float, float, float]:
 
 
 def norm_integral(p: TwoChannelParams, energy: float) -> float:
-    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 below threshold.
-
-    Its closed form is the one of :func:`_below_threshold`.
-    """
+    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 for E < 0 (:func:`_loop_terms`)."""
     if not energy < 0.0:
         raise InvalidInput("the norm integral needs an energy below threshold")
-    return _below_threshold(p, energy)[2]
+    return _loop_terms(p, energy)[2]
 
 
 def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
@@ -313,16 +362,11 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     1/f the numerically tame direction (the continued chi^2 grows, its
     inverse decays).
     """
-    _, bracket = _detuning_and_bracket(p, energy, loop_integral(p, energy))
-    return _inverse_from_bracket(p, energy, bracket)
+    return complex(_inverse_from_bracket(p, energy, _bracket(p, energy)[0]))
 
 
 def _inverse_from_bracket(p: TwoChannelParams, energy: float, bracket: complex) -> complex:
-    """1/f(E) = -(4 pi/m) B(E)/chi(k0)^2 from the bracket B(E).
-
-    Far above threshold, where 1/chi^2 = exp(m E eps^2/2) overflows, this
-    raises :class:`InvalidInput`.
-    """
+    """1/f(E) = -(4 pi/m) B(E)/chi(k0)^2; :class:`InvalidInput` where 1/chi^2 overflows."""
     exponent = p.mass * energy * p.eps**2 / 2.0
     if exponent > _LOG_FLOAT_MAX:
         raise InvalidInput(f"1/chi(k0)^2 overflows at E = {energy!r} above threshold")
@@ -336,9 +380,8 @@ def amplitude(p: TwoChannelParams, energy: float) -> complex:
     above threshold, where 1/chi(k0)^2 overflows, f is taken from
     chi(k0)^2 itself and underflows toward 0.
     """
-    loop = loop_integral(p, energy)
-    detuning, bracket = _detuning_and_bracket(p, energy, loop)
-    if abs(bracket) <= POLE_RTOL * max(abs(detuning), abs(loop)):
+    bracket, terms, _ = _bracket(p, energy)
+    if abs(bracket) <= POLE_RTOL * max(map(abs, terms)):
         raise PoleHit(f"amplitude pole within tolerance at E = {energy!r}")
     try:
         inv = _inverse_from_bracket(p, energy, bracket)
@@ -347,26 +390,19 @@ def amplitude(p: TwoChannelParams, energy: float) -> complex:
         return -(p.mass / (4.0 * math.pi)) * p.chi(math.sqrt(p.mass * energy)) ** 2 / bracket
     if inv == 0.0:
         raise InvalidInput("energy too deep below threshold for the continued amplitude")
-    return 1.0 / inv
+    return 1.0 / complex(inv)
 
 
 def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     """Closed-form low-energy parameters (a_eps, rstar_eps).
 
-    1/a_eps = sqrt(2/pi)/eps - 2 pi e_mol/(lam^2 m) (a_eps is inf
-    where it vanishes) and rstar_eps = R* - sqrt(2/pi) eps + eps^2/(2 a_eps).
-    :func:`resokit.verify.fit_effective_params` checks them against a
-    low-energy fit of Re(1/f).
+    a_eps = m/(4 pi B(0-)) (inf where B(0-) = 0) and rstar_eps =
+    R* - sqrt(2/pi) eps + 2 pi eps^2 B(0-)/m, from the exact B(0-) of the
+    parameters. :func:`resokit.verify.fit_effective_params` checks rstar_eps
+    against a low-energy fit of Re(1/f).
     """
-    inv_a = SQRT_2_OVER_PI / p.eps - _molecular_term(p)
-    a_eps = math.inf if inv_a == 0.0 else 1.0 / inv_a
-    rstar = -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass) + p.eps**2 / (2.0 * a_eps)
-    return a_eps, rstar
-
-
-def _molecular_term(p: TwoChannelParams) -> float:
-    """2 pi e_mol/(lam^2 m), the molecular term of 1/a_eps."""
-    return 2.0 * math.pi * p.e_mol / (p.lam**2 * p.mass)
+    _, a_eps, tail = p._threshold
+    return a_eps, -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass) + tail
 
 
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:
@@ -404,8 +440,7 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     Below threshold the bracket B(E) = (E - e_mol)/(2 lam^2) - I(E) rises
     strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
     B(0-) = m/(4 pi a_eps), so there is exactly one pole when the correctly
-    rounded B(0-) of :func:`_threshold_bracket` is positive and none
-    otherwise (:class:`NoBoundState`).
+    rounded B(0-) is positive and none otherwise (:class:`NoBoundState`).
     :func:`_pole_energy` solves B = 0 between the effective-range pole and
     the zero of B(0-) + E/(2 lam^2) (:func:`_pole_bracket`). The
     closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
@@ -414,10 +449,12 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     and extrapolated against the inverse-square window variable; a
     regulator width so small that k^2 overflows there raises :class:`InvalidInput`.
     """
-    b0 = _threshold_bracket(p)
+    b0 = p._threshold[0]
     if not b0 > 0.0:
         raise NoBoundState(f"no pole below threshold for a_eps = {effective_params(p)[0]!r}")
-    energy, j = _pole_energy(p, b0, *_pole_bracket(p, b0))
+    if b0 == math.inf:
+        raise InvalidInput("the threshold bracket B(0-) overflows for these parameters")
+    energy, j = _pole_energy(p, *_pole_bracket(p))
     weight = 2.0 * p.lam**2 * j
     if j == math.inf:  # 2 lam^2 J = (lam m)^2 S/(4 pi kappa) from significands and exponents
         kappa = _kappa(p, energy)
@@ -444,55 +481,15 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     )
 
 
-def _threshold_bracket(p: TwoChannelParams) -> float:
-    """B(0-) = -I(0) - e_mol/(2 lam^2), correctly rounded.
-
-    Its terms cancel to m/(4 pi a_eps), by a factor of about a_eps/eps,
-    which amplifies every rounding in them. So it is evaluated in exact
-    rational arithmetic on the inputs, with sqrt(2 pi)/(4 pi^2) to 106 bits,
-    and rounded once. A negative result beyond the float range rounds to
-    -inf, a positive one raises :class:`InvalidInput`.
-    """
-    (kh, khd), (kl, kld) = (c.as_integer_ratio() for c in (_LOOP_SCALE_HI, _LOOP_SCALE_LO))
-    mn, md = p.mass.as_integer_ratio()
-    en, ed = p.eps.as_integer_ratio()
-    un, ud = p.e_mol.as_integer_ratio()
-    ln, ld = p.lam.as_integer_ratio()
-    # -I(0) = sn/sd and e_mol/(2 lam^2) = dn/dd.
-    sn, sd = (kh * kld + kl * khd) * mn * ed, khd * kld * md * en
-    dn, dd = un * ld * ld, 2 * ud * ln * ln
-    num = sn * dd - dn * sd
-    try:
-        return num / (sd * dd)
-    except OverflowError:
-        if num < 0:
-            return -math.inf
-        raise InvalidInput("the threshold bracket B(0-) overflows for these parameters") from None
-
-
-def _pole_terms(p: TwoChannelParams, b0: float, energy: float) -> tuple[float, float]:
-    """B(E) below threshold and J(E), given B(0-) = ``b0``; B' = 1/(2 lam^2) + J.
-
-    B = B(0-) + E/(2 lam^2) - (I(E) - I(0)) = (E - e_mol)/(2 lam^2) - I(E).
-    The form subtracting the smaller of |I - I(0)| and |I| is taken, so no
-    term larger than B's own scale is rounded: the first at shallow poles,
-    where ``b0`` already holds the e_mol - 1/eps cancellation exactly, the
-    second at deep ones.
-    """
-    rise, loop, j = _below_threshold(p, energy)
-    if rise < -loop:
-        return b0 + energy / (2.0 * p.lam**2) - rise, j
-    return _detuning_and_bracket(p, energy, loop)[1], j
-
-
-def _pole_bracket(p: TwoChannelParams, b0: float) -> tuple[float, float]:
-    """Ends lo <= hi around the pole of B given B(0-) = ``b0`` > 0, clamped to normal floats.
+def _pole_bracket(p: TwoChannelParams) -> tuple[float, float]:
+    """Ends lo <= hi around the pole of B where 0 < B(0-) < inf, clamped to normal floats.
 
     As erfcx <= 1, B >= 0 at hi = -kappa^2/m, the pole of the effective-range
     bracket (m/4 pi)(1/a_eps - kappa - R* kappa^2), whose root kappa is written
     with the exact B(0-) = m/(4 pi a_eps) and halved terms, so that it neither
     cancels nor overflows. As I(E) >= I(0), B <= 0 at lo = -2 lam^2 B(0-).
     """
+    b0 = p._threshold[0]
     c = p.mass / (8.0 * math.pi)
     s = math.sqrt(0.5 * b0) / (abs(p.lam) * math.sqrt(p.mass))
     root = b0 / (c + math.hypot(c, s)) / math.sqrt(p.mass)
@@ -501,8 +498,8 @@ def _pole_bracket(p: TwoChannelParams, b0: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _pole_energy(p: TwoChannelParams, b0: float, lo: float, hi: float) -> tuple[float, float]:
-    """Root of B in [lo, hi] and J there, given B(0-) = ``b0`` and B(lo) <= 0 <= B(hi).
+def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, float]:
+    """Root of B in [lo, hi] and J there, given B(lo) <= 0 <= B(hi).
 
     Newton steps safeguarded as in Numerical Recipes' rtsafe start at hi;
     B is increasing and convex, so they come down toward the root. Each
@@ -518,9 +515,9 @@ def _pole_energy(p: TwoChannelParams, b0: float, lo: float, hi: float) -> tuple[
     (:class:`InvalidInput`); ``POLE_MAX_STEPS`` steps raise :class:`NoConvergence`.
     """
     x, fmax = hi, sys.float_info.max
-    b, j = _pole_terms(p, b0, x)
+    b, _, j = _bracket(p, x)
     if hi == -fmax or (b < 0.0 and hi == -sys.float_info.min) or (
-        lo == -fmax and _pole_terms(p, b0, lo)[0] > 0.0
+        lo == -fmax and _bracket(p, lo)[0] > 0.0
     ):
         raise InvalidInput("the pole lies outside the normal floating-point range")
     step = older = 2.0 * (hi - lo)
@@ -538,7 +535,7 @@ def _pole_energy(p: TwoChannelParams, b0: float, lo: float, hi: float) -> tuple[
         else:
             older, step = step, 0.5 * (hi - lo)
             new = -math.sqrt(-lo) * math.sqrt(-hi)
-        b_new, j_new = _pole_terms(p, b0, new)
+        b_new, _, j_new = _bracket(p, new)
         if 0.0 < b <= b_new:
             # Only rounding of B keeps a step from B > 0 from lowering it. At
             # the convergence scale x is the better point; a longer step
@@ -564,7 +561,7 @@ def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> 
     with S the mean of the bracket of J, (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at
     x = kappa eps/sqrt(2), over [kappa_2, kappa_1]. S is taken by
     Gauss-Legendre when the kappas are within ``OVERLAP_GAUSS_GAP``, which
-    gives K = J(E) at E_1 = E_2. Otherwise, as in :func:`_pole_terms`, the
+    gives K = J(E) at E_1 = E_2. Otherwise, as in :func:`_bracket`, the
     partial fraction subtracts the smaller pair, I - I(0) (shallow) or I.
     """
     p = s1.params
@@ -578,7 +575,7 @@ def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> 
         integral = m * m * mean / (4.0 * math.pi * (k1 + k2))
     else:
         e1, e2 = s1.energy, s2.energy
-        (r1, l1, _), (r2, l2, _) = (_below_threshold(p, e) for e in (e1, e2))
+        (r1, l1, _, _), (r2, l2, _, _) = (_loop_terms(p, e) for e in (e1, e2))
         integral = (r1 - r2 if r1 + r2 < -(l1 + l2) else l1 - l2) / (e2 - e1)
     return 2.0 * p.lam**2 * s1.beta * s2.beta * integral
 

@@ -5,7 +5,8 @@ and its tolerance. The CLI ``verify`` subcommand and the acceptance test
 module both run these functions, so there is a single source of truth for
 what "passing" means. Derived reference values are produced by independent
 oracles (quadrature of defining integrals, closed-form roots) rather than
-by the code paths under test.
+by the code paths under test, except the intercept of the two-channel
+low-energy fit, anchored on the closed-form a_eps (:func:`fit_effective_params`).
 
 A randomized check draws its cases one at a time from a generator seeded
 by the battery seed plus a fixed offset, in a fixed order, so one seed
@@ -307,8 +308,9 @@ def fit_effective_params(p: twochannel.TwoChannelParams) -> tuple[float, float]:
 
     The fit window spans [1e-6, 1e-3] in units of 1/(m l^2), where l is
     the largest length scale of the model, so it stays inside the expansion
-    region for any parameter set. It is the independent reference for the
-    closed form in :func:`resokit.twochannel.effective_params`.
+    region for any parameter set. Near threshold 1/f sums the exact B(0-), so a_fit is
+    anchored on the closed-form a_eps: the fit checks rstar_eps and the energy dependence of
+    Re(1/f), and ``zero-range-limit``'s |a_fit - 1| is the round trip of a_eps to its target.
     """
     a_cf, r_cf = twochannel.effective_params(p)
     scale_len = max(p.eps, abs(r_cf), abs(a_cf) if math.isfinite(a_cf) else p.eps)

@@ -324,11 +324,39 @@ def mp_loop_shapes(x, dps=40):
         return 1 - total, total
 
 
-def mp_pole_bracket(lam, e_mol, eps, mass, energy, dps=800):
-    """B(E) = (E - e_mol)/(2 lam^2) - I(E) below threshold at ``dps`` digits.
+def mp_dawson_shapes(x, dps=40):
+    """r = 2x D(x) and 1 - r = D'(x) at ``dps`` digits relative, 0 <= x < 1e3.
 
-    I(E) = I(0) (1 - r) with I(0) = -m sqrt(2 pi)/(4 pi^2 eps) and r of
-    :func:`mp_loop_shapes`. Where r < 1/2, B is summed as
+    Re I(E > 0) = I(0) (1 - r) at x = k0 eps/sqrt(2). Both are taken at 20
+    extra digits, more than the log10(2x^2) that D' loses to cancellation.
+    """
+    with mp.workdps(dps + 20):
+        x = mp.mpf(x)
+        r = x * mp.sqrt(mp.pi) * mp.exp(-x * x) * mp.erfi(x)
+        return r, 1 - r
+
+
+def mp_effective_params(lam, e_mol, eps, mass, dps=60):
+    """(a_eps, rstar_eps) of the float parameters at ``dps`` digits, rounded to floats.
+
+    a_eps = m/(4 pi B(0-)) with B(0-) = -I(0) - e_mol/(2 lam^2), and
+    rstar_eps = 2 pi/(m^2 lam^2) - sqrt(2/pi) eps + eps^2/(2 a_eps). The terms
+    of B(0-) cancel by about a_eps/eps, far less than ``dps`` digits here.
+    """
+    with mp.workdps(dps):
+        lam, e_mol, eps, mass = (mp.mpf(float(v)) for v in (lam, e_mol, eps, mass))
+        b0 = mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps) - e_mol / (2 * lam**2)
+        a_eps = mass / (4 * mp.pi * b0)
+        rstar = 2 * mp.pi / (mass * lam) ** 2 - mp.sqrt(2 / mp.pi) * eps + eps**2 / (2 * a_eps)
+        return float(a_eps), float(rstar)
+
+
+def mp_pole_bracket(lam, e_mol, eps, mass, energy, dps=800):
+    """Re B(E) = (E - e_mol)/(2 lam^2) - Re I(E) at ``dps`` digits, on both sides of threshold.
+
+    Re I(E) = I(0) (1 - r) with I(0) = -m sqrt(2 pi)/(4 pi^2 eps) and r of
+    :func:`mp_loop_shapes` below threshold, of :func:`mp_dawson_shapes`
+    above it. Where r < 1/2, B is summed as
     (E - e_mol)/(2 lam^2) - I(0) + I(0) r, whose first terms can cancel by
     hundreds of digits and are exact at ``dps`` digits; otherwise as
     (E - e_mol)/(2 lam^2) - I(0) (1 - r), whose terms cancel by no more
@@ -337,9 +365,9 @@ def mp_pole_bracket(lam, e_mol, eps, mass, energy, dps=800):
     """
     with mp.workdps(dps):
         lam, e_mol, eps, mass, energy = (mp.mpf(v) for v in (lam, e_mol, eps, mass, energy))
-        x = mp.sqrt(-mass * energy) * eps / mp.sqrt(2)
+        x = mp.sqrt(abs(mass * energy)) * eps / mp.sqrt(2)
         loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
-        r, shape = mp_loop_shapes(x)
+        r, shape = (mp_loop_shapes if energy < 0 else mp_dawson_shapes)(x)
         detuning = (energy - e_mol) / (2 * lam * lam)
         if r < 0.5:
             return detuning - loop_zero + loop_zero * r

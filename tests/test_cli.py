@@ -193,6 +193,38 @@ class TestTwoChannelCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_params_past_an_overflowing_threshold_bracket(self, capsys):
+        # B(0-) = -I(0) ~ 6e309 exceeds the float range, a_eps = sqrt(pi/2) eps does not
+        code, out, err = run_cli(
+            capsys, "two-channel", "params",
+            "--lambda", "1e-150", "--emol", "0", "--eps", "1e-161", "--mass", "1e150",
+        )
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        row = dict(zip(header, map(float, rows[0])))
+        assert row["a_eps"] == pytest.approx(math.sqrt(math.pi / 2.0) * 1e-161, rel=1e-15)
+        assert row["rstar_eps"] == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+    def test_sweep_evaluates_the_threshold_bracket_once_per_row(self, capsys, monkeypatch):
+        from resokit import twochannel
+
+        threshold = twochannel.TwoChannelParams._threshold
+        evaluate, evaluated = threshold.func, []
+
+        def counted(p):
+            evaluated.append(p)
+            return evaluate(p)
+
+        monkeypatch.setattr(threshold, "func", counted)
+        code, out, _ = run_cli(
+            capsys, "two-channel", "sweep", "--a", "1", "--rstar", "1",
+            "--min", "0.01", "--max", "0.2", "--steps", "7",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [p.eps for p in evaluated] == [float(row[0]) for row in rows]
+        assert len(rows) == 7
+
 
 class TestFeshbachCommand:
     def test_classify(self, capsys, species_file):
@@ -631,7 +663,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "(-0.5538946206952625+0.2675607094661291j)",
+        "(-0.5538946206952626+0.26756070946612925j)",
         "['scipy']",
     ]
 

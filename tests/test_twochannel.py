@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     loop_imag_eta_oracle,
     mp_dawson,
+    mp_effective_params,
     mp_loop_integral,
     mp_loop_integral_above,
     mp_norm_integral,
@@ -245,6 +246,37 @@ class TestAmplitude:
         with pytest.raises(PoleHit):
             tc.amplitude(p, state.energy)
 
+    def test_near_threshold_at_large_a(self):
+        # (E - e_mol)/(2 lam^2) and I(E) cancel to 1e-13 of either here; the
+        # bracket sums B(0-) + E/(2 lam^2) - (I - I(0)) instead, so f is the
+        # effective-range amplitude and no pole
+        p = tc.params_for_targets(1e10, 1.0, 1e-3)
+        a_eps, _ = tc.effective_params(p)
+        for energy in (1e-24, 1e-30):
+            f = tc.amplitude(p, energy)
+            assert f == pytest.approx(-1.0 / (1.0 / a_eps + 1j * math.sqrt(energy)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a_range, eps_range",
+        [((0.3, 30.0), (1e-3, 0.5)), ((1e2, 1e6), (1e-4, 1e-2)), ((1e6, 1e12), (1e-4, 1e-2))],
+        ids=["targets", "a-much-larger-than-eps", "a-beyond-1e6"],
+    )
+    def test_bracket_against_mpmath(self, a_range, eps_range):
+        # Re B on both sides of threshold, E = +-10^U(-10, 3)/eps^2
+        rng = np.random.default_rng(46)
+        log_a, log_eps = np.log10(a_range), np.log10(eps_range)
+        worst = 0.0
+        for _ in range(300):
+            a = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(*log_a))
+            p = tc.params_for_targets(
+                a, float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(*log_eps))
+            )
+            energy = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, 3.0) / p.eps**2)
+            bracket = tc._bracket(p, energy)[0]
+            ref = mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, energy, dps=80)
+            worst = max(worst, float(abs(bracket.real - ref) / abs(ref)))
+        assert worst <= 2e-15
+
     def test_one_dawson_call_above_threshold(self, monkeypatch):
         calls = []
         dawson = tc._dawson
@@ -260,6 +292,25 @@ class TestAmplitude:
 
 
 class TestEffectiveParams:
+    def test_against_mpmath(self):
+        # a_eps and rstar_eps from the exact B(0-), also at targets far
+        # beyond what the float parameters resolve; the first draw is
+        # two-channel params --a 1e9 --rstar 1 --eps 1e-3
+        rng = np.random.default_rng(15)
+        draws = [tc.params_for_targets(1e9, 1.0, 1e-3)] + [
+            tc.params_for_targets(
+                float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 300.0)),
+                float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-4.0, -2.0)),
+                float(10.0 ** rng.uniform(-2.0, 2.0)),
+            )
+            for _ in range(300)
+        ]
+        for p in draws:
+            values = tc.effective_params(p)
+            refs = mp_effective_params(p.lam, p.e_mol, p.eps, p.mass)
+            for value, ref in zip(values, refs):
+                assert abs(value - ref) <= 4.0 * math.ulp(ref), (p, values, refs)
+
     def test_reference_values(self):
         p = tc.TwoChannelParams(lam=math.sqrt(2.0 * math.pi), e_mol=0.0, eps=0.1)
         a_eps, rstar_eps = tc.effective_params(p)
@@ -367,11 +418,11 @@ class TestKernels:
         assert tc._dawson(0.0) == (0.0, 1.0)
 
     def test_loop_scale_constant(self):
-        with mp.workdps(60):
+        with mp.workdps(100):
             ref = mp.sqrt(2 * mp.pi) / (4 * mp.pi**2)
-            assert tc._LOOP_SCALE_HI == float(ref)
-            total = mp.mpf(tc._LOOP_SCALE_HI) + mp.mpf(tc._LOOP_SCALE_LO)
-            assert abs(total - ref) <= mp.mpf("1e-32") * ref
+            assert tc._LOOP_SCALE == float(ref)
+            scaled = ref * 2**tc._LOOP_SCALE_BITS
+            assert abs(tc._LOOP_SCALE_NUM - scaled) <= 0.5
 
     def test_gauss_legendre_rule_is_numpys(self):
         nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -390,9 +441,9 @@ class TestKernels:
             )
             with mp.workdps(80):
                 lam, e_mol, eps, m = (mp.mpf(v) for v in (p.lam, p.e_mol, p.eps, p.mass))
-                scale = mp.mpf(tc._LOOP_SCALE_HI) + mp.mpf(tc._LOOP_SCALE_LO)
+                scale = mp.sqrt(2 * mp.pi) / (4 * mp.pi**2)
                 ref = float(scale * m / eps - e_mol / (2 * lam**2))
-            assert tc._threshold_bracket(p) == ref
+            assert p._threshold[0] == ref
 
     @pytest.mark.parametrize(
         "a_range, eps_range, draws",
@@ -418,27 +469,26 @@ class TestKernels:
 
     def test_newton_step_leaving_the_bracket_bisects(self, monkeypatch):
         p = reference_params(eps=0.1)
-        b0 = tc._threshold_bracket(p)
         root = mp_pole_energy(p.lam, p.e_mol, p.eps, E_REFERENCE)
         # B(hi) > 0 just right of the root, so Newton from the left overshoots hi
         lo, hi = 4.0 * root, root * (1.0 - 1e-9)
-        assert tc._pole_terms(p, b0, lo)[0] < 0.0 < tc._pole_terms(p, b0, hi)[0]
+        assert tc._bracket(p, lo)[0] < 0.0 < tc._bracket(p, hi)[0]
         calls = []
-        pole_terms = tc._pole_terms
+        bracket = tc._bracket
 
-        def recorded(p_, b0_, energy):
+        def recorded(p_, energy):
             calls.append(energy)
-            b, j = pole_terms(p_, b0_, energy)
+            b, terms, j = bracket(p_, energy)
             # J overflowing at the start makes the first Newton step zero
-            return b, math.inf if len(calls) == 1 else j
+            return b, terms, math.inf if len(calls) == 1 else j
 
-        monkeypatch.setattr(tc, "_pole_terms", recorded)
-        energy, j_root = tc._pole_energy(p, b0, lo, hi)
+        monkeypatch.setattr(tc, "_bracket", recorded)
+        energy, j_root = tc._pole_energy(p, lo, hi)
         assert calls[0] == hi
         # the zero step from B(hi) > 0 is replaced by bisection of log|E|
         x1 = calls[1]
         assert x1 == -math.sqrt(-lo) * math.sqrt(-hi)
-        b1, j1 = pole_terms(p, b0, x1)
+        b1, _, j1 = bracket(p, x1)
         assert b1 < 0.0
         assert x1 - b1 / (0.5 / p.lam**2 + j1) > hi
         # so is the Newton step from x1 that leaves [x1, hi]
@@ -460,7 +510,7 @@ class TestKernels:
             p = tc.params_for_targets(
                 float(a), float(rng.uniform(0.1, 10.0)), float(10.0 ** rng.uniform(*log_eps))
             )
-            lo, hi = tc._pole_bracket(p, tc._threshold_bracket(p))
+            lo, hi = tc._pole_bracket(p)
             assert lo <= hi
             b_lo, b_hi = (
                 mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, e, dps=60) for e in (lo, hi)
@@ -475,13 +525,13 @@ class TestKernels:
             eps=7.865298955609291e94, mass=5.978136818830484e102,
         )
         calls = []
-        pole_terms = tc._pole_terms
+        bracket = tc._bracket
 
         def counted(*args):
             calls.append(args[-1])
-            return pole_terms(*args)
+            return bracket(*args)
 
-        monkeypatch.setattr(tc, "_pole_terms", counted)
+        monkeypatch.setattr(tc, "_bracket", counted)
         energy = tc.bound_state(p).energy
         assert len(calls) <= 30
         assert_is_pole(p, energy)
@@ -535,15 +585,27 @@ class TestBoundState:
             tc.bound_state(tc.params_for_targets(-1.0, 1.0, 0.1))
 
     def test_no_bound_state_exactly_when_a_eps_not_positive(self):
+        # two-channel params prints a finite a_eps > 0 exactly when
+        # two-channel bound returns a state, also at targets a = +-10^U(-1, 300)
+        # far beyond what the float parameters resolve
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = tc.TwoChannelParams(
+        draws = [
+            tc.TwoChannelParams(
                 lam=float(10.0 ** rng.uniform(-1.0, 2.0)),
                 e_mol=float(rng.uniform(-50.0, 50.0)),
                 eps=float(10.0 ** rng.uniform(-3.0, 0.0)),
             )
+            for _ in range(200)
+        ] + [
+            tc.params_for_targets(
+                float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 300.0)),
+                float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-4.0, 0.0)),
+            )
+            for _ in range(300)
+        ]
+        for p in draws:
             a_eps, _ = tc.effective_params(p)
-            if a_eps > 0.0:
+            if 0.0 < a_eps < math.inf:
                 assert tc.bound_state(p).energy < 0.0
             else:
                 with pytest.raises(NoBoundState):
@@ -554,14 +616,14 @@ class TestBoundState:
         p = tc.TwoChannelParams(
             lam=lam, e_mol=lam**2 * math.sqrt(2.0 / math.pi) / (2.0 * math.pi * eps), eps=eps
         )
-        assert tc.effective_params(p)[0] == math.inf
+        assert not tc.effective_params(p)[0] > 0.0
         with pytest.raises(NoBoundState):
             tc.bound_state(p)
 
     def test_no_bound_state_past_a_negative_overflowing_threshold_bracket(self):
         # e_mol/(2 lam^2) = 5e319: B(0-) rounds to -inf, which is no pole
         p = tc.TwoChannelParams(lam=1e-10, e_mol=1e300, eps=1.0, mass=1e20)
-        assert tc._threshold_bracket(p) == -math.inf
+        assert p._threshold[0] == -math.inf
         with pytest.raises(NoBoundState):
             tc.bound_state(p)
 
@@ -644,8 +706,8 @@ class TestBoundState:
         # B(0-) = 1e308, so 2 B(0-) overflows; the pole lies near e_mol,
         # within rounding of both ends of the bracket
         p = tc.TwoChannelParams(lam=1e-4, e_mol=-2e300, eps=1.0, mass=100.0)
-        assert tc._threshold_bracket(p) > sys.float_info.max / 2.0
-        for end in tc._pole_bracket(p, tc._threshold_bracket(p)):
+        assert p._threshold[0] > sys.float_info.max / 2.0
+        for end in tc._pole_bracket(p):
             assert end == pytest.approx(-2e300, rel=4e-15)
         energy = tc.bound_state(p).energy
         assert energy == pytest.approx(-2e300, rel=4e-15)
@@ -700,10 +762,11 @@ class TestBoundState:
         ],
     )
     def test_pole_where_the_float_a_eps_overflows(self, fields):
-        # 1/a_eps rounds to 0 while the exact B(0-) is positive: the sign of
-        # B(0-) alone decides that the state exists
+        # 1/a_eps in floats rounds to 0 here, while the exact B(0-) is
+        # positive: a_eps from it is finite and positive, and the state exists
         p = tc.TwoChannelParams(**fields)
-        assert tc.effective_params(p)[0] == math.inf
+        a_eps = tc.effective_params(p)[0]
+        assert 0.0 < a_eps < math.inf
         state = tc.bound_state(p)
         assert_is_pole(p, state.energy)
         columns = (state.energy, state.beta2, state.a_tail**2, state.open_norm)

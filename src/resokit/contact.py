@@ -77,7 +77,7 @@ class PhaseShiftModel:
         r_e = self.effective_range
         if r_e == 0.0:
             return math.inf
-        return 1.0 / (0.5 * r_e**2)
+        return 1.0 / (0.5 * (r_e * r_e))
 
     def g(self, energy):
         """Evaluate g(E) by Horner's rule; accepts scalars or arrays."""

@@ -6,20 +6,20 @@ momentum-space form factor chi(k) = exp(-k^2 eps^2/4). Everything here is
 the two-body relative motion at zero total momentum, with hbar = 1 and the
 atom mass m the only mass, so the formulas carry no hbar.
 
-The scattering amplitude is
+The scattering amplitude is f(E) = -chi(k0)^2/D(E), with the denominator
 
-    f(E) = -(m/4 pi) chi(k0)^2 / [ (E - e_mol)/(2 lam^2) - I(E) ],
+    D(E) = (4 pi/m) [ (E - e_mol)/(2 lam^2) - I(E) ] = 1/a_eps + R* m E - c r(E),
 
-where I(E) is the regularized loop integral over intermediate atom pairs.
-At low energy the model reproduces a two-term phase function with
-scattering length a_eps and range parameter rstar_eps; as eps -> 0 at fixed
-(a, R*) it converges to the one-channel effective-range description, and
-R* = 2 pi/(m^2 lam^2) exactly.
+where I(E) = I(0) (1 - r) is the regularized loop integral over intermediate
+atom pairs, c = sqrt(2/pi)/eps = -(4 pi/m) I(0) and R* = 2 pi/(m^2 lam^2):
+the effective-range denominator 1/a + R* k^2 + i k, regulated through r. At
+low energy the model reproduces a two-term phase function with scattering
+length a_eps and range parameter rstar_eps; as eps -> 0 at fixed (a, R*) it
+converges to the one-channel effective-range description.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ SQRT_PI = math.sqrt(math.pi)
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
 
-# amplitude() reports a pole where |B| <= POLE_RTOL times the largest real term it sums.
+# amplitude() reports a pole where |D| <= POLE_RTOL times the largest real term it sums.
 POLE_RTOL = 1e-12
 
 # Below threshold I(E) carries the bracket sqrt(pi) x erfcx(x) - 1 and the
@@ -99,8 +99,8 @@ _FOUR_PI_RATIO = (4.0 * math.pi).as_integer_ratio()
 
 # bound_state's pole solve stops once a step is at most this fraction of the
 # energy (brentq's rtol = 4 ulp). The cap is a backstop: a solve took at most
-# 62 evaluations of the bracket (9.1 on average) over 2e4 seeded draws spread
-# over 120 to 320 decades per parameter, and 6 (4.3) over 3000 target draws.
+# 62 evaluations of the denominator (9.1 on average) over 2e4 seeded draws
+# spread over 120 to 320 decades per parameter, and 6 (4.3) over 3000 target draws.
 POLE_RTOL_STEP = 4.0 * sys.float_info.epsilon
 POLE_MAX_STEPS = 100
 
@@ -145,21 +145,28 @@ class TwoChannelParams:
         if not (
             0.0 < (self.lam * self.lam) * (self.mass * self.mass) < math.inf
             and math.isfinite(2.0 * math.pi * self.e_mol / (self.lam**2 * self.mass))
-            and math.isfinite(rstar_from_lambda(self.lam, self.mass))
+            and math.isfinite(self._rstar)
         ):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
 
     def chi(self, k: float) -> float:
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
-        return math.exp(-0.25 * (k * self.eps) ** 2)
+        keps = k * self.eps
+        return math.exp(-0.25 * (keps * keps))
+
+    @_cached
+    def _rstar(self) -> float:
+        """R* = 2 pi/(m^2 lam^2)."""
+        return rstar_from_lambda(self.lam, self.mass)
 
     @_cached
     def _threshold(self) -> tuple[float, float, float]:
-        """B(0-) = -I(0) - e_mol/(2 lam^2) = m/(4 pi a_eps), a_eps and eps^2/(2 a_eps).
+        """1/a_eps = D(0-) = (4 pi/m) B(0-), a_eps and eps^2/(2 a_eps).
 
-        The terms of B(0-) cancel by about a_eps/eps, so it is formed in exact
-        rational arithmetic, with sqrt(2 pi)/(4 pi^2) to ``_LOOP_SCALE_BITS``
-        bits, and all three are rounded once from it, with 4 pi as a float.
+        The terms of B(0-) = -I(0) - e_mol/(2 lam^2) cancel by about a_eps/eps,
+        so it is formed in exact rational arithmetic, with sqrt(2 pi)/(4 pi^2)
+        to ``_LOOP_SCALE_BITS`` bits, and all three are rounded once from it,
+        with 4 pi as a float.
         """
         (mn, md), (en, ed) = self.mass.as_integer_ratio(), self.eps.as_integer_ratio()
         (un, ud), (ln, ld) = self.e_mol.as_integer_ratio(), self.lam.as_integer_ratio()
@@ -169,7 +176,7 @@ class TwoChannelParams:
         dn, dd = un * ld * ld, 2 * ud * ln * ln
         num, den = sn * dd - dn * sd, sd * dd
         an, ad = mn * den * fd, md * num * fn
-        return _quotient(num, den), _quotient(an, ad), _quotient(en * en * ad, 2 * ed * ed * an)
+        return _quotient(ad, an), _quotient(an, ad), _quotient(en * en * ad, 2 * ed * ed * an)
 
 
 def _quotient(num: int, den: int) -> float:
@@ -208,7 +215,7 @@ class TwoChannelBoundState:
 
 def _open_psi(p: TwoChannelParams, energy: float, beta2: float, k: float) -> float:
     """:meth:`TwoChannelBoundState.psi` of the state with this energy and beta^2."""
-    denom = energy - k**2 / p.mass
+    denom = energy - k * k / p.mass
     return math.sqrt(2.0) * p.lam * math.sqrt(beta2) * p.chi(k) / denom
 
 
@@ -224,8 +231,9 @@ def loop_integral(p: TwoChannelParams, energy: float) -> complex:
     x = k0 eps/sqrt(2); :func:`_dawson` gives D' without the cancellation
     of 1 - 2x D at large x. The on-shell imaginary part is exact.
     """
-    _, loop, _, imag = _loop_terms(p, energy)
-    return complex(loop, imag)
+    _, loop, im_d = _loop_terms(p, energy)
+    imag = -(p.mass / (4.0 * math.pi)) * im_d if energy >= 0.0 else 0.0
+    return complex(_LOOP_SCALE * p.mass / p.eps * loop, imag)
 
 
 def _dawson(x: float) -> tuple[float, float]:
@@ -264,47 +272,41 @@ def _kappa(p: TwoChannelParams, energy: float) -> float:
     return math.sqrt(p.mass) * math.sqrt(-energy)
 
 
-def _loop_terms(p: TwoChannelParams, energy: float) -> tuple[float, float, float, float]:
-    """Re(I(E) - I(0)), Re I(E), J(E) = -I'(E) and Im I(E), from one erfcx or Dawson value.
+def _loop_terms(p: TwoChannelParams, energy: float) -> tuple[float, float, float]:
+    """r and r - 1 of I(E) = I(0) (1 - r), and S(x) below threshold or Im D(E) above it.
 
-    Below threshold, at x = kappa eps/sqrt(2), I - I(0) = -I(0) sqrt(pi) x erfcx(x)
-    and J = (m^2/(8 pi kappa)) [(1 + 2x^2) erfcx(x) - 2x/sqrt(pi)], and Im I = 0.
-    Above it, at x = k0 eps/sqrt(2), Re(I - I(0)) = -I(0) 2x D(x) and
-    Re I = I(0) D'(x), and J, which nothing uses there, is nan.
+    One erfcx or Dawson value gives all three. Below threshold, at
+    x = kappa eps/sqrt(2), r = sqrt(pi) x erfcx(x) and S is the bracket of
+    J = (m^2/(8 pi kappa)) S (:func:`_shapes`). Above it, at x = k0 eps/sqrt(2),
+    r = 2x D(x), 1 - r = D'(x) and Im D = -(4 pi/m) Im I = k0 chi(k0)^2.
     """
-    scale = _LOOP_SCALE * p.mass / p.eps  # -I(0)
     if energy < 0.0:
-        kappa = _kappa(p, energy)
-        rise, loop_shape, norm_shape = _shapes(p, kappa)
-        norm = p.mass * p.mass / (8.0 * math.pi * kappa) * norm_shape
-        if norm == math.inf:  # m^2/(8 pi kappa) overflowed; J itself may not
-            norm = p.mass / (8.0 * math.pi * kappa) * (p.mass * norm_shape)
-        return scale * rise, scale * loop_shape, norm, 0.0
-    m = p.mass
+        return _shapes(p, _kappa(p, energy))
     alpha = 0.5 * p.eps**2
-    k0 = math.sqrt(m * energy)
+    k0 = math.sqrt(p.mass * energy)
     x = k0 * math.sqrt(alpha)
     d, slope = _dawson(x)
-    imag = -(m * k0 / (4.0 * math.pi)) * math.exp(-alpha * k0 * k0)
-    return scale * (2.0 * x * d), -scale * slope, math.nan, imag
+    return 2.0 * x * d, -slope, k0 * math.exp(-alpha * k0 * k0)
 
 
-def _bracket(p: TwoChannelParams, energy: float):
-    """B(E) = (E - e_mol)/(2 lam^2) - I(E), the denominator of f; the real terms summed; J(E).
+def _denominator(p: TwoChannelParams, energy: float):
+    """D(E) = (4 pi/m) B(E) = -chi(k0)^2/f(E), the real terms summed, and S or Im D.
 
-    Re B = B(0-) + E/(2 lam^2) - Re(I - I(0)) too. The form subtracting the
-    smaller of |Re(I - I(0))| and |Re I| (:func:`_loop_terms`) is summed: the
-    first near threshold, where the exact B(0-) holds the e_mol - 1/eps
-    cancellation, the second far from it. B is real below threshold.
+    With c = sqrt(2/pi)/eps, Re D = 1/a_eps + R* m E - c r = R* m (E - e_mol) - c (r - 1)
+    (r and S or Im D from :func:`_loop_terms`). The form subtracting the
+    smaller of c r and c |r - 1| is summed: the first near threshold, where
+    the exact 1/a_eps holds the e_mol - 1/eps cancellation, the second far
+    from it. D is real below threshold.
     """
-    rise, loop, j, imag = _loop_terms(p, energy)
+    rise, loop, third = _loop_terms(p, energy)
+    c = SQRT_2_OVER_PI / p.eps
     if rise < abs(loop):
-        terms = (p._threshold[0], energy / (2.0 * p.lam**2), rise)
-        real = terms[0] + terms[1] - rise
+        terms = (p._threshold[0], p._rstar * p.mass * energy, c * rise)
+        real = terms[0] + terms[1] - terms[2]
     else:
-        terms = ((energy - p.e_mol) / (2.0 * p.lam**2), loop)
-        real = terms[0] - loop
-    return (real if energy < 0.0 else complex(real, -imag)), terms, j
+        terms = (p._rstar * p.mass * (energy - p.e_mol), c * loop)
+        real = terms[0] - terms[1]
+    return (real if energy < 0.0 else complex(real, third)), terms, third
 
 
 def _series(coeffs, y: float) -> float:
@@ -349,74 +351,70 @@ def _shapes(p: TwoChannelParams, kappa: float) -> tuple[float, float, float]:
 
 
 def norm_integral(p: TwoChannelParams, energy: float) -> float:
-    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 for E < 0 (:func:`_loop_terms`)."""
+    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 = (m^2/(8 pi kappa)) S for E < 0."""
     if not energy < 0.0:
         raise InvalidInput("the norm integral needs an energy below threshold")
-    return _loop_terms(p, energy)[2]
+    kappa = _kappa(p, energy)
+    shape = _shapes(p, kappa)[2]
+    norm = p.mass * p.mass / (8.0 * math.pi * kappa) * shape
+    if norm == math.inf:  # m^2/(8 pi kappa) overflowed; J itself may not
+        norm = p.mass / (8.0 * math.pi * kappa) * (p.mass * shape)
+    return norm
 
 
 def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
-    """1/f(E); safe on both sides of threshold.
+    """1/f(E) = -D(E)/chi(k0)^2; safe on both sides of threshold.
 
     Below threshold the form factor is analytically continued, which makes
     1/f the numerically tame direction (the continued chi^2 grows, its
-    inverse decays).
+    inverse decays). Above it, where 1/chi^2 overflows, :class:`InvalidInput`.
     """
-    return complex(_inverse_from_bracket(p, energy, _bracket(p, energy)[0]))
-
-
-def _inverse_from_bracket(p: TwoChannelParams, energy: float, bracket: complex) -> complex:
-    """1/f(E) = -(4 pi/m) B(E)/chi(k0)^2; :class:`InvalidInput` where 1/chi^2 overflows."""
-    exponent = p.mass * energy * p.eps**2 / 2.0
+    exponent = p.mass * energy * p.eps**2 / 2.0  # -ln chi(k0)^2
     if exponent > _LOG_FLOAT_MAX:
         raise InvalidInput(f"1/chi(k0)^2 overflows at E = {energy!r} above threshold")
-    return -(4.0 * math.pi / p.mass) * bracket * math.exp(exponent)
+    return complex(-_denominator(p, energy)[0] * math.exp(exponent))
 
 
 def amplitude(p: TwoChannelParams, energy: float) -> complex:
-    """f(E), raising :class:`PoleHit` when the denominator vanishes.
+    """f(E) = -chi(k0)^2/D(E), raising :class:`PoleHit` when D vanishes.
 
-    A vanishing bracket is the bound state, not a scattering point. Far
-    above threshold, where 1/chi(k0)^2 overflows, f is taken from
-    chi(k0)^2 itself and underflows toward 0.
+    A vanishing D is the bound state, not a scattering point. Far above
+    threshold chi(k0)^2 underflows and f with it toward 0; far below it the
+    continued chi^2 overflows (:class:`InvalidInput`).
     """
-    bracket, terms, _ = _bracket(p, energy)
-    if abs(bracket) <= POLE_RTOL * max(map(abs, terms)):
+    denominator, terms, _ = _denominator(p, energy)
+    if abs(denominator) <= POLE_RTOL * max(map(abs, terms)):
         raise PoleHit(f"amplitude pole within tolerance at E = {energy!r}")
-    try:
-        inv = _inverse_from_bracket(p, energy, bracket)
-    except InvalidInput:
-        # 1/chi^2 overflows, so f = -(m/4 pi) chi^2/B underflows toward 0.
-        return -(p.mass / (4.0 * math.pi)) * p.chi(math.sqrt(p.mass * energy)) ** 2 / bracket
-    if inv == 0.0:
+    exponent = p.mass * energy * p.eps**2 / 2.0
+    if -exponent > _LOG_FLOAT_MAX:
         raise InvalidInput("energy too deep below threshold for the continued amplitude")
-    return 1.0 / complex(inv)
+    return -math.exp(-exponent) / complex(denominator)
 
 
 def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     """Closed-form low-energy parameters (a_eps, rstar_eps).
 
     a_eps = m/(4 pi B(0-)) (inf where B(0-) = 0) and rstar_eps =
-    R* - sqrt(2/pi) eps + 2 pi eps^2 B(0-)/m, from the exact B(0-) of the
+    R* - sqrt(2/pi) eps + eps^2/(2 a_eps), from the exact B(0-) of the
     parameters. :func:`resokit.verify.fit_effective_params` checks rstar_eps
     against a low-energy fit of Re(1/f).
     """
     _, a_eps, tail = p._threshold
-    return a_eps, -SQRT_2_OVER_PI * p.eps + rstar_from_lambda(p.lam, p.mass) + tail
+    return a_eps, -SQRT_2_OVER_PI * p.eps + p._rstar + tail
 
 
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:
     """Coupling amplitude reproducing a given width radius, lam = sqrt(2 pi/(m^2 R*))."""
     if not rstar > 0.0:
         raise InvalidInput("this mapping covers only rstar > 0")
-    return math.sqrt(2.0 * math.pi / (mass**2 * rstar))
+    return math.sqrt(2.0 * math.pi / (mass * mass * rstar))
 
 
 def rstar_from_lambda(lam: float, mass: float = 1.0) -> float:
     """Width radius of the zero-range limit, R* = 2 pi/(m^2 lam^2)."""
     if lam == 0.0:
         raise InvalidInput("coupling amplitude must be nonzero")
-    return 2.0 * math.pi / (mass**2 * lam**2)
+    return 2.0 * math.pi / (mass * mass * lam**2)
 
 
 def emol_for_target_a(a_target: float, p: TwoChannelParams) -> float:
@@ -437,31 +435,31 @@ def params_for_targets(a: float, rstar: float, eps: float, mass: float = 1.0) ->
 def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
     """Locate the dressed molecular state and build its normalized content.
 
-    Below threshold the bracket B(E) = (E - e_mol)/(2 lam^2) - I(E) rises
-    strictly (its slope is 1/(2 lam^2) + J(E) > 0) from -inf to
-    B(0-) = m/(4 pi a_eps), so there is exactly one pole when the correctly
-    rounded B(0-) is positive and none otherwise (:class:`NoBoundState`).
-    :func:`_pole_energy` solves B = 0 between the effective-range pole and
-    the zero of B(0-) + E/(2 lam^2) (:func:`_pole_bracket`). The
-    closed-channel weight is beta^2 = 1/(1 + 2 lam^2 J(E)) by unit total
-    norm (0, with open_norm = 1, only where 2 lam^2 J overflows), and the tail
-    amplitude follows from the plateau of k^2 psi(k), sampled at k = c/eps
-    and extrapolated against the inverse-square window variable; a
-    regulator width so small that k^2 overflows there raises :class:`InvalidInput`.
+    Below threshold D(E) rises strictly, with slope m (R* + S/(2 kappa)) > 0,
+    from -inf to D(0-) = 1/a_eps: there is exactly one pole when the correctly
+    rounded 1/a_eps is positive and none otherwise (:class:`NoBoundState`).
+    :func:`_pole_energy` solves D = 0 between the effective-range pole and
+    the zero of 1/a_eps + R* m E (:func:`_pole_bracket`). By unit total norm
+    beta^2 = 1/(1 + w) = R*/(R* + S/(2 kappa)) and open_norm = w beta^2, with
+    w = 2 lam^2 J = S/(2 R* kappa) (beta^2 = 0, open_norm = 1 only where w
+    overflows); as eps -> 0, beta^2 tends to 2 R* kappa/(1 + 2 R* kappa), the
+    R* share of the one-channel modified norm. The tail amplitude follows
+    from the plateau of k^2 psi(k), sampled at k = c/eps and extrapolated
+    against the inverse-square window variable; a regulator width so small
+    that k^2 overflows there raises :class:`InvalidInput`.
     """
-    b0 = p._threshold[0]
-    if not b0 > 0.0:
+    inv_a = p._threshold[0]
+    if not inv_a > 0.0:
         raise NoBoundState(f"no pole below threshold for a_eps = {effective_params(p)[0]!r}")
-    if b0 == math.inf:
-        raise InvalidInput("the threshold bracket B(0-) overflows for these parameters")
-    energy, j = _pole_energy(p, *_pole_bracket(p))
-    weight = 2.0 * p.lam**2 * j
-    if j == math.inf:  # 2 lam^2 J = (lam m)^2 S/(4 pi kappa) from significands and exponents
-        kappa = _kappa(p, energy)
-        factors = (p.lam * p.mass, _shapes(p, kappa)[2], 4.0 * math.pi * kappa)
-        (f, e), (fs, es), (fk, ek) = (math.frexp(v) for v in factors)
-        with contextlib.suppress(OverflowError):  # else 2 lam^2 J overflows too
-            weight = math.ldexp(f * f * fs / fk, 2 * e + es - ek)
+    if inv_a == math.inf:
+        raise InvalidInput("1/a_eps overflows for these parameters")
+    energy, shape = _pole_energy(p, *_pole_bracket(p))
+    # w from significands and exponents, as S, R* and kappa may each lie far
+    # from 1; S underflows to 0 beyond x ~ 4e107, where w is 0 at any exponent
+    (fs, es), (fr, er), (fk, ek) = map(math.frexp, (shape, p._rstar, _kappa(p, energy)))
+    f, e = math.frexp(fs / (fr * fk))
+    e += es - er - ek - 1
+    weight = math.inf if f and e > 1024 else math.ldexp(f, e)
     beta2 = 1.0 / (1.0 + weight)
     open_norm = weight * beta2 if weight < math.inf else 1.0
 
@@ -470,80 +468,79 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
         return -(k * k * _open_psi(p, energy, beta2, k)) / (4.0 * math.pi)
 
     lo, hi = TAIL_FRACTIONS
+    if (hi / p.eps) * (hi / p.eps) == math.inf:
+        raise InvalidInput("the tail samples k = c/eps overflow for this eps")
     # Error model: plateau approached like 1/k^2 from the shallow side; with
     # samples at k and 2k the extrapolant is (4 P(2k) - P(k))/3.
-    try:
-        a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
-    except OverflowError:
-        raise InvalidInput("the tail samples k = c/eps overflow for this eps") from None
+    a_tail = (4.0 * plateau(hi) - plateau(lo)) / 3.0
     return TwoChannelBoundState(
         params=p, energy=energy, beta2=beta2, a_tail=a_tail, open_norm=open_norm
     )
 
 
 def _pole_bracket(p: TwoChannelParams) -> tuple[float, float]:
-    """Ends lo <= hi around the pole of B where 0 < B(0-) < inf, clamped to normal floats.
+    """Ends lo <= hi around the pole of D where 0 < 1/a_eps < inf, clamped to normal floats.
 
-    As erfcx <= 1, B >= 0 at hi = -kappa^2/m, the pole of the effective-range
-    bracket (m/4 pi)(1/a_eps - kappa - R* kappa^2), whose root kappa is written
-    with the exact B(0-) = m/(4 pi a_eps) and halved terms, so that it neither
-    cancels nor overflows. As I(E) >= I(0), B <= 0 at lo = -2 lam^2 B(0-).
+    As erfcx <= 1, c r <= kappa, so D >= 0 at hi = -kappa^2/m with kappa
+    the effective-range pole, the root of 1/a_eps - kappa - R* kappa^2, written
+    (1/a_eps)/(1/2 + hypot(1/2, sqrt(R*/a_eps))) so that it neither cancels
+    nor overflows. As c r >= 0, D <= 0 at lo = -(1/a_eps)/(R* m).
     """
-    b0 = p._threshold[0]
-    c = p.mass / (8.0 * math.pi)
-    s = math.sqrt(0.5 * b0) / (abs(p.lam) * math.sqrt(p.mass))
-    root = b0 / (c + math.hypot(c, s)) / math.sqrt(p.mass)
-    lo = max(-2.0 * p.lam**2 * b0, -sys.float_info.max)
+    inv_a, rstar = p._threshold[0], p._rstar
+    kappa = inv_a / (0.5 + math.hypot(0.5, math.sqrt(rstar) * math.sqrt(inv_a)))
+    root = kappa / math.sqrt(p.mass)
+    lo = max(-(inv_a / (rstar * p.mass)), -sys.float_info.max)
     hi = min(max(-(root * root), -sys.float_info.max), -sys.float_info.min)
     return lo, hi
 
 
 def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, float]:
-    """Root of B in [lo, hi] and J there, given B(lo) <= 0 <= B(hi).
+    """Root of D in [lo, hi] and S there, given D(lo) <= 0 <= D(hi).
 
     Newton steps safeguarded as in Numerical Recipes' rtsafe start at hi;
-    B is increasing and convex, so they come down toward the root. Each
-    point replaces the end of [lo, hi] with its sign of B, and a step that
-    would leave the bracket, is zero (J overflowed), or after the first two
-    is not at most half the step before last is replaced by bisection of
-    log|E|. The solve stops after a step of at most ``POLE_RTOL_STEP``
-    relative (the next one if rounding gives B(hi) < 0, as the root then
-    lies within that rounding), or when such a step from B > 0 fails to
-    lower B, which only rounding can cause; after a longer such step, where
-    B is flat to its rounding, a bisection follows. A clamped end with the
-    wrong sign puts the pole outside the normal float range
-    (:class:`InvalidInput`); ``POLE_MAX_STEPS`` steps raise :class:`NoConvergence`.
+    D is increasing and convex in E with slope m (R* + S/(2 kappa)), so they
+    come down toward the root. Each point replaces the end of [lo, hi] with
+    its sign of D, and a step that would leave the bracket, is zero (the
+    slope overflowed), or after the first two is not at most half the step
+    before last is replaced by bisection of log|E|. The solve stops after a
+    step of at most ``POLE_RTOL_STEP`` relative (the next one if rounding
+    gives D(hi) < 0, as the root then lies within that rounding), or when
+    such a step from D > 0 fails to lower D, which only rounding can cause;
+    after a longer such step, where D is flat to its rounding, a bisection
+    follows. A clamped end with the wrong sign puts the pole outside the
+    normal float range (:class:`InvalidInput`); ``POLE_MAX_STEPS`` steps
+    raise :class:`NoConvergence`.
     """
     x, fmax = hi, sys.float_info.max
-    b, _, j = _bracket(p, x)
-    if hi == -fmax or (b < 0.0 and hi == -sys.float_info.min) or (
-        lo == -fmax and _bracket(p, lo)[0] > 0.0
+    d, _, s = _denominator(p, x)
+    if hi == -fmax or (d < 0.0 and hi == -sys.float_info.min) or (
+        lo == -fmax and _denominator(p, lo)[0] > 0.0
     ):
         raise InvalidInput("the pole lies outside the normal floating-point range")
     step = older = 2.0 * (hi - lo)
     for _ in range(POLE_MAX_STEPS):
-        if b == 0.0 or abs(step) <= POLE_RTOL_STEP * abs(x):
-            return x, j
-        if b < 0.0:
+        if d == 0.0 or abs(step) <= POLE_RTOL_STEP * abs(x):
+            return x, s
+        if d < 0.0:
             lo = x
         else:
             hi = x
-        dx = b / (0.5 / p.lam**2 + j)
+        dx = d / (p.mass * (p._rstar + s / (2.0 * _kappa(p, x))))
         if dx != 0.0 and lo <= x - dx <= hi and abs(dx) <= 0.5 * abs(older):
             older, step = step, dx
             new = x - dx
         else:
             older, step = step, 0.5 * (hi - lo)
             new = -math.sqrt(-lo) * math.sqrt(-hi)
-        b_new, _, j_new = _bracket(p, new)
-        if 0.0 < b <= b_new:
-            # Only rounding of B keeps a step from B > 0 from lowering it. At
+        d_new, _, s_new = _denominator(p, new)
+        if 0.0 < d <= d_new:
+            # Only rounding of D keeps a step from D > 0 from lowering it. At
             # the convergence scale x is the better point; a longer step
-            # stalled where B is flat to its rounding, so bisection follows.
+            # stalled where D is flat to its rounding, so bisection follows.
             if abs(new - x) <= POLE_RTOL_STEP * abs(x):
-                return x, j
+                return x, s
             older = 0.0
-        x, b, j = new, b_new, j_new
+        x, d, s = new, d_new, s_new
     raise NoConvergence(f"pole solve did not converge in {POLE_MAX_STEPS} steps")
 
 
@@ -556,28 +553,29 @@ def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> 
     """<1_open|2_open> = 2 lam^2 beta_1 beta_2 K for two states of one model.
 
     K = int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)) is by partial
-    fractions (I(E_1) - I(E_2))/(E_2 - E_1), the mean of J over [E_2, E_1].
-    In decay constants that mean is (m^2/(4 pi)) S/(kappa_1 + kappa_2),
-    with S the mean of the bracket of J, (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at
-    x = kappa eps/sqrt(2), over [kappa_2, kappa_1]. S is taken by
-    Gauss-Legendre when the kappas are within ``OVERLAP_GAUSS_GAP``, which
-    gives K = J(E) at E_1 = E_2. Otherwise, as in :func:`_bracket`, the
-    partial fraction subtracts the smaller pair, I - I(0) (shallow) or I.
+    fractions (I(E_1) - I(E_2))/(E_2 - E_1), the mean of J over [E_2, E_1],
+    so 2 lam^2 K = c (r_1 - r_2)/(R* m (E_2 - E_1)) in the variables of D. In
+    decay constants it is S/(R* (kappa_1 + kappa_2)), with S the mean of the
+    bracket of J over [kappa_2, kappa_1], which gives the w of
+    :func:`bound_state` at E_1 = E_2. S is taken by Gauss-Legendre when the
+    kappas are within ``OVERLAP_GAUSS_GAP``. Otherwise, as in
+    :func:`_denominator`, the partial fraction subtracts the smaller pair,
+    r (shallow) or r - 1.
     """
     p = s1.params
-    m = p.mass
     k1, k2 = (_kappa(p, s.energy) for s in (s1, s2))
     if abs(k1 - k2) <= OVERLAP_GAUSS_GAP * (k1 + k2):
         mid, half = 0.5 * (k1 + k2), 0.5 * (k1 - k2)
         mean = 0.5 * sum(
             w * _shapes(p, mid + half * t)[2] for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
         )
-        integral = m * m * mean / (4.0 * math.pi * (k1 + k2))
+        weight = mean / (k1 + k2)
     else:
         e1, e2 = s1.energy, s2.energy
-        (r1, l1, _, _), (r2, l2, _, _) = (_loop_terms(p, e) for e in (e1, e2))
-        integral = (r1 - r2 if r1 + r2 < -(l1 + l2) else l1 - l2) / (e2 - e1)
-    return 2.0 * p.lam**2 * s1.beta * s2.beta * integral
+        (r1, l1, _), (r2, l2, _) = (_loop_terms(p, e) for e in (e1, e2))
+        shift = r1 - r2 if r1 + r2 < -(l1 + l2) else l1 - l2
+        weight = SQRT_2_OVER_PI / p.eps * shift / (p.mass * (e2 - e1))
+    return s1.beta * s2.beta * (weight / p._rstar)
 
 
 @dataclass(frozen=True)
@@ -611,7 +609,7 @@ def product_identity_check(
         q = s.params
         if (q.lam, q.eps, q.mass) != (p.lam, p.eps, p.mass):
             raise ParameterMismatch("states must share coupling, regulator width and mass")
-    rstar = rstar_from_lambda(p.lam, p.mass)
+    rstar = p._rstar
     beta_product = s1.beta * s2.beta
     tail_product = 4.0 * math.pi * rstar * s1.a_tail * s2.a_tail
     a1, a2 = (tail_amplitude_from_beta(p, s.beta) for s in (s1, s2))

@@ -216,6 +216,33 @@ def mp_open_overlap(lam, eps, e1, beta1, e2, beta2, mass=1.0, dps=60):
         return 2 * mp.mpf(float(lam)) ** 2 * mp.mpf(float(beta1)) * mp.mpf(float(beta2)) * k
 
 
+def mp_open_norm(lam, eps, mass, energy, dps=40):
+    """open_norm = w/(1 + w) at the float parameters and energy, at ``dps`` digits.
+
+    w = 2 lam^2 J = S/(2 R* kappa), with R* = 2 pi/(m^2 lam^2) and
+    S = (1 + 2x^2) erfcx(x) - 2x/sqrt(pi) at x = kappa eps/sqrt(2). Below
+    x = 1e3, S is taken at 20 extra digits, more than the log10(x^4) it
+    loses to cancellation; from there on it is the asymptotic series
+    sum_{n>=1} (-1)^(n+1) 2n (2n-1)!!/(2x^2)^n/(x sqrt(pi)) to its smallest term.
+    """
+    with mp.workdps(dps):
+        lam, eps, mass, energy = (mp.mpf(float(v)) for v in (lam, eps, mass, energy))
+        kappa = mp.sqrt(-mass * energy)
+        x = kappa * eps / mp.sqrt(2)
+        if x < 1000:
+            with mp.workdps(dps + 20):
+                shape = (1 + 2 * x * x) * mp.exp(x * x) * mp.erfc(x) - 2 * x / mp.sqrt(mp.pi)
+        else:
+            total, term, n = mp.mpf(0), mp.mpf(1), 0
+            while abs(term) > mp.eps * abs(total):
+                n += 1
+                term = (-1) ** (n + 1) * 2 * n * mp.fac2(2 * n - 1) / (2 * x * x) ** n
+                total += term
+            shape = total / (x * mp.sqrt(mp.pi))
+        w = shape / (2 * (2 * mp.pi / (mass * lam) ** 2) * kappa)
+        return w / (1 + w)
+
+
 def mp_pole_residual(coeffs, q):
     """h(q) = g(-q^2) + q at the float q, evaluated at 40 digits."""
     q = mp.mpf(float(q))

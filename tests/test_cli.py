@@ -585,6 +585,13 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         # the effective-range pole, the upper end of the bracket, overflows
         ["two-channel", "bound", "--lambda", "1e100", "--emol", "0", "--eps", "1e-145",
          "--mass", "1e-20"],
+        # m^2 overflows in the mapping from R* to lam, which then rounds to 0
+        ["two-channel", "params", "--a", "1", "--rstar", "1e-300", "--eps", "0.1",
+         "--mass", "1e160"],
+        ["two-channel", "bound", "--a", "1", "--rstar", "1e-300", "--eps", "0.1",
+         "--mass", "1e160"],
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1e-300", "--mass", "1e160",
+         "--min", "0.1", "--max", "0.2", "--steps", "2"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):

@@ -101,6 +101,10 @@ class TestEvaluation:
         model = PhaseShiftModel.from_effective_range(1.0, 1.0)
         assert model.validity_scale() == pytest.approx(0.5, rel=1e-15)
 
+    def test_validity_scale_past_an_overflowing_square(self):
+        # r_e^2 = 4e320 overflows, so the scale is 0
+        assert PhaseShiftModel((1.0, -1e160)).validity_scale() == 0.0
+
 
 class TestLiteralParsing:
     def test_bracket_forms(self):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +14,7 @@ from oracles import (
     mp_loop_integral,
     mp_loop_integral_above,
     mp_norm_integral,
+    mp_open_norm,
     mp_open_overlap,
     mp_pole_bracket,
     mp_pole_energy,
@@ -22,6 +22,8 @@ from oracles import (
     richardson_derivative,
 )
 from resokit import twochannel as tc
+from resokit.bound import find_bound_states
+from resokit.contact import PhaseShiftModel
 from resokit.errors import (
     InvalidInput,
     NoBoundState,
@@ -72,6 +74,10 @@ class TestParams:
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=2.0)
         assert p.chi(0.0) == 1.0
         assert p.chi(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    def test_form_factor_past_an_overflowing_square(self):
+        # (k eps)^2 = 1e310 overflows; chi underflows to 0
+        assert tc.TwoChannelParams(1.0, 0.0, 0.1).chi(1e156) == 0.0
 
 
 class TestLoopIntegral:
@@ -262,7 +268,7 @@ class TestAmplitude:
         ids=["targets", "a-much-larger-than-eps", "a-beyond-1e6"],
     )
     def test_bracket_against_mpmath(self, a_range, eps_range):
-        # Re B on both sides of threshold, E = +-10^U(-10, 3)/eps^2
+        # Re D = (4 pi/m) Re B on both sides of threshold, E = +-10^U(-10, 3)/eps^2
         rng = np.random.default_rng(46)
         log_a, log_eps = np.log10(a_range), np.log10(eps_range)
         worst = 0.0
@@ -272,9 +278,11 @@ class TestAmplitude:
                 a, float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(*log_eps))
             )
             energy = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, 3.0) / p.eps**2)
-            bracket = tc._bracket(p, energy)[0]
-            ref = mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, energy, dps=80)
-            worst = max(worst, float(abs(bracket.real - ref) / abs(ref)))
+            denominator = tc._denominator(p, energy)[0]
+            with mp.workdps(80):
+                bracket = mp_pole_bracket(p.lam, p.e_mol, p.eps, p.mass, energy, dps=80)
+                ref = 4 * mp.pi / p.mass * bracket
+            worst = max(worst, float(abs(denominator.real - ref) / abs(ref)))
         assert worst <= 2e-15
 
     def test_one_dawson_call_above_threshold(self, monkeypatch):
@@ -430,8 +438,8 @@ class TestKernels:
         assert [w.hex() for w in tc._GAUSS_WEIGHTS] == [w.hex() for w in weights.tolist()]
 
     def test_threshold_bracket_correctly_rounded(self):
-        # including near-edge draws, where e_mol/(2 lam^2) and -I(0) cancel
-        # to a few ulp of either
+        # 1/a_eps = (4 pi/m) B(0-), with 4 pi as a float, including near-edge
+        # draws, where e_mol/(2 lam^2) and -I(0) cancel to a few ulp of either
         rng = np.random.default_rng(42)
         for i in range(300):
             a = float(10.0 ** rng.uniform(-1.0, 17.0 if i % 2 else 2.0))
@@ -442,7 +450,7 @@ class TestKernels:
             with mp.workdps(80):
                 lam, e_mol, eps, m = (mp.mpf(v) for v in (p.lam, p.e_mol, p.eps, p.mass))
                 scale = mp.sqrt(2 * mp.pi) / (4 * mp.pi**2)
-                ref = float(scale * m / eps - e_mol / (2 * lam**2))
+                ref = float(4 * math.pi / m * (scale * m / eps - e_mol / (2 * lam**2)))
             assert p._threshold[0] == ref
 
     @pytest.mark.parametrize(
@@ -470,31 +478,32 @@ class TestKernels:
     def test_newton_step_leaving_the_bracket_bisects(self, monkeypatch):
         p = reference_params(eps=0.1)
         root = mp_pole_energy(p.lam, p.e_mol, p.eps, E_REFERENCE)
-        # B(hi) > 0 just right of the root, so Newton from the left overshoots hi
+        # D(hi) > 0 just right of the root, so Newton from the left overshoots hi
         lo, hi = 4.0 * root, root * (1.0 - 1e-9)
-        assert tc._bracket(p, lo)[0] < 0.0 < tc._bracket(p, hi)[0]
+        assert tc._denominator(p, lo)[0] < 0.0 < tc._denominator(p, hi)[0]
         calls = []
-        bracket = tc._bracket
+        denominator = tc._denominator
 
         def recorded(p_, energy):
             calls.append(energy)
-            b, terms, j = bracket(p_, energy)
-            # J overflowing at the start makes the first Newton step zero
-            return b, terms, math.inf if len(calls) == 1 else j
+            d, terms, s = denominator(p_, energy)
+            # the slope overflowing at the start makes the first Newton step zero
+            return d, terms, math.inf if len(calls) == 1 else s
 
-        monkeypatch.setattr(tc, "_bracket", recorded)
-        energy, j_root = tc._pole_energy(p, lo, hi)
+        monkeypatch.setattr(tc, "_denominator", recorded)
+        energy, s_root = tc._pole_energy(p, lo, hi)
         assert calls[0] == hi
-        # the zero step from B(hi) > 0 is replaced by bisection of log|E|
+        # the zero step from D(hi) > 0 is replaced by bisection of log|E|
         x1 = calls[1]
         assert x1 == -math.sqrt(-lo) * math.sqrt(-hi)
-        b1, _, j1 = bracket(p, x1)
-        assert b1 < 0.0
-        assert x1 - b1 / (0.5 / p.lam**2 + j1) > hi
+        d1, _, s1 = denominator(p, x1)
+        assert d1 < 0.0
+        kappa1 = math.sqrt(-p.mass * x1)
+        assert x1 - d1 / (p.mass * (p._rstar + s1 / (2.0 * kappa1))) > hi
         # so is the Newton step from x1 that leaves [x1, hi]
         assert calls[2] == -math.sqrt(-x1) * math.sqrt(-hi)
         assert abs(energy - root) <= 4e-15 * abs(root)
-        assert j_root == tc.norm_integral(p, energy)
+        assert s_root == denominator(p, energy)[2]
 
     @pytest.mark.parametrize(
         "a_range, eps_range, draws",
@@ -525,13 +534,13 @@ class TestKernels:
             eps=7.865298955609291e94, mass=5.978136818830484e102,
         )
         calls = []
-        bracket = tc._bracket
+        denominator = tc._denominator
 
         def counted(*args):
             calls.append(args[-1])
-            return bracket(*args)
+            return denominator(*args)
 
-        monkeypatch.setattr(tc, "_bracket", counted)
+        monkeypatch.setattr(tc, "_denominator", counted)
         energy = tc.bound_state(p).energy
         assert len(calls) <= 30
         assert_is_pole(p, energy)
@@ -621,9 +630,10 @@ class TestBoundState:
             tc.bound_state(p)
 
     def test_no_bound_state_past_a_negative_overflowing_threshold_bracket(self):
-        # e_mol/(2 lam^2) = 5e319: B(0-) rounds to -inf, which is no pole
+        # e_mol/(2 lam^2) = 5e319: B(0-) overflows, 1/a_eps = (4 pi/m) B(0-)
+        # = -6.3e300 does not, and no pole lies below threshold
         p = tc.TwoChannelParams(lam=1e-10, e_mol=1e300, eps=1.0, mass=1e20)
-        assert p._threshold[0] == -math.inf
+        assert p._threshold[0] == pytest.approx(-2e300 * math.pi, rel=1e-15)
         with pytest.raises(NoBoundState):
             tc.bound_state(p)
 
@@ -702,11 +712,56 @@ class TestBoundState:
         assert state.beta2 == pytest.approx(float(beta2), rel=1e-14)
         assert state.open_norm == 1.0
 
+    def test_pole_past_an_overflowing_threshold_bracket(self):
+        # B(0-) = -I(0) = 6.3e309 overflows, 1/a_eps = sqrt(2/pi)/eps = 8e160
+        # does not, and the pole lies near -(1/a_eps)/(R* m) = -1.27e10; only
+        # the tail samples k = c/eps overflow
+        p = tc.TwoChannelParams(lam=1e-150, e_mol=0.0, eps=1e-161, mass=1e150)
+        energy, _ = tc._pole_energy(p, *tc._pole_bracket(p))
+        assert energy == pytest.approx(-1.2698727186848192e10, rel=4e-15)
+        assert_is_pole(p, energy)
+        with pytest.raises(InvalidInput, match="tail samples"):
+            tc.bound_state(p)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # 2 lam^2 J = 8.2e-297 while J ~ 3.5e-373 underflows
+            dict(lam=1.0837971601527623e38, e_mol=-2.3723249898283253e132,
+                 eps=3.1844439946218624e35, mass=2.56761853896999e-130),
+            # the bracket S of J is subnormal
+            dict(lam=1.6569234713810841e40, e_mol=-1.4623919568330155e105,
+                 eps=1.5606374528514322e37, mass=4.8618710800131323e30),
+        ],
+    )
+    def test_open_norm_where_the_norm_integral_underflows(self, fields):
+        p = tc.TwoChannelParams(**fields)
+        state = tc.bound_state(p)
+        assert_is_pole(p, state.energy)
+        ref = mp_open_norm(p.lam, p.eps, p.mass, state.energy)
+        assert state.open_norm == pytest.approx(float(ref), rel=1e-6, abs=0.0)
+        assert state.beta2 == 1.0
+
+    def test_beta2_tends_to_the_rstar_share_of_the_modified_norm(self):
+        # beta^2 = R*/(R* + S/(2 kappa)) -> R*/(R* + 1/(2q)) = 4 pi R* |A|^2 of
+        # the one-channel effective-range state, with an error linear in eps
+        rng = np.random.default_rng(20)
+        for _ in range(8):
+            a, rstar = float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 5.0))
+            (state,) = find_bound_states(PhaseShiftModel.from_effective_range(a, rstar), 1e3)
+            gaps = [
+                abs(tc.bound_state(tc.params_for_targets(a, rstar, eps)).beta2
+                    - 4.0 * math.pi * rstar * state.a2)
+                for eps in (0.2, 0.1, 0.05, 0.025)
+            ]
+            for g1, g2 in zip(gaps, gaps[1:]):
+                assert 1.8 <= g1 / g2 <= 2.2, (a, rstar, gaps)
+
     def test_pole_past_an_overflowing_twice_threshold_bracket(self):
-        # B(0-) = 1e308, so 2 B(0-) overflows; the pole lies near e_mol,
-        # within rounding of both ends of the bracket
+        # B(0-) = 1e308, so 2 B(0-) overflows, 1/a_eps = (4 pi/m) B(0-) does
+        # not; the pole lies near e_mol, within rounding of both ends of the bracket
         p = tc.TwoChannelParams(lam=1e-4, e_mol=-2e300, eps=1.0, mass=100.0)
-        assert p._threshold[0] > sys.float_info.max / 2.0
+        assert p._threshold[0] == pytest.approx(4e306 * math.pi, rel=1e-15)
         for end in tc._pole_bracket(p):
             assert end == pytest.approx(-2e300, rel=4e-15)
         energy = tc.bound_state(p).energy
@@ -786,6 +841,11 @@ class TestBoundState:
             j = float(mp_norm_integral(p.eps, state.energy))
             expected = 1.0 / (1.0 + 2.0 * p.lam**2 * j)
             assert state.beta2 == pytest.approx(expected, rel=1e-12)
+
+    def test_psi_past_an_overflowing_square(self):
+        # k^2 = 1e320 overflows: E - k^2/m = -inf and psi = -0.0
+        psi = tc.bound_state(reference_params(eps=0.1)).psi(1e160)
+        assert psi == 0.0 and math.copysign(1.0, psi) == -1.0
 
     def test_psi_matches_tail_near_plateau(self):
         p = reference_params(eps=0.025)

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal
 
-from .contact import PhaseShiftModel
+from .contact import PhaseShiftModel, _quotient
 from .errors import InvalidInput, RootAtGridBoundary
 
 Q_MIN_DEFAULT = 1e-8
@@ -81,9 +81,10 @@ def _quadratic_roots(c0: float, c1: float) -> list:
     With d = 1 + 4 c0 c1 and t = -(1 + sqrt d)/2 the larger root is t/(-c1)
     and the other c0/t, so neither subtracts. Each is formed in integer
     arithmetic on the exact ratios of c0 and c1, with sqrt d truncated
-    2^-64 below its exact value, and rounded once: a root is within half an
-    ulp of the exact one, plus a 2^-64 relative part, at any magnitude. For
-    d < 0 the roots are the conjugate pair (1 +- i sqrt(-d))/(2 c1).
+    2^-64 below its exact value, and rounded once by :func:`_quotient`: a
+    root is within half an ulp of the exact one, plus a 2^-64 relative part,
+    and +-inf beyond the float range. For d < 0 the roots are the conjugate
+    pair (1 +- i sqrt(-d))/(2 c1).
     """
     n0, m0 = c0.as_integer_ratio()
     n1, m1 = c1.as_integer_ratio()
@@ -91,10 +92,10 @@ def _quadratic_roots(c0: float, c1: float) -> list:
     scale = den << 64
     root = math.isqrt(abs(num) * den << 128)  # floor(scale sqrt|d|)
     if num < 0:
-        im = root * m1 / (2 * scale * abs(n1))
+        im = _quotient(root * m1, 2 * scale * abs(n1))
         return [complex(0.5 / c1, -im), complex(0.5 / c1, im)]
     s = scale + root  # -2t scale
-    return sorted((s * m1 / (2 * scale * n1), -2 * n0 * scale / (m0 * s)))
+    return sorted((_quotient(s * m1, 2 * scale * n1), _quotient(-2 * n0 * scale, m0 * s)))
 
 
 def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
@@ -126,29 +127,30 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
 
     A root within ``EDGE_REL`` of ``q_max`` triggers a
     :class:`RootAtGridBoundary` warning, since rounding may move it, or a
-    neighbour, across the window edge. Coefficients whose companion matrix
-    overflows raise :class:`InvalidInput`.
+    neighbour, across the window edge. A root in the window whose energy
+    -q^2 overflows raises :class:`InvalidInput`, and so, for N >= 2, do
+    coefficients whose companion matrix overflows.
     """
     if not q_max > Q_MIN_DEFAULT:
         raise InvalidInput(f"q_max must exceed {Q_MIN_DEFAULT:g}")
     if q_max == math.inf:
         raise InvalidInput("q_max must be finite")
-    # h(q) = sum_n c_n (-1)^n q^(2n) + q, in increasing powers of q.
-    coeffs = model.coeffs
-    h = [0.0] * max(2, 2 * len(coeffs) - 1)
-    h[0::2] = [-c if n % 2 else c for n, c in enumerate(coeffs)]
-    h[1] += 1.0
-    # The companion matrix holds h[n]/h[-1], which overflows when the top
-    # coefficient is tiny against the others; the largest such quotient,
-    # taken here in the same double arithmetic, shows it.
-    if max(map(abs, h)) / abs(h[-1]) == math.inf:
-        raise InvalidInput("the companion matrix of h(q) overflows")
-    n = len(h) - 1
-    if n == 1:
-        roots = [-h[0] / h[1]]
-    elif n == 2:
-        roots = _quadratic_roots(*coeffs)
+    degree = model.degree
+    if degree == 0:
+        roots = [-model.coeffs[0]]
+    elif degree == 1:
+        roots = _quadratic_roots(*model.coeffs)
     else:
+        # h(q) = sum_n c_n (-1)^n q^(2n) + q, in increasing powers of q.
+        n = 2 * degree
+        h = [0.0] * (n + 1)
+        h[0::2] = [-c if n % 2 else c for n, c in enumerate(model.coeffs)]
+        h[1] += 1.0
+        # The companion matrix holds h[n]/h[-1], which overflows when the top
+        # coefficient is tiny against the others; the largest such quotient,
+        # taken here in the same double arithmetic, shows it.
+        if max(map(abs, h)) / abs(h[-1]) == math.inf:
+            raise InvalidInput("the companion matrix of h(q) overflows")
         import numpy as np
 
         # numpy's polycompanion(h), built in place: ones on the subdiagonal
@@ -161,8 +163,11 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
         roots = eig.tolist()
     candidates: list[float] = []
     for z in map(complex, roots):  # sorted by real part
+        # A root beyond the float range, where abs(z) raises, lies outside
+        # every window, and as inf it would pass the tangent test below.
         # Im z >= 0 keeps one member of each conjugate pair.
-        if not 0.0 <= z.imag <= REAL_ROOT_REL * abs(z):
+        if not (math.hypot(z.real, z.imag) < math.inf
+                and 0.0 <= z.imag <= REAL_ROOT_REL * abs(z)):
             continue
         if candidates and z.real - candidates[-1] <= REAL_ROOT_REL * abs(z):
             # The other half of a tangent pole that rounding split into two
@@ -172,12 +177,15 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
             continue
         candidates.append(z.real)
     roots = sorted(
-        _polish(model, q, Q_MIN_DEFAULT, q_max) if n > 2 else q
+        _polish(model, q, Q_MIN_DEFAULT, q_max) if degree >= 2 else q
         for q in candidates if Q_MIN_DEFAULT < q <= q_max
     )
 
     states = []
     for q in roots:
+        energy = -q * q
+        if energy == -math.inf:
+            raise InvalidInput(f"the root q = {q:.6g} has an energy -q^2 that overflows")
         if q >= q_max * (1.0 - EDGE_REL):
             warnings.warn(
                 f"root q = {q:.6g} lies at the edge of the scan window q_max = {q_max:.6g}",
@@ -185,7 +193,6 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
                 stacklevel=2,
             )
         a2, sign = _normalization_parts(model, q)
-        energy = -q * q
         states.append(BoundState(q=q, energy=energy, a2=a2, norm_sign=sign))
     return states
 

@@ -347,7 +347,7 @@ def _add_sweep_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # main() strips only the exact --config, so an abbreviation must not parse.
+    # main() pre-parses only the exact --config, so an abbreviation must not parse.
     parser = argparse.ArgumentParser(
         prog="resokit",
         allow_abbrev=False,
@@ -495,27 +495,15 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-
-    # --config may appear anywhere on the line; strip it before parsing so
-    # subcommands do not have to declare it themselves.
-    config_path = os.environ.get("RESOKIT_CONFIG")
-    cleaned = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--config":
-            config_path = next(tokens, None)
-            if config_path is None:
-                parser.error("--config needs a path")
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-        else:
-            cleaned.append(token)
-    argv = cleaned
-    if config_path:
+    # --config may appear anywhere on the line; a one-flag pre-parser takes
+    # it out, so subcommands do not have to declare it themselves.
+    pre = argparse.ArgumentParser(prog="resokit", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", default=os.environ.get("RESOKIT_CONFIG"))
+    known, argv = pre.parse_known_args(sys.argv[1:] if argv is None else argv)
+    if known.config:
         try:
-            _apply_config(parser, _load_config(config_path))
+            _apply_config(parser, _load_config(known.config))
         except (OSError, ResokitError, ValueError) as exc:
             print(f"resokit: config error: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -18,6 +18,14 @@ from dataclasses import dataclass
 from .errors import InvalidInput
 
 
+def _quotient(num: int, den: int) -> float:
+    """num/den correctly rounded; +-inf beyond the float range, and inf for den = 0."""
+    try:
+        return num / den if den else math.inf
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
+
+
 @dataclass(frozen=True)
 class PhaseShiftModel:
     """Polynomial model g(E) = c_0 + c_1 E + ... + c_N E^N.

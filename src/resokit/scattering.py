@@ -9,9 +9,9 @@ Python scalar or an array of the same shape. Arrays are validated once,
 and the first offending entry decides the error, as if the points were
 evaluated in order. The arithmetic reproduces the scalar Python
 expressions bit for bit: complex division follows CPython's algorithm,
-and powers, moduli and atan2 go through the C library (``np.float_power``,
-``np.hypot`` and ``math.atan2``), because numpy's vectorized ``power``,
-complex ``abs`` and ``arctan2`` round differently in the last bit.
+squares are products, and moduli and atan2 go through the C library
+(``np.hypot`` and ``math.atan2``), because numpy's complex ``abs`` and
+``arctan2`` round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import DivergentAmplitude, InvalidInput
 
 def energy(k):
     """Relative energy E = k^2 of a wavenumber or an array of them."""
-    return np.float_power(np.asarray(k, dtype=float), 2.0)
+    k = np.asarray(k, dtype=float)
+    return k * k
 
 
 def _evaluate(model: PhaseShiftModel, k, positive: bool):
@@ -109,7 +110,8 @@ def cross_section(model: PhaseShiftModel, k, identical: bool = False):
     real, imag = _amplitude(k, g)
     factor = 8.0 * math.pi if identical else 4.0 * math.pi
     with np.errstate(over="ignore"):
-        return _result(factor * np.float_power(np.hypot(real, imag), 2.0))
+        modulus = np.hypot(real, imag)
+        return _result(factor * (modulus * modulus))
 
 
 def unitarity_residual(model: PhaseShiftModel, k):

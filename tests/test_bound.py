@@ -1,6 +1,7 @@
 """Bound-state location, normalization and the modified-norm identity."""
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -169,8 +170,8 @@ class TestFindBoundStates:
             bound.find_bound_states(CONST, q_max=1e-9)
 
     def test_overflowing_companion_matrix_rejected(self):
-        # h(q) = 1e-300 + q - 5e-324 q^2: the companion matrix holds 1/5e-324
-        model = PhaseShiftModel((1e-300, 5e-324))
+        # h(q) = 1e-300 + q + 5e-324 q^4: the companion matrix holds 1/5e-324
+        model = PhaseShiftModel((1e-300, 0.0, 5e-324))
         with pytest.raises(InvalidInput, match="companion matrix"):
             bound.find_bound_states(model, q_max=1e300)
 
@@ -260,23 +261,35 @@ class TestPolynomialRoots:
     def test_degree_one_over_the_float_range_against_mpmath(self):
         # c0 and c1 drawn apart over 1e-300..1e300, roots up to 1e308 apart:
         # eigenvalues of the companion matrix lose the smaller root of such
-        # a pair, the closed form keeps both within 2 ulps.
+        # a pair, the closed form keeps both within 2 ulps. A root in the
+        # window whose energy -q^2 overflows is rejected.
         rng = np.random.default_rng(1602)
-        checked = 0
-        while checked < 500:
+        rejected = 0
+        for _ in range(500):
             c0, c1 = ((-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-300.0, 300.0)
                       for _ in range(2))
-            if max(abs(c0), 1.0) / abs(c1) == math.inf:
-                continue  # rejected: the companion matrix overflows
             model = PhaseShiftModel((c0, c1))
-            states = bound.find_bound_states(model, 1e300)
             poles = mp_quadratic_poles(c0, c1, bound.Q_MIN_DEFAULT, 1e300, bound.REAL_ROOT_REL)
+            if any(q_mp * q_mp > sys.float_info.max for q_mp, _ in poles):
+                with pytest.raises(InvalidInput, match="energy -q\\^2 that overflows"):
+                    bound.find_bound_states(model, 1e300)
+                rejected += 1
+                continue
+            states = bound.find_bound_states(model, 1e300)
             assert len(states) == len(poles)
             for s, (q_mp, _) in zip(states, poles):
                 assert abs(s.q - q_mp) <= 2 * math.ulp(float(q_mp))
+                assert math.isfinite(s.energy) and not math.isnan(s.a2)
                 denom = 1 / q_mp - 2 * mp.mpf(c1)
                 assert s.norm_sign == ("positive" if denom > 0 else "negative")
-            checked += 1
+        assert rejected > 0
+
+    def test_roots_past_the_float_range(self):
+        # the larger root of h(q) = -1 + q -+ 1e-310 q^2 is +-1e310
+        assert bound._quadratic_roots(-1.0, 1e-310) == [1.0, math.inf]
+        assert bound._quadratic_roots(-1.0, -1e-310) == [-math.inf, 1.0]
+        # a conjugate pair with finite parts whose modulus overflows
+        assert bound.find_bound_states(PhaseShiftModel((-1.7e308, 4e-309)), q_max=1e300) == []
 
     @pytest.mark.parametrize("c0", [-1.0, -(1.0 + 1e-8) / 2.0])
     def test_complex_pair_not_reported(self, c0):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from resokit import cli
+from oracles import mp_quadratic_poles
+from resokit import bound, cli
 from resokit.verify import SYNTHETIC_SPECIES_CSV, CheckResult
 
 
@@ -141,6 +142,31 @@ class TestBoundStateCommand:
         assert report["version"]
         assert report["outputs"][0]["norm_sign"] == "positive"
         assert float(report["outputs"][0]["q"]) == pytest.approx(0.618034, rel=1e-6)
+
+    @pytest.mark.parametrize("argv, c0, c1, q_max", [
+        (["bound-state", "--a", "1e-10", "--rstar", "1e-300", "--qmax", "1e11"],
+         -1e10, -1e-300, 1e11),
+        (["modified-norm", "--a", "1", "--rstar=1e-310"], -1.0, -1e-310, 100.0),
+        (["modified-norm", "--a", "1", "--rstar=-1e-310"], -1.0, 1e-310, 100.0),
+    ])
+    def test_tiny_width_radius_against_mpmath(self, capsys, argv, c0, c1, q_max):
+        # 1/R* overflows: the other root of h is +-inf, and the pole stays exact
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        poles = mp_quadratic_poles(c0, c1, bound.Q_MIN_DEFAULT, q_max, bound.REAL_ROOT_REL)
+        assert len(rows) == len(poles) == 1
+        q_mp = poles[0][0]
+        assert abs(float(rows[0][0]) - q_mp) <= 2 * math.ulp(float(q_mp))
+        assert rows[0][3] == "positive"
+
+    @pytest.mark.parametrize("command", ["bound-state", "modified-norm"])
+    @pytest.mark.parametrize("coeffs", ["-1e-300,1e-200", "-1e200"])
+    def test_root_with_an_overflowing_energy_exits_2(self, capsys, command, coeffs):
+        # q = 1e200 lies in the window, and E = -q^2 overflows
+        code, out, err = run_cli(capsys, command, f"--coeffs={coeffs}", "--qmax", "1e300")
+        assert (code, out) == (2, "")
+        assert "input error" in err and "energy -q^2 that overflows" in err
 
 
 class TestTwoChannelCommand:
@@ -296,6 +322,14 @@ class TestConfig:
         cfg.write_text("a = 1.0\nk = 1.0\n")
         monkeypatch.setenv("RESOKIT_CONFIG", str(cfg))
         code, out, _ = run_cli(capsys, "amplitude")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0][2]) == -0.5
+
+    def test_config_equals_form_with_a_comment_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("# preset model\na = 1.0\n   # k below\nk = 1.0\n")
+        code, out, _ = run_cli(capsys, f"--config={cfg}", "amplitude")
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0][2]) == -0.5
@@ -572,7 +606,7 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "bound", "--lambda", "1", "--emol", "-1", "--eps", "1e-157"],
         ["two-channel", "bound", "--lambda", "1", "--emol", "0", "--eps", "1e-160",
          "--mass", "1e150"],
-        ["bound-state", "--coeffs", "1e-300,5e-324", "--qmax", "1e300"],
+        ["bound-state", "--coeffs", "1e-300,0,5e-324", "--qmax", "1e300"],
         ["bound-state", "--a", "1", "--rstar", "1", "--qmax", "inf", "--format", "json"],
         ["modified-norm", "--a", "1", "--rstar", "1", "--qmax", "inf"],
         # two-channel poles above -float_info.min and below -float_info.max
@@ -592,6 +626,14 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
          "--mass", "1e160"],
         ["two-channel", "sweep", "--a", "1", "--rstar", "1e-300", "--mass", "1e160",
          "--min", "0.1", "--max", "0.2", "--steps", "2"],
+        # missing, malformed or out-of-range inputs
+        ["amplitude", "--a", "1"],
+        ["amplitude", "--coeffs=1,x", "--k", "1"],
+        ["two-channel", "params", "--lambda", "1"],
+        ["two-channel", "params"],
+        ["two-channel", "sweep", "--min", "0.1", "--max", "0.2"],
+        ["feshbach", "sweep", "--species", "SPECIES", "--index", "5"],
+        ["two-channel", "params", "--a", "0", "--rstar", "1"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
@@ -691,8 +733,10 @@ def test_two_channel_and_classify_run_without_numpy(tmp_path):
         ["bound-state", "--a", "1", "--rstar", "1"],
         ["bound-state", "--a", "2", "--rstar", "-0.1", "--qmax", "5"],
         ["bound-state", "--coeffs=-0.3333333333333333,0.6666666666666666"],
+        ["bound-state", "--a", "1e-10", "--rstar", "1e-300", "--qmax", "1e11"],
         ["modified-norm", "--a", "1", "--rstar", "1"],
         ["modified-norm", "--a", "2", "--rstar", "-0.1"],
+        ["modified-norm", "--a", "1", "--rstar=1e-310"],
     ]
     script = """
 import contextlib, io, json, re, sys

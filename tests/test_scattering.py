@@ -135,7 +135,7 @@ class TestUnitarity:
         ks = np.geomspace(1e-2, 1e2, 200)
         expected = []
         for k in ks.tolist():
-            f = -1.0 / complex(-DEG6.g(k ** 2), k)
+            f = -1.0 / complex(-DEG6.g(k * k), k)
             expected.append(abs((1.0 / f).imag + k) / k)
         assert scattering.unitarity_residual(DEG6, ks).tolist() == expected
 

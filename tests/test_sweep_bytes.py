@@ -41,7 +41,7 @@ def amplitude_rows(coeffs, ks, identical):
     factor = 8.0 * math.pi if identical else 4.0 * math.pi
     rows = []
     for k in ks:
-        energy = k ** 2
+        energy = k * k
         g = _g(coeffs, energy)
         if k == 0.0:
             f = complex(1.0 / g, 0.0)
@@ -49,7 +49,7 @@ def amplitude_rows(coeffs, ks, identical):
         else:
             f = -1.0 / complex(-g, k)
             delta = math.atan2(k, g)
-            sigma = factor * abs(f) ** 2
+            sigma = factor * (abs(f) * abs(f))
         rows.append([_fmt(v) for v in (k, energy, f.real, f.imag, delta, sigma)])
     return rows
 

@@ -236,7 +236,8 @@ def _cmd_tc_bound(args) -> int:
     state = twochannel.bound_state(p)
     norm_residual = abs(state.open_norm + state.beta2 - 1.0)
     columns = ["E", "beta2", "A2_tail", "open_norm", "norm_residual"]
-    rows = [[state.energy, state.beta2, state.a_tail**2, state.open_norm, norm_residual]]
+    a2_tail = state.a_tail * state.a_tail
+    rows = [[state.energy, state.beta2, a2_tail, state.open_norm, norm_residual]]
     _write_output(args, "two-channel bound", _table(columns, rows), _echo_params(p),
                  {"norm": fmt(norm_residual)})
     return EXIT_OK
@@ -257,7 +258,7 @@ def _cmd_tc_sweep(args) -> int:
         report_id = twochannel.product_identity_check(p, state, state)
         rows.append([
             eps, a_eps, rstar_eps, state.energy, state.beta2,
-            state.a_tail**2, report_id.residual_beta,
+            state.a_tail * state.a_tail, report_id.residual_beta,
         ])
     inputs = {"a": args.a, "rstar": args.rstar, "mass": args.mass}
     _write_output(args, "two-channel sweep", _table(columns, rows), inputs)

@@ -136,29 +136,20 @@ class TwoChannelParams:
             raise InvalidInput("mass must be positive and finite")
         if not math.isfinite(self.e_mol):
             raise InvalidInput("molecular energy must be finite")
-        # The closed forms divide by eps^2 and lam^2; this also rejects
-        # lam = 0 and non-finite eps or lam.
-        if not (0.0 < self.eps * self.eps < math.inf and 0.0 < self.lam * self.lam < math.inf):
-            raise InvalidInput("eps and the coupling amplitude need finite, nonzero squares")
-        # lam^2 m^2 must neither underflow (m = 1e-300) nor overflow, and
-        # R* = 2 pi/(lam^2 m^2) and the molecular term 2 pi e_mol/(lam^2 m)
-        # of 1/a_eps must stay finite (e_mol = 1e308 overflows the second).
-        if not (
-            0.0 < (self.lam * self.lam) * (self.mass * self.mass) < math.inf
-            and math.isfinite(2.0 * math.pi * self.e_mol / (self.lam**2 * self.mass))
-            and math.isfinite(self._rstar)
-        ):
+        # The closed forms divide by eps^2; this also rejects a non-finite eps.
+        if not 0.0 < self.eps * self.eps < math.inf:
+            raise InvalidInput("regulator width eps needs a finite, nonzero square")
+        # R* = 2 pi/(m^2 lam^2), set once; lam = 0 or NaN and m^2 lam^2 or R*
+        # outside (0, inf) raise here
+        object.__setattr__(self, "_rstar", rstar_from_lambda(self.lam, self.mass))
+        # The molecular term 2 pi e_mol/(lam^2 m) of 1/a_eps must stay finite.
+        if not math.isfinite(2.0 * math.pi * self.e_mol / (self.lam * self.lam * self.mass)):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
 
     def chi(self, k: float) -> float:
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
         keps = k * self.eps
         return math.exp(-0.25 * (keps * keps))
-
-    @_cached
-    def _rstar(self) -> float:
-        """R* = 2 pi/(m^2 lam^2)."""
-        return rstar_from_lambda(self.lam, self.mass)
 
     @_cached
     def _threshold(self) -> tuple[float, float, float]:
@@ -396,25 +387,32 @@ def effective_params(p: TwoChannelParams) -> tuple[float, float]:
     return a_eps, -SQRT_2_OVER_PI * p.eps + p._rstar + tail
 
 
+def _rstar_map(x: float, mass: float) -> float:
+    """2 pi/(m^2 x): R* of x = lam^2 and lam^2 of x = R*, both in (0, inf) or InvalidInput."""
+    scale = (mass * mass) * x
+    value = 2.0 * math.pi / scale if 0.0 < scale < math.inf else math.inf
+    if value == math.inf:
+        raise InvalidInput(
+            f"lam^2 and R* = 2 pi/(m^2 lam^2) leave (0, inf) at {x!r}, mass {mass!r}"
+        )
+    return value
+
+
 def lambda_from_rstar(rstar: float, mass: float = 1.0) -> float:
     """Coupling amplitude reproducing a given width radius, lam = sqrt(2 pi/(m^2 R*))."""
-    if not rstar > 0.0:
-        raise InvalidInput("this mapping covers only rstar > 0")
-    return math.sqrt(2.0 * math.pi / (mass * mass * rstar))
+    return math.sqrt(_rstar_map(rstar, mass))
 
 
 def rstar_from_lambda(lam: float, mass: float = 1.0) -> float:
     """Width radius of the zero-range limit, R* = 2 pi/(m^2 lam^2)."""
-    if lam == 0.0:
-        raise InvalidInput("coupling amplitude must be nonzero")
-    return 2.0 * math.pi / (mass * mass * lam**2)
+    return _rstar_map(lam * lam, mass)
 
 
 def emol_for_target_a(a_target: float, p: TwoChannelParams) -> float:
     """Molecular energy that sets the scattering length to ``a_target``."""
     if a_target == 0.0:
         raise InvalidInput("target scattering length must be nonzero")
-    return (p.lam**2 * p.mass / (2.0 * math.pi)) * (
+    return (p.lam * p.lam * p.mass / (2.0 * math.pi)) * (
         SQRT_2_OVER_PI / p.eps - 1.0 / a_target
     )
 

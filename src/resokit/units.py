@@ -62,8 +62,13 @@ class UnitSystem:
         """SI values anchored so that the given atom mass and the Bohr radius map to 1."""
         if not atom_mass_kg > 0.0:
             raise InvalidInput("atom mass must be positive")
-        energy_j = HBAR_SI**2 / (atom_mass_kg * BOHR_RADIUS_SI**2)
+        mass_area = atom_mass_kg * BOHR_RADIUS_SI**2
+        energy_j = HBAR_SI**2 / mass_area if mass_area > 0.0 else math.inf
         field_t = energy_j / BOHR_MAGNETON_SI
+        # every scale factor 1/scale below must be finite and nonzero
+        if not all(0.0 < s < math.inf and 1.0 / s < math.inf
+                   for s in (energy_j, field_t, atom_mass_kg)):
+            raise InvalidInput(f"the SI scale factors leave the float range at {atom_mass_kg!r} kg")
         return cls(
             mode="si",
             length=1.0 / BOHR_RADIUS_SI,
@@ -178,7 +183,10 @@ def width_radius(res: ResonanceData) -> float:
     denom = res.mass * res.a_bg * res.dmu * res.delta_b
     if denom == 0.0:
         raise DegenerateResonance("a_bg * dmu * delta_b must be nonzero")
-    return res.units.hbar**2 / denom
+    rstar = res.units.hbar**2 / denom
+    if not 0.0 < abs(rstar) < math.inf:
+        raise InvalidInput(f"the width radius leaves the float range: {rstar!r}")
+    return rstar
 
 
 def vdw_length(res: ResonanceData) -> float:
@@ -187,7 +195,10 @@ def vdw_length(res: ResonanceData) -> float:
     The reduced mass is fixed to half the atom mass (identical particles);
     :class:`ResonanceData` guarantees c6 > 0 and mass > 0.
     """
-    return (0.5 * res.mass * res.c6 / res.units.hbar**2) ** 0.25
+    length = (0.5 * res.mass * res.c6 / res.units.hbar**2) ** 0.25
+    if not 0.0 < length < math.inf:
+        raise InvalidInput(f"the van der Waals length leaves the float range: {length!r}")
+    return length
 
 
 def classify_resonance(res: ResonanceData, threshold: float = 1.0) -> str:

@@ -457,7 +457,7 @@ GROUPS = {
 def run_battery(group: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run one named group of checks and return their results, each timed."""
     if group not in GROUPS:
-        raise KeyError(f"unknown verification group {group!r}")
+        raise InvalidInput(f"unknown verification group {group!r}")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     results = []

@@ -341,6 +341,11 @@ class TestWavefunction:
         with pytest.raises(InvalidInput):
             bound.wavefunction(self.make_state(), r)
 
+    @pytest.mark.parametrize("q, energy", [(-1.0, -1.0), (1.0, 0.0)])
+    def test_constructor_needs_a_bound_pole(self, q, energy):
+        with pytest.raises(InvalidInput, match="q > 0 and energy < 0"):
+            bound.BoundState(q=q, energy=energy, a2=1.0, norm_sign="positive")
+
     def test_negative_norm_state_rejected(self):
         state = bound.BoundState(q=1.0, energy=-1.0, a2=-0.5, norm_sign="negative")
         with pytest.raises(InvalidInput):

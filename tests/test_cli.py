@@ -634,6 +634,15 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
         ["two-channel", "sweep", "--min", "0.1", "--max", "0.2"],
         ["feshbach", "sweep", "--species", "SPECIES", "--index", "5"],
         ["two-channel", "params", "--a", "0", "--rstar", "1"],
+        # m^2 R* underflows to 0 in the mapping from R* to lam
+        ["two-channel", "params", "--a", "1", "--rstar", "1", "--mass", "1e-200"],
+        ["two-channel", "params", "--a", "1", "--rstar", "1e-320", "--mass", "1e-5"],
+        ["two-channel", "bound", "--a", "1", "--rstar", "1", "--mass", "1e-200"],
+        ["two-channel", "bound", "--a", "1", "--rstar", "1e-320", "--mass", "1e-5"],
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--mass", "1e-200",
+         "--min", "0.1", "--max", "0.2", "--steps", "2"],
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1e-320", "--mass", "1e-5",
+         "--min", "0.1", "--max", "0.2", "--steps", "2"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
@@ -642,6 +651,28 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "row, argv",
+    [
+        # the SI energy scale hbar^2/(m a0^2) underflows to 0
+        ("heavy,1e308,100.5,1e200,1e200,1e160,1e160", ["classify", "--units", "natural"]),
+        ("heavy,1e308,100.5,1e200,1e200,1e160,1e160", ["sweep"]),
+        # dmu underflows to 0 and m a_bg overflows: the width radius is inf * 0
+        ("x,1e200,1e30,1e30,1e-30,1e308,1e-320", ["classify", "--units", "si"]),
+        # m C6/hbar^2 underflows, so the van der Waals length is 0
+        ("light,1e-160,1e-160,1,1e-30,0.5,0.5", ["classify", "--units", "si"]),
+    ],
+    ids=["heavy-classify", "heavy-sweep", "x-width-radius", "light-vdw-length"],
+)
+def test_species_row_leaving_the_float_range_exits_2(capsys, tmp_path, row, argv):
+    path = tmp_path / "species.csv"
+    path.write_text(f"species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n{row}\n")
+    code, out, err = run_cli(capsys, "feshbach", *argv, "--species", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "float range" in err
 
 
 @pytest.mark.parametrize(

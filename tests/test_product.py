@@ -53,6 +53,9 @@ class TestEigenstate:
         s = ContactEigenstate.from_bound_state(state)
         assert s.amplitude == pytest.approx(math.sqrt(state.a2), rel=1e-15)
         assert s.energy == state.energy
+        negative = bound.BoundState(q=1.0, energy=-1.0, a2=-0.1, norm_sign="negative")
+        with pytest.raises(InvalidInput, match="no real amplitude"):
+            ContactEigenstate.from_bound_state(negative)
 
 
 class TestPlainOverlap:

@@ -137,7 +137,7 @@ def test_two_channel_bound_bytes(capsys, flags, make):
     p = make()
     s = tc.bound_state(p)
     norm_residual = abs(s.open_norm + s.beta2 - 1.0)
-    rows = [[_fmt(v) for v in (s.energy, s.beta2, s.a_tail**2, s.open_norm, norm_residual)]]
+    rows = [[_fmt(v) for v in (s.energy, s.beta2, s.a_tail * s.a_tail, s.open_norm, norm_residual)]]
     assert_bytes(capsys, ["two-channel", "bound", *flags],
                  ["E", "beta2", "A2_tail", "open_norm", "norm_residual"], rows,
                  "two-channel bound", _echo(p), {"norm": _fmt(norm_residual)})
@@ -157,7 +157,7 @@ def test_two_channel_sweep_bytes(capsys, a, rstar, mass, lo, hi, steps, log):
         s = tc.bound_state(p)
         res = tc.product_identity_check(p, s, s).residual_beta
         rows.append([_fmt(v) for v in
-                     (eps, a_eps, rstar_eps, s.energy, s.beta2, s.a_tail**2, res)])
+                     (eps, a_eps, rstar_eps, s.energy, s.beta2, s.a_tail * s.a_tail, res)])
     argv = ["two-channel", "sweep", "--a", repr(a), "--rstar", repr(rstar),
             "--mass", repr(mass), "--min", repr(lo), "--max", repr(hi),
             "--steps", str(steps)] + ["--log"] * log

@@ -226,6 +226,11 @@ class TestAmplitude:
         f = tc.amplitude(p, 1.42e5)
         assert f.real < 0.0 and 0.0 < abs(f) < 1e-300
 
+    def test_too_deep_below_threshold(self):
+        # the continued chi(k0)^2 = exp(1000) overflows
+        with pytest.raises(InvalidInput, match="too deep below threshold"):
+            tc.amplitude(tc.TwoChannelParams(1.0, 0.0, 1.0), -2000.0)
+
     def test_threshold_matches_effective_scattering_length(self):
         p = reference_params(eps=0.1)
         a_eps, _ = tc.effective_params(p)
@@ -362,6 +367,21 @@ class TestParameterMaps:
             tc.lambda_from_rstar(0.0)
         with pytest.raises(InvalidInput):
             tc.lambda_from_rstar(-1.0)
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            # m^2 R* and m^2 lam^2 underflow to 0, where 2 pi/(m^2 x) divided by zero
+            (tc.lambda_from_rstar, (1e-320, 1e-160)),
+            (tc.params_for_targets, (-1e100, 1e200, 3.0, 1e-320)),
+            (tc.rstar_from_lambda, (1e100, 0.0)),
+            # lam^2 overflows, which lam**2 raised as OverflowError
+            (tc.rstar_from_lambda, (1e308, 1e308)),
+        ],
+    )
+    def test_map_leaving_the_float_range_is_input_error(self, call, args):
+        with pytest.raises(InvalidInput, match="leave"):
+            call(*args)
 
     def test_emol_reference_value(self):
         p = tc.TwoChannelParams(lam=SQRT_2PI, e_mol=0.0, eps=0.1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from resokit import scattering, verify
+from resokit.errors import InvalidInput
 from resokit.contact import PhaseShiftModel
 from resokit.product import (
     ContactEigenstate,
@@ -137,3 +138,9 @@ def test_every_check_reports_python_floats(seed):
         assert type(result.worst) is float, result.name
         assert type(result.tolerance) is float, result.name
         assert type(result.passed) is bool, result.name
+
+
+@pytest.mark.parametrize("group, seed", [("bogus", verify.DEFAULT_SEED), ("all", -1)])
+def test_unknown_group_or_negative_seed_is_input_error(group, seed):
+    with pytest.raises(InvalidInput):
+        verify.run_battery(group, seed)

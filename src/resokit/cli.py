@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
 
 from . import __version__
 from .contact import PhaseShiftModel, parse_model_literal
@@ -45,6 +46,10 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
+# Rows per written block of an output table: only one block at a time is
+# held as Python floats and text.
+BLOCK_ROWS = 4096
+
 
 def fmt(value) -> str:
     """Locale-independent decimal with 17 significant digits."""
@@ -70,22 +75,50 @@ def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
 def _write_output(args, command: str, table: dict, inputs: dict, residuals=None) -> None:
     """Write ``table`` (column name -> values) as CSV or as the JSON report.
 
-    A column is a list or a numeric array. Numeric columns are written with
-    17 significant digits and text columns (of str) as they are; each row
-    goes through one ``%`` template.
+    A column is a list or a numeric array. Rows go through one ``%`` template
+    and are written in blocks of ``BLOCK_ROWS``: numbers with 17 significant
+    digits, text (str) as it is in CSV and as a JSON string in the report.
+    The report is the text ``json.dumps(indent=2, sort_keys=True)`` writes
+    for rows of strings, its rows spliced into the envelope ``_report``
+    writes with no rows.
     """
-    columns = [values.tolist() if hasattr(values, "tolist") else values
-               for values in table.values()]
-    specs = ["%s" if column and isinstance(column[0], str) else "%.17g"
-             for column in columns]
+    names = list(table)
+    columns = list(table.values())
+    texts = [len(column) > 0 and isinstance(column[0], str) for column in columns]
+    count = len(columns[0]) if columns else 0
     if args.format == "json":
-        cells = [list(map(spec.__mod__, column)) for spec, column in zip(specs, columns)]
-        outputs = [dict(zip(table, row)) for row in zip(*cells)]
-        text = _report(command, inputs, outputs, residuals or {})
+        from json.encoder import encode_basestring_ascii as quote
+
+        order = sorted(range(len(names)), key=names.__getitem__)
+        fields = ["\n      %s: %s" % (quote(names[i]).replace("%", "%%"),
+                                       "%s" if texts[i] else '"%.17g"') for i in order]
+        head, _, tail = _report(command, inputs, [], residuals or {}).partition(
+            '\n  "outputs": []')
+        template = "\n    {" + ",".join(fields) + "\n    }"
+        rows = _rows([columns[i] for i in order], count, template, ",",
+                     [quote if texts[i] else None for i in order])
+        chunks = chain([head, '\n  "outputs": ['], rows, ["\n  ]" if count else "]", tail])
     else:
-        lines = map(",".join(specs).__mod__, zip(*columns))
-        text = "\n".join([",".join(table), *lines]) + "\n"
-    _emit(args, text)
+        template = ",".join("%s" if text else "%.17g" for text in texts) + "\n"
+        chunks = chain([",".join(names) + "\n"],
+                       _rows(columns, count, template, "", [None] * len(names)))
+    _emit(args, chunks)
+
+
+def _rows(columns, count: int, template: str, sep: str, escapes):
+    """Text of the ``count`` rows of ``columns`` through ``template``, joined by ``sep``.
+
+    Yields one string per block of ``BLOCK_ROWS`` rows; a block's cells become
+    Python objects only when its turn comes, passed through its column's
+    ``escapes`` entry where that is not None.
+    """
+    for start in range(0, count, BLOCK_ROWS):
+        cells = []
+        for column, escape in zip(columns, escapes):
+            block = column[start:start + BLOCK_ROWS]
+            block = block.tolist() if hasattr(block, "tolist") else block
+            cells.append(block if escape is None else map(escape, block))
+        yield (sep if start else "") + sep.join(map(template.__mod__, zip(*cells)))
 
 
 def _table(columns, rows) -> dict:
@@ -93,13 +126,13 @@ def _table(columns, rows) -> dict:
     return {name: [row[i] for row in rows] for i, name in enumerate(columns)}
 
 
-def _emit(args, text: str) -> None:
-    """Write a command's whole output to ``--out`` or stdout."""
+def _emit(args, chunks) -> None:
+    """Write a command's output, an iterable of strings, to ``--out`` or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _grid(args, what: str):
@@ -325,7 +358,7 @@ def _cmd_verify(args) -> int:
         )
     else:
         text = "".join(r.line() + "\n" for r in results)
-    _emit(args, text)
+    _emit(args, [text])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

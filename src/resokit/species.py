@@ -24,7 +24,6 @@ from .units import (
     HARTREE_SI,
     ResonanceData,
     UnitSystem,
-    convert_resonance,
 )
 
 SPECIES_COLUMNS = (
@@ -36,6 +35,22 @@ SPECIES_COLUMNS = (
     "abg_a0",
     "dmu_muB",
 )
+
+
+# Dimension of each numeric column, in the order of SPECIES_COLUMNS[1:].
+_DIMENSIONS = ("mass", "c6", "field", "field", "length", "dmu")
+# Columns that must stay nonzero through the unit conversion: a resonance
+# has a mass, a C6 and a width.
+_NONZERO_COLUMNS = ("mass_amu", "C6_au", "DeltaB_G")
+
+
+def _converted(lineno: int, values, units: str, converted):
+    """``converted``, unless a nonzero column's value rounds to 0 in it."""
+    for column, value, result in zip(SPECIES_COLUMNS[1:], values, converted):
+        if result == 0.0 and value != 0.0 and column in _NONZERO_COLUMNS:
+            raise UnitError(f"line {lineno}: {column} = {value!r} underflows to 0 "
+                            f"in {units} units")
+    return converted
 
 
 def _data_lines(text: str):
@@ -89,23 +104,26 @@ def parse_species(text: str, mode: str = "natural") -> list[ResonanceData]:
         if db_g == 0.0:
             raise DegenerateResonance(f"line {lineno}: DeltaB_G must be nonzero")
 
-        mass_kg = mass_amu * ATOMIC_MASS_SI
-        si = UnitSystem.si(mass_kg)
-        res = ResonanceData(
-            a_bg=abg_a0 * BOHR_RADIUS_SI,
-            delta_b=db_g * GAUSS_SI,
-            b0=b0_g * GAUSS_SI,
-            dmu=dmu_mub * BOHR_MAGNETON_SI,
-            c6=c6_au * HARTREE_SI * BOHR_RADIUS_SI**6,
-            mass=mass_kg,
-            units=si,
-            species=name,
-        )
-        if mode == "natural":
-            res = convert_resonance(res, UnitSystem.natural())
-        elif mode == "atomic":
-            res = convert_resonance(res, UnitSystem.atomic(mass_kg))
-        out.append(res)
+        # the file's values in SI units, then in the requested ones
+        converted = _converted(lineno, values, "SI", (
+            mass_amu * ATOMIC_MASS_SI,
+            c6_au * HARTREE_SI * BOHR_RADIUS_SI**6,
+            b0_g * GAUSS_SI,
+            db_g * GAUSS_SI,
+            abg_a0 * BOHR_RADIUS_SI,
+            dmu_mub * BOHR_MAGNETON_SI,
+        ))
+        mass_kg = converted[0]
+        units = si = UnitSystem.si(mass_kg)
+        if mode != "si":
+            units = UnitSystem.natural() if mode == "natural" else UnitSystem.atomic(mass_kg)
+            converted = _converted(lineno, values, mode, [
+                si.convert(value, dimension, units)
+                for value, dimension in zip(converted, _DIMENSIONS)
+            ])
+        mass, c6, b0, delta_b, a_bg, dmu = converted
+        out.append(ResonanceData(a_bg=a_bg, delta_b=delta_b, b0=b0, dmu=dmu, c6=c6,
+                                 mass=mass, units=units, species=name))
     return out
 
 
@@ -115,8 +133,9 @@ def load_species(path, mode: str = "natural") -> list[ResonanceData]:
     ``mode`` selects the unit system the returned fields are expressed in.
     Natural units are anchored per row: each species' own mass maps to 1.
     Structural problems raise :class:`ParseError` with the line number,
-    unphysical field values raise :class:`UnitError`, and a zero resonance
-    width raises :class:`DegenerateResonance`.
+    unphysical field values and nonzero values that round to 0 in the
+    conversion raise :class:`UnitError`, and a zero resonance width raises
+    :class:`DegenerateResonance`.
     """
     with open(path, encoding="utf-8") as fh:
         return parse_species(fh.read(), mode=mode)

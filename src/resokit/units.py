@@ -181,9 +181,10 @@ def scattering_length_of_field(res: ResonanceData, field):
 def width_radius(res: ResonanceData) -> float:
     """Width radius hbar^2/(m a_bg dmu dB); sign follows the denominator."""
     denom = res.mass * res.a_bg * res.dmu * res.delta_b
-    if denom == 0.0:
+    if denom == 0.0 and 0.0 in (res.a_bg, res.dmu):
         raise DegenerateResonance("a_bg * dmu * delta_b must be nonzero")
-    rstar = res.units.hbar**2 / denom
+    # nonzero factors whose product underflows put R* past the float range
+    rstar = res.units.hbar**2 / denom if denom != 0.0 else math.inf
     if not 0.0 < abs(rstar) < math.inf:
         raise InvalidInput(f"the width radius leaves the float range: {rstar!r}")
     return rstar

@@ -287,6 +287,20 @@ class TestFeshbachCommand:
         assert (code, out) == (2, "")
         assert "threshold must be finite" in err
 
+    # README, exit codes: a species value that rounds to 0 in the unit
+    # conversion is an input error that names its line and column.
+    @pytest.mark.parametrize("command", [["classify"], ["sweep", "--min", "1", "--max", "2"]])
+    def test_underflowing_species_value_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "species.csv"
+        path.write_text(SYNTHETIC_SPECIES_CSV + "tiny,86.909,1e-300,100.5,2.5,98.98,2.0\n")
+        line = len(SYNTHETIC_SPECIES_CSV.splitlines()) + 1
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(capsys, "feshbach", *command, "--species", str(path),
+                                    "--out", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == (f"resokit: input error: line {line}: C6_au = 1e-300 underflows "
+                       "to 0 in SI units\n")
+
 
 class TestConfig:
     def test_config_presets_flags(self, capsys, tmp_path):

@@ -79,6 +79,31 @@ class TestParsing:
             with pytest.raises(UnitError):
                 parse_species(HEADER + "\n" + bad_row + "\n")
 
+    # A value nonzero in the file that rounds to 0 in SI units, named with its
+    # line, in every mode (natural and atomic values go through SI).
+    @pytest.mark.parametrize("mode", ["natural", "si", "atomic"])
+    @pytest.mark.parametrize("column, row", [
+        ("mass_amu", "synthX,1e-300,4700.0,100.5,2.5,98.98,2.0"),
+        ("C6_au", "synthX,86.909,1e-300,100.5,2.5,98.98,2.0"),
+        ("DeltaB_G", "synthX,86.909,4700.0,100.5,1e-320,98.98,2.0"),
+    ])
+    def test_field_underflowing_to_zero_in_si_rejected_with_line(self, mode, column, row):
+        text = HEADER + "\nsynthA,86.909,4700.0,100.5,2.5,98.98,2.0\n# comment\n" + row + "\n"
+        with pytest.raises(UnitError) as err:
+            parse_species(text, mode=mode)
+        value = row.split(",")[SPECIES_COLUMNS.index(column)]
+        assert str(err.value) == f"line 4: {column} = {value} underflows to 0 in SI units"
+
+    # DeltaB_G = 1e-200 G of a 1e-200 u atom is 1e-204 T, but 3.8e-407 natural
+    # (or atomic) field units: the second conversion underflows.
+    @pytest.mark.parametrize("mode", ["natural", "atomic"])
+    def test_field_underflowing_to_zero_in_the_mode_rejected(self, mode):
+        text = HEADER + "\nsynthX,1e-200,4700.0,100.5,1e-200,98.98,2.0\n"
+        assert parse_species(text, mode="si")[0].delta_b == 1e-200 * 1e-4
+        with pytest.raises(UnitError) as err:
+            parse_species(text, mode=mode)
+        assert str(err.value) == f"line 2: DeltaB_G = 1e-200 underflows to 0 in {mode} units"
+
     def test_unknown_mode_rejected(self):
         from resokit.errors import InvalidInput
 

@@ -1,20 +1,29 @@
-"""Byte contract of the sweep tables.
+"""Byte contract of the sweep tables and of the table writer.
 
 Each expected table is rebuilt row by row with Python scalar arithmetic:
 f = -1/complex(-g, k) (CPython's complex division), delta = math.atan2(k, g),
-sigma = 4 pi |f|^2 (8 pi for identical bosons) with ``abs(complex)`` and
-``** 2``, E = k ** 2, and a(B) = a_bg (B - (B0 + dB))/(B - B0), every value
-written with ``format(v, ".17g")``. The CLI computes whole columns, so these
-loops are the reference its CSV and JSON bytes must reproduce exactly.
+sigma = 4 pi |f|^2 (8 pi for identical bosons) with ``abs(complex)`` squared
+by multiplication, E = k * k, and a(B) = a_bg (B - (B0 + dB))/(B - B0),
+every value written with ``format(v, ".17g")``. The CLI computes whole
+columns and writes them in blocks of rows, so these loops are the reference
+its CSV bytes and its whole JSON report (``json.dumps(indent=2,
+sort_keys=True)``, timestamp masked) must reproduce exactly.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resokit import cli
+from resokit import __version__, cli
 from resokit.species import load_species
 from resokit.verify import SYNTHETIC_SPECIES_CSV
 
@@ -65,8 +74,25 @@ def csv_text(header, rows):
     return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
 
 
-def json_outputs(header, rows):
-    return [dict(zip(header, row)) for row in rows]
+TIMESTAMP = re.compile(r'^  "timestamp": "[^"]*",$', re.MULTILINE)
+MASK = '  "timestamp": "<masked>",'
+
+
+def report_text(command, inputs, header, rows, residuals=None):
+    payload = {
+        "command": command,
+        "inputs": inputs,
+        "outputs": [dict(zip(header, row)) for row in rows],
+        "residuals": residuals or {},
+        "version": __version__,
+        "timestamp": "<masked>",
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def masked(text):
+    assert TIMESTAMP.search(text), text[:2000]
+    return TIMESTAMP.sub(MASK, text)
 
 
 def run(capsys, argv):
@@ -76,10 +102,10 @@ def run(capsys, argv):
     return out
 
 
-def assert_table(capsys, argv, header, rows):
+def assert_table(capsys, argv, header, rows, command, inputs):
     assert run(capsys, argv) == csv_text(header, rows)
-    report = json.loads(run(capsys, argv + ["--format", "json"]))
-    assert report["outputs"] == json_outputs(header, rows)
+    text = run(capsys, argv + ["--format", "json"])
+    assert masked(text) == report_text(command, inputs, header, rows)
 
 
 def _coeffs(degree, seed):
@@ -108,14 +134,18 @@ def test_amplitude_sweep_bytes(capsys, command, degree, lo, hi, steps, log, iden
             "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
     argv += ["--log"] * log + ["--identical"] * identical
     rows = amplitude_rows(coeffs, _grid(lo, hi, steps, log), identical)
-    assert_table(capsys, argv, AMPLITUDE_HEADER, rows)
+    inputs = {"coeffs": coeffs, "identical": identical, "min": lo, "max": hi,
+              "steps": steps, "log": log}
+    assert_table(capsys, argv, AMPLITUDE_HEADER, rows, command, inputs)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.37, 1.0, 12.5])
 def test_amplitude_point_bytes(capsys, k):
     argv = ["amplitude", "--a", "3", "--rstar", "0.7", "--k", repr(k)]
-    rows = amplitude_rows([-1.0 / 3.0, -0.7], [k], identical=False)
-    assert_table(capsys, argv, AMPLITUDE_HEADER, rows)
+    coeffs = [-1.0 / 3.0, -0.7]
+    rows = amplitude_rows(coeffs, [k], identical=False)
+    inputs = {"coeffs": coeffs, "identical": False, "k": k}
+    assert_table(capsys, argv, AMPLITUDE_HEADER, rows, "amplitude", inputs)
 
 
 @pytest.mark.parametrize("units", ["natural", "si"])
@@ -131,4 +161,96 @@ def test_field_sweep_bytes(capsys, tmp_path, units, index, log):
             "--units", units, "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
     argv += ["--log"] * log
     rows = field_rows(res, _grid(lo, hi, steps, log))
-    assert_table(capsys, argv, ("B", "a"), rows)
+    inputs = {"species_file": str(path), "units": units, "species": res.species,
+              "min": lo, "max": hi, "steps": steps, "log": log}
+    assert_table(capsys, argv, ("B", "a"), rows, "feshbach sweep", inputs)
+
+
+# Sweeps of exactly one block of rows and of two blocks plus one row.
+@pytest.mark.parametrize("steps", [cli.BLOCK_ROWS, 2 * cli.BLOCK_ROWS + 1])
+def test_amplitude_sweep_block_edges(capsys, steps):
+    coeffs = _coeffs(2, seed=steps)
+    argv = ["amplitude", "--coeffs=" + ",".join(repr(c) for c in coeffs),
+            "--min", "0.0", "--max", "7.0", "--steps", str(steps)]
+    rows = amplitude_rows(coeffs, _grid(0.0, 7.0, steps, False), identical=False)
+    inputs = {"coeffs": coeffs, "identical": False, "min": 0.0, "max": 7.0,
+              "steps": steps, "log": False}
+    assert_table(capsys, argv, AMPLITUDE_HEADER, rows, "amplitude", inputs)
+
+
+@pytest.mark.parametrize("steps", [cli.BLOCK_ROWS, 2 * cli.BLOCK_ROWS + 1])
+def test_field_sweep_block_edges(capsys, tmp_path, steps):
+    path = tmp_path / "species.csv"
+    path.write_text(SYNTHETIC_SPECIES_CSV)
+    res = load_species(str(path))[1]
+    lo, hi = res.b0 - 2.1 * abs(res.delta_b), res.b0 + 3.9 * abs(res.delta_b)
+    argv = ["feshbach", "sweep", "--species", str(path), "--index", "1",
+            "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
+    rows = field_rows(res, _grid(lo, hi, steps, False))
+    inputs = {"species_file": str(path), "units": "natural", "species": res.species,
+              "min": lo, "max": hi, "steps": steps, "log": False}
+    assert_table(capsys, argv, ("B", "a"), rows, "feshbach sweep", inputs)
+
+
+# ---------------------------------------------------------------- the writer
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 12345.678]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t,%é€😀'), st.characters()))
+
+
+def write_table(fmt, table, residuals=None):
+    """What ``_write_output`` writes for ``table`` to stdout."""
+    args = argparse.Namespace(format=fmt, out=None)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_output(args, "writer test", table, {"n": 1}, residuals)
+    return buf.getvalue()
+
+
+def assert_writer(table, residuals=None):
+    header = list(table)
+    cells = [[v if isinstance(v, str) else _fmt(v) for v in column] for column in table.values()]
+    rows = [list(row) for row in zip(*cells)]
+    assert write_table("csv", table) == csv_text(header, rows)
+    text = masked(write_table("json", table, residuals))
+    assert text == report_text("writer test", {"n": 1}, header, rows, residuals)
+
+
+def test_writer_empty_table():
+    table = {"q": [], "E": [], "norm_sign": []}
+    assert write_table("csv", table) == "q,E,norm_sign\n"
+    assert '\n  "outputs": [],\n' in write_table("json", table)
+    assert_writer(table, {"norm": "0"})
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5, 9])
+def test_writer_text_column_across_blocks(rows):
+    table = {"species": [f'sp"{i}\\é' for i in range(rows)],
+             "ratio": np.arange(rows) / 3.0, "class": ["narrow", "broad\n"] * (rows // 2)
+             + ["x"] * (rows % 2)}
+    with mock.patch.object(cli, "BLOCK_ROWS", 4):
+        assert_writer(table)
+
+
+@st.composite
+def tables(draw):
+    names = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(0, 9))
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(["array", "list", "text"]))
+        if kind == "text":
+            table[name] = draw(st.lists(texts, min_size=count, max_size=count))
+        else:
+            values = draw(st.lists(floats, min_size=count, max_size=count))
+            table[name] = np.array(values, dtype=float) if kind == "array" else values
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.integers(1, 4))
+def test_writer_against_reference_encoders(table, block_rows):
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        assert_writer(table)

@@ -107,8 +107,14 @@ class TestWidthRadius:
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateResonance):
-            width_radius(natural_res(a_bg=0.0))
+        for field in ("a_bg", "dmu"):
+            with pytest.raises(DegenerateResonance):
+                width_radius(natural_res(**{field: 0.0}))
+
+    def test_underflowing_product_is_out_of_range_not_degenerate(self):
+        # m a_bg dmu dB = 1e-400 rounds to 0, so R* = 1e400 overflows
+        with pytest.raises(InvalidInput, match="leaves the float range: inf"):
+            width_radius(natural_res(a_bg=1e-200, dmu=1e-200))
 
     def test_defining_product_every_mode(self):
         mass_kg = 86.909 * ATOMIC_MASS_SI

@@ -58,35 +58,6 @@ class PhaseShiftModel:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def scattering_length(self) -> float:
-        """a = -1/c_0 from g(0) = -1/a."""
-        if self.coeffs[0] == 0.0:
-            raise InvalidInput("c_0 = 0: scattering length is not defined")
-        return -1.0 / self.coeffs[0]
-
-    @property
-    def width_radius(self) -> float:
-        """R* = -c_1; zero for a constant model."""
-        if self.degree < 1:
-            return 0.0
-        return -self.coeffs[1]
-
-    @property
-    def effective_range(self) -> float:
-        """r_e = -2 R*, exact for the two-term model."""
-        return -2.0 * self.width_radius
-
-    def validity_scale(self) -> float:
-        """Energy scale 1/(mu r_e^2), mu = 1/2, bounding the model's low-energy window.
-
-        Informational only; evaluation is not restricted to it.
-        """
-        r_e = self.effective_range
-        if r_e == 0.0:
-            return math.inf
-        return 1.0 / (0.5 * (r_e * r_e))
-
     def g(self, energy):
         """Evaluate g(E) by Horner's rule; accepts scalars or arrays."""
         acc = 0.0

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .bound import BoundState
 from .contact import PhaseShiftModel
 from .errors import InvalidInput, KindMismatch, SingularSystem
 
@@ -48,12 +47,6 @@ class ContactEigenstate:
         if not energy >= 0.0:
             raise InvalidInput("scattering state needs energy >= 0")
         return cls(energy=energy, amplitude=complex(amplitude))
-
-    @classmethod
-    def from_bound_state(cls, state: BoundState) -> "ContactEigenstate":
-        if not (math.isfinite(state.a2) and state.a2 >= 0.0):
-            raise InvalidInput("state has no real amplitude (non-positive norm)")
-        return cls.bound(state.energy, math.sqrt(state.a2))
 
     @property
     def q(self) -> float:

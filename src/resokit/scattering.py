@@ -114,23 +114,13 @@ def cross_section(model: PhaseShiftModel, k, identical: bool = False):
         return _result(factor * (modulus * modulus))
 
 
-def unitarity_residual(model: PhaseShiftModel, k):
-    """|Im(1/f) + k| / k, zero up to rounding for real-coefficient models.
-
-    Validates k as every observable does, then evaluates
-    :func:`unitarity_kernel`.
-    """
-    k, _, g = _evaluate(model, k, positive=True)
-    return _result(unitarity_kernel(k, g))
-
-
 def unitarity_kernel(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """|Im(1/f) + k| / k from float arrays k > 0 and g(E(k)) that broadcast.
 
-    The arithmetic of :func:`unitarity_residual` without its validation, so
-    g of many models on one wavenumber grid, stacked into a 2-d array, is
-    one call. Every operation is elementwise, so each entry carries the
-    same bits as a one-model call on the same point.
+    Zero up to rounding for real-coefficient models. The wavenumbers are not
+    validated, so g of many models on one wavenumber grid, stacked into a
+    2-d array, is one call. Every operation is elementwise, so each entry
+    carries the same bits as a one-model call on the same point.
     """
     _, inv_imag = _complex_quotient(1.0, 0.0, *_amplitude(k, g))
     return np.abs(inv_imag + k) / k

@@ -39,16 +39,16 @@ SPECIES_COLUMNS = (
 
 # Dimension of each numeric column, in the order of SPECIES_COLUMNS[1:].
 _DIMENSIONS = ("mass", "c6", "field", "field", "length", "dmu")
-# Columns that must stay nonzero through the unit conversion: a resonance
-# has a mass, a C6 and a width.
-_NONZERO_COLUMNS = ("mass_amu", "C6_au", "DeltaB_G")
 
 
 def _converted(lineno: int, values, units: str, converted):
-    """``converted``, unless a nonzero column's value rounds to 0 in it."""
+    """``converted``, if each value is finite and nonzero where the file's value is."""
     for column, value, result in zip(SPECIES_COLUMNS[1:], values, converted):
-        if result == 0.0 and value != 0.0 and column in _NONZERO_COLUMNS:
+        if result == 0.0 and value != 0.0:
             raise UnitError(f"line {lineno}: {column} = {value!r} underflows to 0 "
+                            f"in {units} units")
+        if not math.isfinite(result):
+            raise UnitError(f"line {lineno}: {column} = {value!r} overflows to {result!r} "
                             f"in {units} units")
     return converted
 
@@ -133,8 +133,9 @@ def load_species(path, mode: str = "natural") -> list[ResonanceData]:
     ``mode`` selects the unit system the returned fields are expressed in.
     Natural units are anchored per row: each species' own mass maps to 1.
     Structural problems raise :class:`ParseError` with the line number,
-    unphysical field values and nonzero values that round to 0 in the
-    conversion raise :class:`UnitError`, and a zero resonance width raises
+    unphysical field values and values that leave the float range in the
+    conversion (infinite, or 0 from a nonzero value) raise
+    :class:`UnitError` with their line and column, and a zero resonance width raises
     :class:`DegenerateResonance`.
     """
     with open(path, encoding="utf-8") as fh:

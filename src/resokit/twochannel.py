@@ -68,21 +68,6 @@ _RYBICKI_OFFSETS = tuple(
     (n, n * RYBICKI_STEP) for n in range(-RYBICKI_TERMS, RYBICKI_TERMS + 1, 2)
 )
 
-# Open-channel overlaps of states whose decay constants differ by at most
-# this fraction of their sum average J by Gauss-Legendre, because the
-# difference of loop integrals cancels there. Against mpmath the average
-# stays within 1e-13 relative and the difference within 5e-12. The rule's
-# nodes and weights are numpy's leggauss(8), bit for bit (pinned by a test).
-OVERLAP_GAUSS_GAP = 0.2
-_GAUSS_NODES = (
-    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
-    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362
-)
-_GAUSS_WEIGHTS = (
-    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
-    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706
-)
-
 # exp(x) is finite exactly for x <= _LOG_FLOAT_MAX.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -106,20 +91,6 @@ POLE_RTOL_STEP = 4.0 * sys.float_info.epsilon
 POLE_MAX_STEPS = 100
 
 
-class _cached:
-    """cached_property storing by object.__setattr__, which keeps later attribute access fast."""
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class TwoChannelParams:
     """Coupling amplitude, molecular energy, regulator width, atom mass."""
@@ -130,45 +101,52 @@ class TwoChannelParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise InvalidInput("regulator width eps must be positive")
-        if not 0.0 < self.mass < math.inf:
-            raise InvalidInput("mass must be positive and finite")
-        if not math.isfinite(self.e_mol):
-            raise InvalidInput("molecular energy must be finite")
-        # The closed forms divide by eps^2; this also rejects a non-finite eps.
-        if not 0.0 < self.eps * self.eps < math.inf:
-            raise InvalidInput("regulator width eps needs a finite, nonzero square")
+        _check_width_and_mass(self.eps, self.mass)
         # R* = 2 pi/(m^2 lam^2), set once; lam = 0 or NaN and m^2 lam^2 or R*
         # outside (0, inf) raise here
         object.__setattr__(self, "_rstar", rstar_from_lambda(self.lam, self.mass))
+        if not math.isfinite(self.e_mol):
+            raise InvalidInput("molecular energy must be finite")
         # The molecular term 2 pi e_mol/(lam^2 m) of 1/a_eps must stay finite.
         if not math.isfinite(2.0 * math.pi * self.e_mol / (self.lam * self.lam * self.mass)):
             raise InvalidInput("the mapping to (a_eps, rstar_eps) overflows for these parameters")
+        # 1/a_eps, a_eps and eps^2/(2 a_eps), set once
+        object.__setattr__(self, "_threshold", _threshold_terms(self))
 
     def chi(self, k: float) -> float:
         """Form factor chi(k) = exp(-k^2 eps^2/4)."""
         keps = k * self.eps
         return math.exp(-0.25 * (keps * keps))
 
-    @_cached
-    def _threshold(self) -> tuple[float, float, float]:
-        """1/a_eps = D(0-) = (4 pi/m) B(0-), a_eps and eps^2/(2 a_eps).
 
-        The terms of B(0-) = -I(0) - e_mol/(2 lam^2) cancel by about a_eps/eps,
-        so it is formed in exact rational arithmetic, with sqrt(2 pi)/(4 pi^2)
-        to ``_LOOP_SCALE_BITS`` bits, and all three are rounded once from it,
-        with 4 pi as a float.
-        """
-        (mn, md), (en, ed) = self.mass.as_integer_ratio(), self.eps.as_integer_ratio()
-        (un, ud), (ln, ld) = self.e_mol.as_integer_ratio(), self.lam.as_integer_ratio()
-        fn, fd = _FOUR_PI_RATIO
-        # -I(0) = sn/sd, e_mol/(2 lam^2) = dn/dd, B(0-) = num/den, a_eps = an/ad.
-        sn, sd = _LOOP_SCALE_NUM * mn * ed, (md * en) << _LOOP_SCALE_BITS
-        dn, dd = un * ld * ld, 2 * ud * ln * ln
-        num, den = sn * dd - dn * sd, sd * dd
-        an, ad = mn * den * fd, md * num * fn
-        return _quotient(ad, an), _quotient(an, ad), _quotient(en * en * ad, 2 * ed * ed * an)
+def _check_width_and_mass(eps: float, mass: float) -> None:
+    """InvalidInput unless eps > 0 has a finite, nonzero square and 0 < mass < inf."""
+    if not eps > 0.0:
+        raise InvalidInput("regulator width eps must be positive")
+    if not 0.0 < mass < math.inf:
+        raise InvalidInput("mass must be positive and finite")
+    # The closed forms divide by eps^2; this also rejects a non-finite eps.
+    if not 0.0 < eps * eps < math.inf:
+        raise InvalidInput("regulator width eps needs a finite, nonzero square")
+
+
+def _threshold_terms(p: TwoChannelParams) -> tuple[float, float, float]:
+    """1/a_eps = D(0-) = (4 pi/m) B(0-), a_eps and eps^2/(2 a_eps).
+
+    The terms of B(0-) = -I(0) - e_mol/(2 lam^2) cancel by about a_eps/eps,
+    so it is formed in exact rational arithmetic, with sqrt(2 pi)/(4 pi^2)
+    to ``_LOOP_SCALE_BITS`` bits, and all three are rounded once from it,
+    with 4 pi as a float.
+    """
+    (mn, md), (en, ed) = p.mass.as_integer_ratio(), p.eps.as_integer_ratio()
+    (un, ud), (ln, ld) = p.e_mol.as_integer_ratio(), p.lam.as_integer_ratio()
+    fn, fd = _FOUR_PI_RATIO
+    # -I(0) = sn/sd, e_mol/(2 lam^2) = dn/dd, B(0-) = num/den, a_eps = an/ad.
+    sn, sd = _LOOP_SCALE_NUM * mn * ed, (md * en) << _LOOP_SCALE_BITS
+    dn, dd = un * ld * ld, 2 * ud * ln * ln
+    num, den = sn * dd - dn * sd, sd * dd
+    an, ad = mn * den * fd, md * num * fn
+    return _quotient(ad, an), _quotient(an, ad), _quotient(en * en * ad, 2 * ed * ed * an)
 
 
 @dataclass(frozen=True)
@@ -408,19 +386,18 @@ def rstar_from_lambda(lam: float, mass: float = 1.0) -> float:
     return _rstar_map(lam * lam, mass)
 
 
-def emol_for_target_a(a_target: float, p: TwoChannelParams) -> float:
-    """Molecular energy that sets the scattering length to ``a_target``."""
+def emol_for_target_a(a_target: float, lam: float, eps: float, mass: float = 1.0) -> float:
+    """Molecular energy that sets the scattering length to ``a_target`` at (lam, eps, mass)."""
     if a_target == 0.0:
         raise InvalidInput("target scattering length must be nonzero")
-    return (p.lam * p.lam * p.mass / (2.0 * math.pi)) * (
-        SQRT_2_OVER_PI / p.eps - 1.0 / a_target
-    )
+    return (lam * lam * mass / (2.0 * math.pi)) * (SQRT_2_OVER_PI / eps - 1.0 / a_target)
 
 
 def params_for_targets(a: float, rstar: float, eps: float, mass: float = 1.0) -> TwoChannelParams:
     """Parameter set holding (a_eps, R*) = (a, rstar) at regulator width eps."""
-    probe = TwoChannelParams(lam=lambda_from_rstar(rstar, mass), e_mol=0.0, eps=eps, mass=mass)
-    return TwoChannelParams(probe.lam, emol_for_target_a(a, probe), eps, mass)
+    lam = lambda_from_rstar(rstar, mass)
+    _check_width_and_mass(eps, mass)
+    return TwoChannelParams(lam, emol_for_target_a(a, lam, eps, mass), eps, mass)
 
 
 def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
@@ -538,35 +515,6 @@ def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, floa
 def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:
     """Zero-range-limit relation A = sqrt(2) m lam beta/(4 pi)."""
     return math.sqrt(2.0) * p.mass * p.lam * beta / (4.0 * math.pi)
-
-
-def open_channel_overlap(s1: TwoChannelBoundState, s2: TwoChannelBoundState) -> float:
-    """<1_open|2_open> = 2 lam^2 beta_1 beta_2 K for two states of one model.
-
-    K = int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)) is by partial
-    fractions (I(E_1) - I(E_2))/(E_2 - E_1), the mean of J over [E_2, E_1],
-    so 2 lam^2 K = c (r_1 - r_2)/(R* m (E_2 - E_1)) in the variables of D. In
-    decay constants it is S/(R* (kappa_1 + kappa_2)), with S the mean of the
-    bracket of J over [kappa_2, kappa_1], which gives the w of
-    :func:`bound_state` at E_1 = E_2. S is taken by Gauss-Legendre when the
-    kappas are within ``OVERLAP_GAUSS_GAP``. Otherwise, as in
-    :func:`_denominator`, the partial fraction subtracts the smaller pair,
-    r (shallow) or r - 1.
-    """
-    p = s1.params
-    k1, k2 = (_kappa(p, s.energy) for s in (s1, s2))
-    if abs(k1 - k2) <= OVERLAP_GAUSS_GAP * (k1 + k2):
-        mid, half = 0.5 * (k1 + k2), 0.5 * (k1 - k2)
-        mean = 0.5 * sum(
-            w * _shapes(p, mid + half * t)[2] for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
-        )
-        weight = mean / (k1 + k2)
-    else:
-        e1, e2 = s1.energy, s2.energy
-        (r1, l1, _), (r2, l2, _) = (_loop_terms(p, e) for e in (e1, e2))
-        shift = r1 - r2 if r1 + r2 < -(l1 + l2) else l1 - l2
-        weight = SQRT_2_OVER_PI / p.eps * shift / (p.mass * (e2 - e1))
-    return s1.beta * s2.beta * (weight / p._rstar)
 
 
 @dataclass(frozen=True)

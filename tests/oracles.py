@@ -184,38 +184,6 @@ def mp_pole_energy(lam, e_mol, eps, guess, mass=1.0):
     return float(-kappa * kappa / mass)
 
 
-def open_overlap_quadrature(lam, eps, e1, beta1, e2, beta2, mass=1.0):
-    """2 lam^2 beta_1 beta_2 int d3k/(2 pi)^3 chi^2/((E_1 - e_k)(E_2 - e_k)).
-
-    By adaptive quadrature of the radial integrand.
-    """
-    alpha = 0.5 * eps * eps
-
-    def integrand(k):
-        ek = k * k / mass
-        return k * k * math.exp(-alpha * k * k) / ((e1 - ek) * (e2 - ek))
-
-    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
-    return 2.0 * lam * lam * beta1 * beta2 * value / (2.0 * math.pi**2)
-
-
-def mp_open_overlap(lam, eps, e1, beta1, e2, beta2, mass=1.0, dps=60):
-    """2 lam^2 beta_1 beta_2 (I(E_1) - I(E_2))/(E_2 - E_1) at ``dps`` digits.
-
-    I - I(0) = -I(0) r with r of :func:`mp_loop_shapes`, so the difference
-    of the loop integrals is I(0) (r_2 - r_1), free of the common I(0).
-    """
-    with mp.workdps(dps):
-        eps, mass = mp.mpf(float(eps)), mp.mpf(float(mass))
-        loop_zero = -mass * mp.sqrt(2 * mp.pi) / (4 * mp.pi**2 * eps)
-        r1, r2 = (
-            mp_loop_shapes(mp.sqrt(-mass * mp.mpf(float(e))) * eps / mp.sqrt(2), dps)[0]
-            for e in (e1, e2)
-        )
-        k = loop_zero * (r2 - r1) / (mp.mpf(float(e2)) - mp.mpf(float(e1)))
-        return 2 * mp.mpf(float(lam)) ** 2 * mp.mpf(float(beta1)) * mp.mpf(float(beta2)) * k
-
-
 def mp_open_norm(lam, eps, mass, energy, dps=40):
     """open_norm = w/(1 + w) at the float parameters and energy, at ``dps`` digits.
 

@@ -132,8 +132,7 @@ class TestFindBoundStates:
             model = PhaseShiftModel(tuple(coeffs))
             for state in bound.find_bound_states(model, q_max=10.0):
                 residual = abs(model.g(state.energy) + state.q)
-                scale = max(abs(1.0 / model.scattering_length)
-                            if model.coeffs[0] != 0.0 else 0.0, state.q)
+                scale = max(abs(model.coeffs[0]), state.q)  # |c_0| = 1/|a|
                 assert residual < 1e-11 * scale
 
     def test_boundary_root_warns(self):

@@ -234,14 +234,15 @@ class TestTwoChannelCommand:
     def test_sweep_evaluates_the_threshold_bracket_once_per_row(self, capsys, monkeypatch):
         from resokit import twochannel
 
-        threshold = twochannel.TwoChannelParams._threshold
-        evaluate, evaluated = threshold.func, []
+        # one TwoChannelParams per row: a second instance built per row
+        # would evaluate the bracket twice
+        evaluate, evaluated = twochannel._threshold_terms, []
 
         def counted(p):
             evaluated.append(p)
             return evaluate(p)
 
-        monkeypatch.setattr(threshold, "func", counted)
+        monkeypatch.setattr(twochannel, "_threshold_terms", counted)
         code, out, _ = run_cli(
             capsys, "two-channel", "sweep", "--a", "1", "--rstar", "1",
             "--min", "0.01", "--max", "0.2", "--steps", "7",
@@ -657,6 +658,8 @@ def test_root_flags_are_not_abbreviated(capsys, argv):
          "--min", "0.1", "--max", "0.2", "--steps", "2"],
         ["two-channel", "sweep", "--a", "1", "--rstar", "1e-320", "--mass", "1e-5",
          "--min", "0.1", "--max", "0.2", "--steps", "2"],
+        # eps = 0 is rejected before the targets' e_mol divides by it
+        ["two-channel", "params", "--a", "1", "--rstar", "1", "--eps", "0"],
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
@@ -673,12 +676,12 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
         # the SI energy scale hbar^2/(m a0^2) underflows to 0
         ("heavy,1e308,100.5,1e200,1e200,1e160,1e160", ["classify", "--units", "natural"]),
         ("heavy,1e308,100.5,1e200,1e200,1e160,1e160", ["sweep"]),
-        # dmu underflows to 0 and m a_bg overflows: the width radius is inf * 0
-        ("x,1e200,1e30,1e30,1e-30,1e308,1e-320", ["classify", "--units", "si"]),
+        # every factor is nonzero, and their product m a_bg dmu dB underflows
+        ("y,1,4700,100.5,1,1e-300,1e-300", ["classify", "--units", "si"]),
         # m C6/hbar^2 underflows, so the van der Waals length is 0
         ("light,1e-160,1e-160,1,1e-30,0.5,0.5", ["classify", "--units", "si"]),
     ],
-    ids=["heavy-classify", "heavy-sweep", "x-width-radius", "light-vdw-length"],
+    ids=["heavy-classify", "heavy-sweep", "y-width-radius", "light-vdw-length"],
 )
 def test_species_row_leaving_the_float_range_exits_2(capsys, tmp_path, row, argv):
     path = tmp_path / "species.csv"
@@ -687,6 +690,28 @@ def test_species_row_leaving_the_float_range_exits_2(capsys, tmp_path, row, argv
     assert code == 2
     assert out == ""
     assert "input error" in err and "float range" in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # C6 and DeltaB overflow in natural units: a = inf on every row before
+        ("big,1e250,4700,100.5,1e100,98.98,2.0",
+         "line 2: C6_au = 4700.0 overflows to inf in natural units"),
+        # abg_a0 underflows in SI units: a = 0 on every row before
+        ("tiny,86.9,4700,100.5,2.5,1e-320,2.0",
+         "line 2: abg_a0 = 1e-320 underflows to 0 in SI units"),
+    ],
+    ids=["big", "tiny"],
+)
+def test_species_value_leaving_the_float_range_exits_2(capsys, tmp_path, row, message):
+    path = tmp_path / "species.csv"
+    path.write_text(f"species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n{row}\n")
+    code, out, err = run_cli(capsys, "feshbach", "sweep", "--species", str(path),
+                             "--min", "90", "--max", "110", "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"resokit: input error: {message}\n"
 
 
 @pytest.mark.parametrize(

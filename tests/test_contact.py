@@ -38,9 +38,7 @@ class TestConstruction:
 
     def test_accessor_round_trip(self):
         model = PhaseShiftModel.from_effective_range(2.5, -0.75)
-        assert model.scattering_length == pytest.approx(2.5, rel=1e-15)
-        assert model.width_radius == pytest.approx(-0.75, rel=1e-15)
-        assert model.effective_range == pytest.approx(1.5, rel=1e-15)
+        assert model.coeffs == (-1.0 / 2.5, 0.75)
 
     @given(
         a=st.floats(min_value=0.05, max_value=50.0),
@@ -48,12 +46,9 @@ class TestConstruction:
     )
     def test_accessor_round_trip_property(self, a, rstar):
         model = PhaseShiftModel.from_effective_range(a, rstar)
-        assert model.scattering_length == pytest.approx(a, rel=1e-12)
-        assert model.width_radius == pytest.approx(rstar, rel=1e-12, abs=1e-12)
-
-    def test_scattering_length_undefined_for_zero_c0(self):
-        with pytest.raises(InvalidInput):
-            _ = PhaseShiftModel((0.0, 1.0)).scattering_length
+        c0, c1 = (*model.coeffs, 0.0)[:2]  # R* = 0 strips c_1
+        assert -1.0 / c0 == pytest.approx(a, rel=1e-12)
+        assert -c1 == pytest.approx(rstar, rel=1e-12, abs=1e-12)
 
 
 class TestEvaluation:
@@ -94,16 +89,6 @@ class TestEvaluation:
         fd = richardson_derivative(model.g, energy, h0=1e-2)
         scale = max(abs(fd), abs(model.g_prime(energy)), 1.0)
         assert abs(model.g_prime(energy) - fd) / scale < 1e-8
-
-    def test_validity_scale(self):
-        assert PhaseShiftModel.from_effective_range(1.0).validity_scale() == math.inf
-        # r_e = -2 R*; scale = hbar^2/(mu r_e^2) = 1/(0.5 * 4) for R* = 1
-        model = PhaseShiftModel.from_effective_range(1.0, 1.0)
-        assert model.validity_scale() == pytest.approx(0.5, rel=1e-15)
-
-    def test_validity_scale_past_an_overflowing_square(self):
-        # r_e^2 = 4e320 overflows, so the scale is 0
-        assert PhaseShiftModel((1.0, -1e160)).validity_scale() == 0.0
 
 
 class TestLiteralParsing:

@@ -48,15 +48,6 @@ class TestEigenstate:
         with pytest.raises(KindMismatch):
             _ = ContactEigenstate.scattering(1.0, 1.0).q
 
-    def test_from_bound_state(self):
-        state = bound.find_bound_states(CONST, q_max=10.0)[0]
-        s = ContactEigenstate.from_bound_state(state)
-        assert s.amplitude == pytest.approx(math.sqrt(state.a2), rel=1e-15)
-        assert s.energy == state.energy
-        negative = bound.BoundState(q=1.0, energy=-1.0, a2=-0.1, norm_sign="negative")
-        with pytest.raises(InvalidInput, match="no real amplitude"):
-            ContactEigenstate.from_bound_state(negative)
-
 
 class TestPlainOverlap:
     def test_equal_states(self):

@@ -18,6 +18,12 @@ UNITARY = PhaseShiftModel((0.0,))  # g identically zero
 DEG6 = PhaseShiftModel((-0.73, 1.21, -0.44, 0.9, -1.37, 0.25, 0.61))
 
 
+def unitarity_residual(model, k):
+    """|Im(1/f) + k| / k of a model at wavenumbers k > 0."""
+    k = np.asarray(k, dtype=float)
+    return scattering.unitarity_kernel(k, model.g(scattering.energy(k)))
+
+
 class TestAmplitude:
     def test_threshold_value(self):
         assert scattering.amplitude(CONST, 0.0) == complex(-1.0, 0.0)
@@ -128,7 +134,7 @@ class TestUnitarity:
     def test_reference_models(self):
         for model in (CONST, EFF, UNITARY, DEG6):
             for k in (0.1, 1.0, 10.0):
-                assert scattering.unitarity_residual(model, k) < 1e-13
+                assert unitarity_residual(model, k) < 1e-13
 
     def test_residual_array_matches_scalar_complex_division(self):
         # the reference divides with CPython's complex arithmetic, point by point
@@ -137,7 +143,7 @@ class TestUnitarity:
         for k in ks.tolist():
             f = -1.0 / complex(-DEG6.g(k * k), k)
             expected.append(abs((1.0 / f).imag + k) / k)
-        assert scattering.unitarity_residual(DEG6, ks).tolist() == expected
+        assert unitarity_residual(DEG6, ks).tolist() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -146,7 +152,7 @@ class TestUnitarity:
     )
     def test_optical_theorem_property(self, coeffs, k):
         model = PhaseShiftModel(tuple(coeffs))
-        assert scattering.unitarity_residual(model, k) < 1e-13
+        assert unitarity_residual(model, k) < 1e-13
         # unitarity bound |f| <= 1/k
         assert abs(scattering.amplitude(model, k)) <= (1.0 / k) * (1.0 + 1e-13)
 

@@ -1,9 +1,12 @@
 """Species CSV ingestion and unit conversion."""
 
+import math
+import random
+
 import mpmath as mp
 import pytest
 
-from resokit.errors import DegenerateResonance, ParseError, UnitError
+from resokit.errors import DegenerateResonance, InvalidInput, ParseError, UnitError
 from resokit.species import SPECIES_COLUMNS, load_species, parse_species
 from resokit.units import (
     ATOMIC_MASS_SI,
@@ -86,6 +89,9 @@ class TestParsing:
         ("mass_amu", "synthX,1e-300,4700.0,100.5,2.5,98.98,2.0"),
         ("C6_au", "synthX,86.909,1e-300,100.5,2.5,98.98,2.0"),
         ("DeltaB_G", "synthX,86.909,4700.0,100.5,1e-320,98.98,2.0"),
+        ("abg_a0", "tiny,86.9,4700,100.5,2.5,1e-320,2.0"),
+        # m a_bg would overflow, but dmu_muB underflows first
+        ("dmu_muB", "x,1e200,1e30,1e30,1e-30,1e308,1e-320"),
     ])
     def test_field_underflowing_to_zero_in_si_rejected_with_line(self, mode, column, row):
         text = HEADER + "\nsynthA,86.909,4700.0,100.5,2.5,98.98,2.0\n# comment\n" + row + "\n"
@@ -104,9 +110,40 @@ class TestParsing:
             parse_species(text, mode=mode)
         assert str(err.value) == f"line 2: DeltaB_G = 1e-200 underflows to 0 in {mode} units"
 
-    def test_unknown_mode_rejected(self):
-        from resokit.errors import InvalidInput
+    # C6 and DeltaB of a 1e250 u atom are finite in SI units, infinite in
+    # natural and atomic ones: the first such column is named.
+    @pytest.mark.parametrize("mode", ["natural", "atomic"])
+    def test_field_overflowing_in_the_mode_rejected(self, mode):
+        text = HEADER + "\nbig,1e250,4700,100.5,1e100,98.98,2.0\n"
+        assert parse_species(text, mode="si")[0].delta_b == 1e100 * 1e-4
+        with pytest.raises(UnitError) as err:
+            parse_species(text, mode=mode)
+        assert str(err.value) == f"line 2: C6_au = 4700.0 overflows to inf in {mode} units"
 
+    def test_no_record_leaves_the_float_range(self):
+        # fields 10^U(-330, 330): each row loads with every value finite and
+        # nonzero where the file's is, or raises an input error
+        rng = random.Random(12)
+
+        def field(sign=""):
+            e = rng.uniform(-330.0, 330.0)
+            return f"{sign}{10.0 ** (e % 1.0):.6f}e{math.floor(e)}"
+
+        loaded = 0
+        for _ in range(2000):
+            fields = [field(), field(), *(field(rng.choice(("", "-"))) for _ in range(4))]
+            for mode in ("natural", "si", "atomic"):
+                try:
+                    (row,) = parse_species(f"{HEADER}\nz,{','.join(fields)}\n", mode=mode)
+                except (UnitError, InvalidInput, DegenerateResonance):
+                    continue
+                loaded += 1
+                values = (row.mass, row.c6, row.b0, row.delta_b, row.a_bg, row.dmu)
+                for value, text in zip(values, fields):
+                    assert math.isfinite(value) and (value != 0.0 or float(text) == 0.0), fields
+        assert loaded >= 2000
+
+    def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInput):
             parse_species(HEADER + "\n", mode="imperial")
 

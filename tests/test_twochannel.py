@@ -15,10 +15,8 @@ from oracles import (
     mp_loop_integral_above,
     mp_norm_integral,
     mp_open_norm,
-    mp_open_overlap,
     mp_pole_bracket,
     mp_pole_energy,
-    open_overlap_quadrature,
     richardson_derivative,
 )
 from resokit import twochannel as tc
@@ -383,15 +381,35 @@ class TestParameterMaps:
         with pytest.raises(InvalidInput, match="leave"):
             call(*args)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            *(((1.0, 1.0, eps), "regulator width eps must be positive")
+              for eps in (0.0, -1.0, math.nan)),
+            *(((1.0, 1.0, eps), "regulator width eps needs a finite, nonzero square")
+              for eps in (math.inf, 1e-200)),
+            *(((1.0, 1.0, 0.1, mass),
+               f"lam^2 and R* = 2 pi/(m^2 lam^2) leave (0, inf) at 1.0, mass {mass!r}")
+              for mass in (0.0, math.nan, math.inf)),
+            ((1.0, 1.0, 0.1, -1.0), "mass must be positive and finite"),
+            ((0.0, 1.0, 0.1), "target scattering length must be nonzero"),
+        ],
+    )
+    def test_targets_rejected_before_the_emol_formula(self, args, message):
+        # the checks and messages of a construction at e_mol = 0, run before
+        # e_mol = (lam^2 m/(2 pi)) (sqrt(2/pi)/eps - 1/a) divides by eps or a
+        with pytest.raises(InvalidInput) as err:
+            tc.params_for_targets(*args)
+        assert type(err.value) is InvalidInput and str(err.value) == message
+
     def test_emol_reference_value(self):
-        p = tc.TwoChannelParams(lam=SQRT_2PI, e_mol=0.0, eps=0.1)
-        emol = tc.emol_for_target_a(1.0, p)
+        emol = tc.emol_for_target_a(1.0, SQRT_2PI, 0.1)
         assert emol == pytest.approx(6.9788456080286536, rel=1e-14)
 
     def test_emol_round_trip(self):
         p = tc.TwoChannelParams(lam=1.7, e_mol=3.1, eps=0.2)
         a_eps, _ = tc.effective_params(p)
-        assert tc.emol_for_target_a(a_eps, p) == pytest.approx(p.e_mol, rel=1e-12)
+        assert tc.emol_for_target_a(a_eps, p.lam, p.eps) == pytest.approx(p.e_mol, rel=1e-12)
 
     def test_emol_grows_inversely_with_eps(self):
         # E_mol = C/eps - D at fixed target a; halving eps doubles C/eps
@@ -399,8 +417,7 @@ class TestParameterMaps:
         d = lam**2 / (2.0 * math.pi)  # the 1/a term for a = 1, m = 1
         values = []
         for eps in (0.1, 0.05, 0.025):
-            p = tc.TwoChannelParams(lam=lam, e_mol=0.0, eps=eps)
-            values.append(tc.emol_for_target_a(1.0, p) + d)
+            values.append(tc.emol_for_target_a(1.0, lam, eps) + d)
         assert values[1] / values[0] == pytest.approx(2.0, rel=1e-12)
         assert values[2] / values[1] == pytest.approx(2.0, rel=1e-12)
 
@@ -451,11 +468,6 @@ class TestKernels:
             assert tc._LOOP_SCALE == float(ref)
             scaled = ref * 2**tc._LOOP_SCALE_BITS
             assert abs(tc._LOOP_SCALE_NUM - scaled) <= 0.5
-
-    def test_gauss_legendre_rule_is_numpys(self):
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        assert [x.hex() for x in tc._GAUSS_NODES] == [x.hex() for x in nodes.tolist()]
-        assert [w.hex() for w in tc._GAUSS_WEIGHTS] == [w.hex() for w in weights.tolist()]
 
     def test_threshold_bracket_correctly_rounded(self):
         # 1/a_eps = (4 pi/m) B(0-), with 4 pi as a float, including near-edge
@@ -929,67 +941,37 @@ class TestProductIdentity:
     def test_two_distinct_states(self):
         eps = 0.05
         lam = tc.lambda_from_rstar(1.0)
-        base = tc.TwoChannelParams(lam=lam, e_mol=0.0, eps=eps)
-        p1 = tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(1.0, base), eps=eps)
-        p2 = tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(0.7, base), eps=eps)
+        p1 = tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(1.0, lam, eps), eps=eps)
+        p2 = tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(0.7, lam, eps), eps=eps)
         s1 = tc.bound_state(p1)
         s2 = tc.bound_state(p2)
         report = tc.product_identity_check(p1, s1, s2)
         assert s1.energy != s2.energy
-        assert tc.open_channel_overlap(s1, s2) > 0.0
         assert report.residual_beta < 0.1
 
-    def test_open_overlap_against_quadrature(self):
-        eps = 0.05
-        lam = tc.lambda_from_rstar(1.0)
-        base = tc.TwoChannelParams(lam=lam, e_mol=0.0, eps=eps)
-        states = [
-            tc.bound_state(
-                tc.TwoChannelParams(lam=lam, e_mol=tc.emol_for_target_a(a, base), eps=eps)
-            )
-            for a in (1.0, 0.7, 1.0 + 1e-8)
-        ]
-        for i, j in ((0, 0), (1, 1), (0, 1), (0, 2)):
-            s1, s2 = states[i], states[j]
-            oracle = open_overlap_quadrature(lam, eps, s1.energy, s1.beta, s2.energy, s2.beta)
-            assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-10)
-        assert tc.open_channel_overlap(states[0], states[0]) == pytest.approx(
-            states[0].open_norm, rel=1e-14
-        )
-
-    def test_open_overlap_is_a_python_float_on_both_branches(self):
-        p = reference_params(eps=0.1)
-        s1, s2 = (
-            tc.TwoChannelBoundState(params=p, energy=e, beta2=0.5, a_tail=1.0, open_norm=0.5)
-            for e in (-1.0, -4.0)
-        )
-        # equal kappas take Gauss-Legendre, kappas 1 and 2 the partial fraction
-        assert type(tc.open_channel_overlap(s1, s1)) is float
-        assert type(tc.open_channel_overlap(s1, s2)) is float
-
+    # The model has one bound state, so the only open-channel overlap is that
+    # of a state with itself: open_norm, with beta^2 its complement.
     def test_open_overlap_of_deep_states(self):
-        # x ~ 350 and 700: the difference of loop integrals on the series branch
-        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.5)
-        s1, s2 = (
-            tc.TwoChannelBoundState(params=p, energy=e, beta2=0.5, a_tail=1.0, open_norm=0.5)
-            for e in (-1e6, -4e6)
-        )
-        oracle = open_overlap_quadrature(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
-        assert tc.open_channel_overlap(s1, s2) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+        # x ~ 350 and 700: the bracket S of open_norm on its asymptotic series
+        for e_mol in (-1e6, -4e6):
+            s = tc.bound_state(tc.TwoChannelParams(lam=1.0, e_mol=e_mol, eps=0.5))
+            ref = mp_open_norm(1.0, 0.5, 1.0, s.energy)
+            assert s.open_norm == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a, eps", [(1e2, 1e-3), (1e4, 1e-3), (1e6, 1e-4)])
     def test_open_overlap_of_shallow_states(self, a, eps):
-        # I(E_1) and I(E_2) both sit near I(0), so the partial fraction must
-        # subtract the I - I(0) parts; the I parts lose log10(1/x) digits
-        s1, s2 = (tc.bound_state(tc.params_for_targets(t, 1.0, eps)) for t in (a, a / 3.0))
-        p = s1.params
-        oracle = mp_open_overlap(p.lam, p.eps, s1.energy, s1.beta, s2.energy, s2.beta)
-        assert tc.open_channel_overlap(s1, s2) == pytest.approx(float(oracle), rel=1e-14, abs=0.0)
+        # open_norm near 1 and a small beta^2 = R*/(R* + S/(2 kappa)), both
+        # to rounding
+        s = tc.bound_state(tc.params_for_targets(a, 1.0, eps))
+        ref = mp_open_norm(s.params.lam, s.params.eps, s.params.mass, s.energy)
+        assert s.open_norm == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+        assert s.beta2 == pytest.approx(float(1 - ref), rel=1e-14, abs=0.0)
 
     def test_open_overlap_at_tiny_mass(self):
         # m E ~ -1.6e-311 is subnormal: kappa must come from sqrt(m) sqrt(-E)
         s = tc.bound_state(tc.params_for_targets(1e10, 2.0 * math.pi / 1e-300, 1.0, mass=1e-150))
-        assert tc.open_channel_overlap(s, s) == pytest.approx(s.open_norm, rel=1e-15, abs=0.0)
+        ref = mp_open_norm(s.params.lam, s.params.eps, s.params.mass, s.energy)
+        assert s.open_norm == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
     def test_parameter_mismatch_rejected(self):
         p1 = reference_params(eps=0.1)

@@ -53,6 +53,7 @@ _EXPORTS = {
     "vdw_length": "units",
     "wavefunction": "bound",
     "width_radius": "units",
+    "width_ratio": "units",
 }
 
 __all__ = ["__version__", *_EXPORTS]

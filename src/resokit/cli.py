@@ -300,7 +300,7 @@ def _cmd_tc_sweep(args) -> int:
 
 def _cmd_fb_classify(args) -> int:
     from .species import load_species
-    from .units import classify_resonance, vdw_length, width_radius
+    from .units import vdw_length, width_radius, width_ratio
 
     # checked before the file is read, so that a table without rows fails too
     if not math.isfinite(args.threshold):
@@ -308,12 +308,10 @@ def _cmd_fb_classify(args) -> int:
     columns = ["species", "Rstar", "RvdW", "ratio", "class"]
     rows = []
     for res in load_species(args.species, mode=args.units):
-        rstar = width_radius(res)
-        rvdw = vdw_length(res)
-        rows.append([
-            res.species, rstar, rvdw, abs(rstar) / rvdw,
-            classify_resonance(res, threshold=args.threshold),
-        ])
+        rstar, rvdw = width_radius(res), vdw_length(res)
+        ratio = width_ratio(rstar, rvdw)
+        label = "narrow" if ratio > args.threshold else "broad"  # classify_resonance's rule
+        rows.append([res.species, rstar, rvdw, ratio, label])
     inputs = {"species_file": args.species, "units": args.units, "threshold": args.threshold}
     _write_output(args, "feshbach classify", _table(columns, rows), inputs)
     return EXIT_OK

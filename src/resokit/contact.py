@@ -37,10 +37,10 @@ class PhaseShiftModel:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(map(float, self.coeffs))
         if not cs:
             raise InvalidInput("model needs at least one coefficient")
-        if any(not math.isfinite(c) for c in cs):
+        if not all(map(math.isfinite, cs)):
             raise InvalidInput("coefficients must be finite")
         n = len(cs)
         while n > 1 and cs[n - 1] == 0.0:

@@ -161,7 +161,8 @@ def scattering_length_of_field(res: ResonanceData, field):
     Evaluated as a_bg (B - (B0 + dB))/(B - B0) so the zero crossing at
     B = B0 + dB is exact in floating point. Near the float limit the
     product overflows before the division; there the quotient is taken
-    first. ``field`` may be an array; any field exactly at B0 raises
+    first, and an a that still overflows raises :class:`InvalidInput`.
+    ``field`` may be an array; any field exactly at B0 raises
     :class:`PoleAtResonance`.
     """
     import numpy as np
@@ -174,7 +175,13 @@ def scattering_length_of_field(res: ResonanceData, field):
         a = res.a_bg * num / den
     overflowed = np.isinf(a)
     if overflowed.any():
-        a = np.where(overflowed, res.a_bg * (num / den), a)
+        with np.errstate(over="ignore"):
+            a = np.where(overflowed, res.a_bg * (num / den), a)
+        infinite = np.isinf(a)
+        if infinite.any():
+            raise InvalidInput(
+                f"the scattering length leaves the float range at B = {float(field[infinite][0])!r}"
+            )
     return a.item() if a.ndim == 0 else a
 
 
@@ -202,6 +209,17 @@ def vdw_length(res: ResonanceData) -> float:
     return length
 
 
+def width_ratio(rstar: float, rvdw: float) -> float:
+    """|R*| / R_vdW from the width radius and the van der Waals length.
+
+    Raises :class:`InvalidInput` unless the ratio is finite and nonzero.
+    """
+    ratio = abs(rstar) / rvdw
+    if not 0.0 < ratio < math.inf:
+        raise InvalidInput(f"the ratio |R*|/R_vdW leaves the float range: {ratio!r}")
+    return ratio
+
+
 def classify_resonance(res: ResonanceData, threshold: float = 1.0) -> str:
     """Classify as "narrow" iff |R*| / R_vdW strictly exceeds ``threshold``.
 
@@ -210,5 +228,5 @@ def classify_resonance(res: ResonanceData, threshold: float = 1.0) -> str:
     """
     if not math.isfinite(threshold):
         raise InvalidInput(f"threshold must be finite, got {threshold!r}")
-    ratio = abs(width_radius(res)) / vdw_length(res)
+    ratio = width_ratio(width_radius(res), vdw_length(res))
     return "narrow" if ratio > threshold else "broad"

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -712,6 +713,32 @@ def test_species_value_leaving_the_float_range_exits_2(capsys, tmp_path, row, me
     assert code == 2
     assert out == ""
     assert err == f"resokit: input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "row, argv, message",
+    [
+        # every value loads finite; a(B) overflows in both orders of evaluation
+        ("z,3.739972e-224,2.123391e284,-3.221319e-194,-7.615844e181,-4.967330e270,4.774495e-63",
+         ["sweep", "--units", "si", "--min", "1", "--max", "1e3", "--steps", "3"],
+         "the scattering length leaves the float range at B = 1.0"),
+        # R* and R_vdW are finite, |R*|/R_vdW overflows
+        ("z,5.345749e-227,1.449695e-71,-2.195110e-42,-8.511059e111,-2.134138e80,2.406779e-206",
+         ["classify"], "the ratio |R*|/R_vdW leaves the float range: inf"),
+        # R* and R_vdW are finite, |R*|/R_vdW underflows
+        ("z,1.520704e44,8.510565e233,8.278026e-164,-1.713847e162,4.517208e-74,-1.796615e149",
+         ["classify", "--units", "atomic"], "the ratio |R*|/R_vdW leaves the float range: 0.0"),
+    ],
+    ids=["sweep-a-inf", "classify-ratio-inf", "classify-ratio-0"],
+)
+def test_result_leaving_the_float_range_exits_2_without_warning(capsys, tmp_path, row, argv,
+                                                                 message):
+    path = tmp_path / "species.csv"
+    path.write_text(f"species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n{row}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "feshbach", *argv, "--species", str(path))
+    assert (code, out, err) == (2, "", f"resokit: input error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from resokit.units import (
     scattering_length_of_field,
     vdw_length,
     width_radius,
+    width_ratio,
 )
 
 
@@ -58,6 +59,16 @@ class TestScatteringLengthOfField:
             scattering_length_of_field(res, fields), res.a_bg, rtol=1e-15
         )
         assert scattering_length_of_field(res, 1.7e308) == pytest.approx(res.a_bg, rel=1e-15)
+
+    def test_overflowing_scattering_length_raises(self):
+        # a_bg (B - B0 - dB) = -1e300 and (B - B0 - dB)/(B - B0) = -1e300: both
+        # orders of evaluation overflow at B = 1e-300
+        res = natural_res(a_bg=1e300, delta_b=1.0, b0=0.0)
+        with pytest.raises(InvalidInput, match=r"float range at B = 1e-300$"):
+            scattering_length_of_field(res, 1e-300)
+        with pytest.raises(InvalidInput, match=r"float range at B = 3e-300$"):
+            scattering_length_of_field(res, np.array([2.0, 3e-300, 1e-300]))
+        assert scattering_length_of_field(res, 2.0) == 5e299
 
     def test_pole_raises(self):
         res = natural_res(b0=1.25)
@@ -180,6 +191,24 @@ class TestClassify:
         res = natural_res(a_bg=0.2)  # ratio = 5
         assert classify_resonance(res) == "narrow"
         assert classify_resonance(res, threshold=10.0) == "broad"
+
+    def test_width_ratio(self):
+        assert width_ratio(-5.0, 2.0) == 2.5
+        with pytest.raises(InvalidInput, match="float range: inf"):
+            width_ratio(1e300, 1e-300)
+        with pytest.raises(InvalidInput, match="float range: 0.0"):
+            width_ratio(-1e-300, 1e300)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(a_bg=1e-300, c6=1e-300), dict(a_bg=1e300, c6=1e300)],
+        ids=["ratio-inf", "ratio-0"],
+    )
+    def test_ratio_past_the_float_range_raises(self, overrides):
+        # R* and R_vdW are finite and nonzero; their quotient is not
+        res = natural_res(**overrides)
+        assert 0.0 < abs(width_radius(res)) < np.inf and 0.0 < vdw_length(res) < np.inf
+        with pytest.raises(InvalidInput, match="ratio"):
+            classify_resonance(res)
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_rejected(self, threshold):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from resokit import scattering, verify
+from resokit import scattering, twochannel, verify
 from resokit.errors import InvalidInput
 from resokit.contact import PhaseShiftModel
 from resokit.product import (
@@ -49,6 +49,55 @@ def _unitarity_per_model(seed):
         model = _random_model_numpy(rng, max_degree=6)
         worst = max(worst, float(_unitarity_residual(model, ks).max()))
     return worst
+
+
+def _loop_quadrature_one_energy(p, energy):
+    """The exp-sinh oracle for one energy: 1-D arrays and one dot per sum."""
+    m = p.mass
+    alpha = 0.5 * p.eps**2
+
+    def g(k):
+        return k * k * np.exp(-alpha * k * k)
+
+    x, w = verify._DE_X, verify._DE_W
+    if energy <= 0.0:
+        return float(w @ (g(x) / (energy - x * x / m))) / (2.0 * math.pi**2)
+    k0 = math.sqrt(m * energy)
+    u = k0 * x / (1.0 + x)
+    gp = g(k0 + u)
+    gm = g(k0 - u)
+    paired = (2.0 * k0 * (gp - gm) - u * (gp + gm)) / (u * (2.0 * k0 + u) * (2.0 * k0 - u))
+    inner = w @ (paired * k0 / (1.0 + x) ** 2)
+    k = 2.0 * k0 + x
+    tail = w @ (g(k) / (k * k - k0 * k0))
+    return float(-m * (inner + tail) / (2.0 * math.pi**2))
+
+
+def _loop_oracle_per_energy():
+    magnitudes = np.geomspace(1e-6, 100.0, 15).tolist()
+    by_sign = {-1.0: 0.0, 1.0: 0.0}
+    for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
+        p = twochannel.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps)
+        for sign, magnitude in ((s, mag) for s in by_sign for mag in magnitudes):
+            energy = sign * magnitude
+            closed = twochannel.loop_integral(p, energy).real
+            oracle = _loop_quadrature_one_energy(p, energy)
+            by_sign[sign] = max(by_sign[sign], abs(closed - oracle) / abs(oracle))
+    return by_sign[-1.0], by_sign[1.0]
+
+
+def _two_channel_sets(seed):
+    """The (params, k0 grid) pairs of the two-channel unitarity check, one draw at a time."""
+    rng = np.random.default_rng(seed + 1)
+    sets = []
+    for _ in range(50):
+        rstar = rng.uniform(0.2, 5.0)
+        eps = rng.uniform(0.05, 0.5)
+        p = twochannel.TwoChannelParams(
+            lam=twochannel.lambda_from_rstar(rstar), e_mol=rng.uniform(-5.0, 5.0), eps=eps
+        )
+        sets.append((p, np.geomspace(1e-3, 1.0 / eps, 40).tolist()))
+    return sets
 
 
 def _series_by_double_loop(model, s1, s2, plain):
@@ -148,3 +197,54 @@ def test_every_check_reports_python_floats(seed):
 def test_unknown_group_or_negative_seed_is_input_error(group, seed):
     with pytest.raises(InvalidInput):
         verify.run_battery(group, seed)
+
+
+@pytest.mark.parametrize("eps", (0.05, 0.1, 0.2, 0.5, 1.0))
+@pytest.mark.parametrize("sign", (-1.0, 1.0))
+def test_loop_oracle_block_equals_one_energy_calls(eps, sign):
+    p = twochannel.TwoChannelParams(lam=1.0, e_mol=0.0, eps=eps)
+    energies = [sign * magnitude for magnitude in np.geomspace(1e-6, 100.0, 15).tolist()]
+    block = verify.loop_integral_quadrature(p, energies)
+    assert all(type(value) is float for value in block)
+    assert block == [verify.loop_integral_quadrature(p, e) for e in energies]
+    assert block == [_loop_quadrature_one_energy(p, e) for e in energies]
+    assert verify.loop_integral_quadrature(p, energies[:1]) == block[:1]
+
+
+def test_loop_oracle_block_across_threshold_is_input_error():
+    p = twochannel.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1)
+    with pytest.raises(InvalidInput, match="one side of threshold"):
+        verify.loop_integral_quadrature(p, [-1.0, 1.0])
+
+
+def test_loop_oracle_check_equals_per_energy_loop():
+    result = verify.check_loop_oracle()
+    worst_neg, worst_pos = _loop_oracle_per_energy()
+    assert result.worst == max(worst_neg, worst_pos)
+    assert result.detail == (
+        f"E<0 worst {worst_neg:.2e} (tol 1e-10), E>0 Re worst {worst_pos:.2e} (tol 1e-8)"
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_channel_grids_equal_per_set_geomspace(seed, monkeypatch):
+    calls = []
+    inverse_amplitude = twochannel.inverse_amplitude
+
+    def record(p, energy):
+        calls.append((p, energy))
+        return inverse_amplitude(p, energy)
+
+    monkeypatch.setattr(twochannel, "inverse_amplitude", record)
+    result = verify.check_unitarity_two_channel(seed)
+    monkeypatch.undo()
+    sets = _two_channel_sets(seed)
+    epses = np.array([p.eps for p, _ in sets])
+    assert np.geomspace(1e-3, 1.0 / epses, 40, axis=1).tolist() == [grid for _, grid in sets]
+    assert calls == [(p, k0**2 / p.mass) for p, grid in sets for k0 in grid]
+    worst = 0.0
+    for p, grid in sets:
+        for k0 in grid:
+            inv = twochannel.inverse_amplitude(p, k0**2 / p.mass)
+            worst = max(worst, abs(inv.imag + k0) / k0)
+    assert result.worst == worst

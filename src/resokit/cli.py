@@ -50,6 +50,9 @@ EXIT_VERIFY = 4
 # held as Python floats and text.
 BLOCK_ROWS = 4096
 
+# Points of a sweep grid without --steps.
+SWEEP_STEPS = 50
+
 
 def fmt(value) -> str:
     """Locale-independent decimal with 17 significant digits."""
@@ -148,6 +151,8 @@ def _grid(args, what: str):
     # non-finite grid points
     if not math.isfinite(args.max - args.min):
         raise InvalidInput("sweep needs finite bounds with a finite max - min")
+    if args.steps is None:  # left unset so that --k can tell a given --steps
+        args.steps = SWEEP_STEPS
     if args.steps < 2:
         raise InvalidInput("sweep needs at least 2 steps")
     if args.log and args.min <= 0.0:
@@ -175,29 +180,34 @@ def _model_from_args(args) -> PhaseShiftModel:
 
 
 def _cmd_amplitude(args) -> int:
-    import numpy as np
-
     from . import scattering
 
     model = _model_from_args(args)
     inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
     if args.k is None:
+        import numpy as np
+
         ks = _grid(args, "a table without --k")
         inputs.update(min=args.min, max=args.max, steps=args.steps, log=args.log)
-    elif args.min is not None or args.max is not None:
-        raise InvalidInput("give either --k or a sweep (--min --max), not both")
+        f = scattering.amplitude(model, ks)
+        # delta and sigma are defined for k > 0 only; threshold rows read nan
+        above = ks > 0.0
+        delta = np.full_like(ks, math.nan)
+        delta[above] = scattering.phase_shift(model, ks[above])
+        sigma = np.full_like(ks, math.nan)
+        sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
+        columns = ks, scattering.energy(ks), f.real, f.imag, delta, sigma
+    elif args.min is not None or args.max is not None or args.steps is not None or args.log:
+        raise InvalidInput("give either --k or a sweep (--min --max --steps --log), not both")
     else:
-        ks = np.array([args.k], dtype=float)
-        inputs["k"] = args.k
-    f = scattering.amplitude(model, ks)
-    # delta and sigma are defined for k > 0 only; threshold rows read nan
-    above = ks > 0.0
-    delta = np.full_like(ks, math.nan)
-    delta[above] = scattering.phase_shift(model, ks[above])
-    sigma = np.full_like(ks, math.nan)
-    sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
-    table = {"k": ks, "E": scattering.energy(ks), "Re_f": f.real, "Im_f": f.imag,
-             "delta": delta, "sigma": sigma}
+        k = inputs["k"] = args.k
+        f = scattering.amplitude(model, k)
+        delta = sigma = math.nan
+        if k > 0.0:
+            delta = scattering.phase_shift(model, k)
+            sigma = scattering.cross_section(model, k, identical=args.identical)
+        columns = [[v] for v in (k, scattering.energy(k), f.real, f.imag, delta, sigma)]
+    table = dict(zip(("k", "E", "Re_f", "Im_f", "delta", "sigma"), columns))
     _write_output(args, args.command, table, inputs)
     return EXIT_OK
 
@@ -374,7 +384,7 @@ def _add_output_flags(parser) -> None:
 def _add_sweep_flags(parser) -> None:
     parser.add_argument("--min", type=float, help="sweep lower bound")
     parser.add_argument("--max", type=float, help="sweep upper bound")
-    parser.add_argument("--steps", type=int, default=50, help="sweep point count")
+    parser.add_argument("--steps", type=int, help=f"sweep point count (default {SWEEP_STEPS})")
     parser.add_argument("--log", action="store_true", help="log-spaced sweep grid")
 
 

@@ -72,6 +72,18 @@ class TestAmplitudeCommand:
         assert float(row["Re_f"]) == f.real
         assert float(row["Im_f"]) == f.imag
 
+    def test_sweep_defaults_to_50_steps(self, capsys, tmp_path):
+        # --steps stays unset until the sweep reads it; a switched-off --log
+        # preset does not conflict with --k
+        _, out, _ = run_cli(capsys, "amplitude", "--a", "1", "--min", "0.1", "--max", "1",
+                            "--format", "json")
+        report = json.loads(out)
+        assert report["inputs"]["steps"] == 50 and len(report["outputs"]) == 50
+        cfg = tmp_path / "off.conf"
+        cfg.write_text("log = off\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "amplitude", "--a", "1", "--k", "1")
+        assert code == 0 and len(parse_csv(out)[1]) == 1
+
     def test_deterministic_output(self, capsys):
         args = ("amplitude", "--a", "2", "--min", "0.01", "--max", "2.0", "--steps", "20")
         _, out1, _ = run_cli(capsys, *args)
@@ -401,6 +413,8 @@ class TestConfig:
         ("g = [-2, -1]", ["bound-state", "--a", "1"]),
         ("a = 1", ["bound-state", "--coeffs=-2,-1"]),
         ("rstar = 0.5", ["amplitude", "--coeffs=-1,-1", "--k", "1"]),
+        ("steps = 7", ["amplitude", "--a", "1", "--k", "1"]),
+        ("log = on", ["phase-shift", "--a", "1", "--k", "1"]),
     ])
     def test_config_conflicting_with_flags_is_input_error(self, capsys, tmp_path, line, argv):
         cfg = tmp_path / "conflict.conf"
@@ -754,6 +768,9 @@ def test_result_leaving_the_float_range_exits_2_without_warning(capsys, tmp_path
         ["bound-state", "--a", "1", "--coeffs=-2,-1"],
         ["modified-norm", "--rstar", "0", "--coeffs=-1,-1"],
         ["amplitude", "--a", "1", "--rstar", "1", "--coeffs=-1,-1", "--k", "1"],
+        ["amplitude", "--a", "1", "--k", "0.5", "--log", "--steps", "7"],
+        ["phase-shift", "--a", "1", "--k", "0.5", "--steps", "50"],
+        ["amplitude", "--a", "1", "--k", "0.5", "--log"],
     ],
 )
 def test_conflicting_inputs_exit_2(capsys, argv):
@@ -814,11 +831,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     ]
 
 
-def test_two_channel_and_classify_run_without_numpy(tmp_path):
+def test_closed_form_commands_run_without_numpy(tmp_path):
     # With numpy blocked, these commands print what an unblocked process
     # prints, and the unblocked process loads no numpy, neither with
     # `import resokit.cli` nor running them. bound-state and modified-norm
-    # take degree-1 models, whose poles come in closed form.
+    # take degree-1 models, whose poles come in closed form; amplitude and
+    # phase-shift take one wavenumber, a float.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     commands = [
@@ -834,7 +852,13 @@ def test_two_channel_and_classify_run_without_numpy(tmp_path):
         ["modified-norm", "--a", "1", "--rstar", "1"],
         ["modified-norm", "--a", "2", "--rstar", "-0.1"],
         ["modified-norm", "--a", "1", "--rstar=1e-310"],
+        ["amplitude", "--a", "3", "--rstar", "0.7", "--k", "0.37"],
+        ["phase-shift", "--coeffs=-0.7,1.3,-0.2,0.05", "--k", "1.5"],
+        ["amplitude", "--a", "1", "--k", "0", "--identical"],
+        # a negative wavenumber is an input error on the scalar route too
+        ["amplitude", "--a", "1", "--k", "-1"],
     ]
+    codes = [0] * 2 * (len(commands) - 1) + [2] * 2
     script = """
 import contextlib, io, json, re, sys
 if sys.argv[1] == "block":
@@ -860,8 +884,8 @@ print(json.dumps([runs, numpy]))
         results.append(json.loads(proc.stdout))
     (blocked, _), (plain, numpy) = results
     assert blocked == plain
-    assert [code for code, _ in plain] == [0] * 2 * len(commands)
-    assert all(text for _, text in plain)
+    assert [code for code, _ in plain] == codes
+    assert all(bool(text) == (code == 0) for code, text in plain)
     assert numpy == []
 
 

@@ -1,6 +1,8 @@
 """Scattering observables: amplitude, phase shift, cross section, unitarity."""
 
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import mp_amplitude, mp_arccot
 from resokit import scattering
 from resokit.contact import PhaseShiftModel
-from resokit.errors import DivergentAmplitude, InvalidInput
+from resokit.errors import DivergentAmplitude, InvalidInput, ResokitError
 
 CONST = PhaseShiftModel.from_effective_range(1.0)
 EFF = PhaseShiftModel.from_effective_range(1.0, 1.0)
@@ -163,3 +165,78 @@ class TestUnitarity:
                 f = scattering.amplitude(model, k)
                 delta = scattering.phase_shift(model, k)
                 assert abs(f) == pytest.approx(math.sin(delta) / k, rel=1e-12)
+
+
+class TestScalarRoute:
+    """A float wavenumber and a one-element array give the same bits and errors."""
+
+    OBSERVABLES = {
+        "amplitude": scattering.amplitude,
+        "phase_shift": scattering.phase_shift,
+        "cross_section": scattering.cross_section,
+        "cross_section_identical": partial(scattering.cross_section, identical=True),
+        "energy": lambda model, k: scattering.energy(k),
+    }
+    TYPES = {"amplitude": complex}
+
+    @staticmethod
+    def models():
+        # degree 0-4, coefficients over 10^+-300 with some zeros, and of order 1
+        rng = np.random.default_rng(29)
+        for degree in range(5):
+            for exponent in [300] * 8 + [0] * 8:
+                coeffs = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** rng.uniform(
+                    -exponent, exponent, degree + 1) * rng.uniform(1.0, 3.0, degree + 1)
+                coeffs[rng.random(degree + 1) < 0.1] = 0.0
+                yield PhaseShiftModel(tuple(coeffs.tolist()))
+
+    @staticmethod
+    def outcome(observable, model, k, pick):
+        try:
+            value = pick(observable(model, k))
+        except ResokitError as exc:
+            return type(exc), str(exc)
+        value = complex(value)
+        return value.real.hex(), value.imag.hex()
+
+    def assert_routes_agree(self, model, ks):
+        for name, observable in self.OBSERVABLES.items():
+            for k in ks:
+                scalar = self.outcome(observable, model, k, lambda v: v)
+                array = self.outcome(observable, model, np.array([k]), lambda v: v[0])
+                assert scalar == array, (name, model.coeffs, k)
+                if isinstance(scalar[0], str):
+                    assert type(observable(model, k)) is self.TYPES.get(name, float)
+
+    def test_bits_and_errors_agree(self):
+        rng = np.random.default_rng(2029)
+        fixed = [0.0, 5e-324, 3.3e-309, 1e154, 1.3e154, 1e308]
+        bad = [-1.0, -math.inf, math.inf, math.nan, 1e155]
+        for model in self.models():
+            drawn = 10.0 ** np.concatenate([rng.uniform(-320, 154, 12), rng.uniform(-2, 2, 12)])
+            self.assert_routes_agree(model, fixed + bad + drawn.tolist())
+            for k in bad:
+                with pytest.raises(InvalidInput, match="finite and nonnegative"):
+                    scattering.amplitude(model, k)
+        # |Re f| ~ |Im f|, where a modulus by math.hypot would differ in the last bit
+        for c0 in rng.uniform(-3.0, 3.0, 40).tolist():
+            self.assert_routes_agree(PhaseShiftModel((c0,)), rng.uniform(0.1, 3.0, 25).tolist())
+
+    def test_zero_energy_resonance_and_overflowing_modulus(self):
+        # g(0) = 0 at k = 0 raises on both routes
+        for model in (UNITARY, PhaseShiftModel((0.0, 1.0))):
+            self.assert_routes_agree(model, [0.0, 0.5])
+            with pytest.raises(DivergentAmplitude, match="zero-energy resonance"):
+                scattering.amplitude(model, 0.0)
+        # both parts of f are finite, its modulus is not
+        model = PhaseShiftModel((-3.3e-309,))
+        self.assert_routes_agree(model, [3.3e-309])
+        assert scattering.cross_section(model, 3.3e-309) == math.inf
+
+    def test_threshold_overflow_is_silent(self):
+        # Re f = 1/g(0) overflows to -inf without a warning on either route
+        model = PhaseShiftModel((-1e-312, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scattering.amplitude(model, 0.0) == complex(-math.inf, 0.0)
+            assert scattering.amplitude(model, np.array([0.0, 1.0]))[0] == complex(-math.inf, 0.0)

@@ -24,12 +24,11 @@ from .errors import (
     NoBoundState,
     NoConvergence,
     ParseError,
-    PoleHit,
     ResokitError,
 )
 
 # Every other ResokitError is an input error.
-NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence, PoleHit)
+NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence)
 
 # The verify subcommand's groups and default seed, kept here so that parsing
 # a command line does not import the battery; a test pins them to

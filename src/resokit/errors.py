@@ -29,10 +29,6 @@ class SingularSystem(ResokitError):
     """The linear system for the requested model construction is singular."""
 
 
-class PoleHit(ResokitError):
-    """Requested energy sits on a pole of the two-channel amplitude."""
-
-
 class NoBoundState(ResokitError):
     """The two-channel model has no bound-state pole below threshold."""
 
@@ -46,9 +42,11 @@ class ParameterMismatch(ResokitError):
 
 
 class ParseError(ResokitError):
-    """Malformed input file."""
+    """Malformed input file; the message starts with the line, and the column if known."""
 
     def __init__(self, message, line=None, column=None):
+        if line is not None:
+            message = f"line {line}{'' if column is None else f', column {column}'}: {message}"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -6,7 +6,8 @@ momentum-space form factor chi(k) = exp(-k^2 eps^2/4). Everything here is
 the two-body relative motion at zero total momentum, with hbar = 1 and the
 atom mass m the only mass, so the formulas carry no hbar.
 
-The scattering amplitude is f(E) = -chi(k0)^2/D(E), with the denominator
+The scattering amplitude is f(E) = -chi(k0)^2/D(E), evaluated as its
+inverse 1/f (:func:`inverse_amplitude`), with the denominator
 
     D(E) = (4 pi/m) [ (E - e_mol)/(2 lam^2) - I(E) ] = 1/a_eps + R* m E - c r(E),
 
@@ -25,16 +26,13 @@ import sys
 from dataclasses import dataclass
 
 from .contact import _quotient
-from .errors import InvalidInput, NoBoundState, NoConvergence, ParameterMismatch, PoleHit
+from .errors import InvalidInput, NoBoundState, NoConvergence, ParameterMismatch
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT_PI = math.sqrt(math.pi)
 
 # Tail extraction window fractions c in k = c/eps.
 TAIL_FRACTIONS = (0.05, 0.1)
-
-# amplitude() reports a pole where |D| <= POLE_RTOL times the largest real term it sums.
-POLE_RTOL = 1e-12
 
 # Below threshold I(E) carries the bracket sqrt(pi) x erfcx(x) - 1 and the
 # norm integral J the bracket (1 + 2x^2) erfcx(x) - 2x/sqrt(pi), at
@@ -252,7 +250,7 @@ def _loop_terms(p: TwoChannelParams, energy: float) -> tuple[float, float, float
 
 
 def _denominator(p: TwoChannelParams, energy: float):
-    """D(E) = (4 pi/m) B(E) = -chi(k0)^2/f(E), the real terms summed, and S or Im D.
+    """D(E) = (4 pi/m) B(E) = -chi(k0)^2/f(E) and S or Im D, for 1/f and the pole solve.
 
     With c = sqrt(2/pi)/eps, Re D = 1/a_eps + R* m E - c r = R* m (E - e_mol) - c (r - 1)
     (r and S or Im D from :func:`_loop_terms`). The form subtracting the
@@ -263,12 +261,10 @@ def _denominator(p: TwoChannelParams, energy: float):
     rise, loop, third = _loop_terms(p, energy)
     c = SQRT_2_OVER_PI / p.eps
     if rise < abs(loop):
-        terms = (p._threshold[0], p._rstar * p.mass * energy, c * rise)
-        real = terms[0] + terms[1] - terms[2]
+        real = p._threshold[0] + p._rstar * p.mass * energy - c * rise
     else:
-        terms = (p._rstar * p.mass * (energy - p.e_mol), c * loop)
-        real = terms[0] - terms[1]
-    return (real if energy < 0.0 else complex(real, third)), terms, third
+        real = p._rstar * p.mass * (energy - p.e_mol) - c * loop
+    return (real if energy < 0.0 else complex(real, third)), third
 
 
 def _series(coeffs, y: float) -> float:
@@ -312,18 +308,6 @@ def _shapes(p: TwoChannelParams, kappa: float) -> tuple[float, float, float]:
     return 1.0 + loop_shape, loop_shape, _series(_NORM_SERIES, y) / (x * SQRT_PI)
 
 
-def norm_integral(p: TwoChannelParams, energy: float) -> float:
-    """J(E) = -I'(E) = int d3k/(2 pi)^3 chi^2/(E - k^2/m)^2 = (m^2/(8 pi kappa)) S for E < 0."""
-    if not energy < 0.0:
-        raise InvalidInput("the norm integral needs an energy below threshold")
-    kappa = _kappa(p, energy)
-    shape = _shapes(p, kappa)[2]
-    norm = p.mass * p.mass / (8.0 * math.pi * kappa) * shape
-    if norm == math.inf:  # m^2/(8 pi kappa) overflowed; J itself may not
-        norm = p.mass / (8.0 * math.pi * kappa) * (p.mass * shape)
-    return norm
-
-
 def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     """1/f(E) = -D(E)/chi(k0)^2; safe on both sides of threshold.
 
@@ -335,22 +319,6 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
     if exponent > _LOG_FLOAT_MAX:
         raise InvalidInput(f"1/chi(k0)^2 overflows at E = {energy!r} above threshold")
     return complex(-_denominator(p, energy)[0] * math.exp(exponent))
-
-
-def amplitude(p: TwoChannelParams, energy: float) -> complex:
-    """f(E) = -chi(k0)^2/D(E), raising :class:`PoleHit` when D vanishes.
-
-    A vanishing D is the bound state, not a scattering point. Far above
-    threshold chi(k0)^2 underflows and f with it toward 0; far below it the
-    continued chi^2 overflows (:class:`InvalidInput`).
-    """
-    denominator, terms, _ = _denominator(p, energy)
-    if abs(denominator) <= POLE_RTOL * max(map(abs, terms)):
-        raise PoleHit(f"amplitude pole within tolerance at E = {energy!r}")
-    exponent = p.mass * energy * p.eps**2 / 2.0
-    if -exponent > _LOG_FLOAT_MAX:
-        raise InvalidInput("energy too deep below threshold for the continued amplitude")
-    return -math.exp(-exponent) / complex(denominator)
 
 
 def effective_params(p: TwoChannelParams) -> tuple[float, float]:
@@ -480,7 +448,7 @@ def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, floa
     raise :class:`NoConvergence`.
     """
     x, fmax = hi, sys.float_info.max
-    d, _, s = _denominator(p, x)
+    d, s = _denominator(p, x)
     if hi == -fmax or (d < 0.0 and hi == -sys.float_info.min) or (
         lo == -fmax and _denominator(p, lo)[0] > 0.0
     ):
@@ -500,7 +468,7 @@ def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, floa
         else:
             older, step = step, 0.5 * (hi - lo)
             new = -math.sqrt(-lo) * math.sqrt(-hi)
-        d_new, _, s_new = _denominator(p, new)
+        d_new, s_new = _denominator(p, new)
         if 0.0 < d <= d_new:
             # Only rounding of D keeps a step from D > 0 from lowering it. At
             # the convergence scale x is the better point; a longer step

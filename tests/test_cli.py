@@ -315,6 +315,28 @@ class TestFeshbachCommand:
         assert err == (f"resokit: input error: line {line}: C6_au = 1e-300 underflows "
                        "to 0 in SI units\n")
 
+    # A malformed species file names the line, and the column where one field is at fault.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("species,mass_amu\nsynthA,86.909\n",
+             "line 1: bad header 'species,mass_amu'; expected "
+             "'species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB'"),
+            ("species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n"
+             "synthA,86.909,4700.0,100.5,2.5,98.98\n",
+             "line 2: expected 7 fields, got 6"),
+            ("species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n"
+             "synthA,86.909,abc,100.5,2.5,98.98,2.0\n",
+             "line 2, column 3: field 'C6_au' is not a number: 'abc'"),
+        ],
+        ids=["bad-header", "short-row", "non-numeric-field"],
+    )
+    def test_parse_error_names_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "species.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "feshbach", "classify", "--species", str(path))
+        assert (code, out, err) == (2, "", f"resokit: input error: {message}\n")
+
 
 class TestConfig:
     def test_config_presets_flags(self, capsys, tmp_path):
@@ -368,6 +390,13 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg), "amplitude", "--a", "1", "--k", "1")
         assert code == 2
         assert "config error" in err
+
+    def test_config_line_without_equals_names_its_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("# comment\na = 1\nfoo\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "amplitude", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == "resokit: config error: line 3: expected 'key = value', got 'foo'\n"
 
     def test_values_typed_by_their_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -780,6 +809,20 @@ def test_conflicting_inputs_exit_2(capsys, argv):
     assert "input error" in err and "not both" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["amplitude", "--a=-1e-5", "--k", "1"],
+    ["two-channel", "params", "--lambda", "1", "--emol=-1e-3"],
+    ["feshbach", "sweep", "--min=-1e3", "--max", "1e3", "--steps", "3"],
+])
+def test_negative_exponent_values_in_flag_equals_form(capsys, species_file, argv):
+    # README: a negative value in exponent form is given as --flag=value
+    if argv[0] == "feshbach":
+        argv = argv + ["--species", species_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_verify_choices_match_battery():
     from resokit import verify
 
@@ -820,13 +863,13 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 p = twochannel.params_for_targets(1.0, 1.0, 0.1)
-print(repr(twochannel.amplitude(p, 0.5)))
+print(repr(twochannel.inverse_amplitude(p, 0.5)))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "(-0.5538946206952626+0.26756070946612925j)",
+        "(-1.4638271932297735-0.7071067811865476j)",
         "['scipy']",
     ]
 

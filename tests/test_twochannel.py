@@ -26,7 +26,6 @@ from resokit.errors import (
     InvalidInput,
     NoBoundState,
     ParameterMismatch,
-    PoleHit,
 )
 from resokit.verify import (
     BETA2_LIMIT,
@@ -187,20 +186,19 @@ class TestLoopIntegral:
 
 class TestNormIntegral:
     def test_against_mpmath_quadrature(self):
-        # x = kappa eps/sqrt(2) across both branches, incl. the series crossover
+        # the bracket S of J = (m^2/(8 pi kappa)) S, which bound_state's
+        # weight w = 2 lam^2 J carries, at x = kappa eps/sqrt(2) across both
+        # branches, incl. the series crossover
         xs = list(np.geomspace(1e-4, 1e6, 41)) + [6.9, 7.0, 7.1, 9.5]
         for mass in (1.0, 2.5):
             p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1, mass=mass)
             for x in xs:
-                kappa = float(x) * math.sqrt(2.0) / p.eps
-                energy = -(kappa**2) / mass
-                ref = float(mp_norm_integral(p.eps, energy, mass))
-                assert abs(tc.norm_integral(p, energy) - ref) <= 1e-11 * ref
-
-    def test_above_threshold_rejected(self):
-        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1)
-        with pytest.raises(InvalidInput):
-            tc.norm_integral(p, 0.0)
+                energy = -((float(x) * math.sqrt(2.0) / p.eps) ** 2) / mass
+                kappa = mp.sqrt(-mp.mpf(mass) * mp.mpf(energy))
+                j = mp_norm_integral(p.eps, energy, mass)
+                ref = float(j * 8 * mp.pi * kappa / mp.mpf(mass) ** 2)
+                shape = tc._shapes(p, tc._kappa(p, energy))[2]
+                assert abs(shape - ref) <= 1e-11 * ref
 
 
 class TestAmplitude:
@@ -214,27 +212,17 @@ class TestAmplitude:
     def test_far_above_threshold(self):
         # 1/chi(k0)^2 = exp(m E eps^2/2) overflows once m E eps^2/2 > 709.78
         p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=0.1)
-        f = tc.amplitude(p, 1e5)
-        assert f == 1.0 / tc.inverse_amplitude(p, 1e5)
-        assert f != 0.0 and math.isfinite(abs(f))
-        assert tc.amplitude(p, 1.5e5) == 0.0
+        inv = tc.inverse_amplitude(p, 1e5)
+        assert inv != 0.0 and math.isfinite(abs(inv))
         with pytest.raises(InvalidInput, match="overflows"):
             tc.inverse_amplitude(p, 1.5e5)
-        # just past the overflow f = -(m/4 pi) chi^2/B is subnormal
-        f = tc.amplitude(p, 1.42e5)
-        assert f.real < 0.0 and 0.0 < abs(f) < 1e-300
-
-    def test_too_deep_below_threshold(self):
-        # the continued chi(k0)^2 = exp(1000) overflows
-        with pytest.raises(InvalidInput, match="too deep below threshold"):
-            tc.amplitude(tc.TwoChannelParams(1.0, 0.0, 1.0), -2000.0)
 
     def test_threshold_matches_effective_scattering_length(self):
         p = reference_params(eps=0.1)
         a_eps, _ = tc.effective_params(p)
-        f0 = tc.amplitude(p, 0.0)
-        assert f0.imag == 0.0
-        assert f0.real == pytest.approx(-a_eps, rel=1e-12)
+        inv0 = tc.inverse_amplitude(p, 0.0)
+        assert inv0.imag == 0.0
+        assert inv0.real == pytest.approx(-1.0 / a_eps, rel=1e-12)
 
     def test_against_quadrature_assembled_oracle(self):
         lam = math.sqrt(2.0 * math.pi)
@@ -246,24 +234,25 @@ class TestAmplitude:
         chi2 = math.exp(-0.5 * (0.1 * k0) ** 2)
         bracket = (energy - p.e_mol) / (2.0 * lam**2) - complex(loop_re, loop_im)
         oracle = -(1.0 / (4.0 * math.pi)) * chi2 / bracket
-        got = tc.amplitude(p, energy)
-        assert abs(got - oracle) / abs(oracle) < 1e-8
+        got = tc.inverse_amplitude(p, energy)
+        assert abs(got - 1.0 / oracle) * abs(oracle) < 1e-8
 
-    def test_pole_raises(self):
+    def test_inverse_vanishes_at_the_pole(self):
+        # D is exactly 0 at bound_state's energy for these parameters
         p = reference_params(eps=0.1)
         state = tc.bound_state(p)
-        with pytest.raises(PoleHit):
-            tc.amplitude(p, state.energy)
+        inv = tc.inverse_amplitude(p, state.energy)
+        assert inv == 0.0 and math.copysign(1.0, inv.real) == -1.0
 
     def test_near_threshold_at_large_a(self):
         # (E - e_mol)/(2 lam^2) and I(E) cancel to 1e-13 of either here; the
-        # bracket sums B(0-) + E/(2 lam^2) - (I - I(0)) instead, so f is the
-        # effective-range amplitude and no pole
+        # bracket sums B(0-) + E/(2 lam^2) - (I - I(0)) instead, so 1/f is the
+        # effective-range one and nowhere near a pole
         p = tc.params_for_targets(1e10, 1.0, 1e-3)
         a_eps, _ = tc.effective_params(p)
         for energy in (1e-24, 1e-30):
-            f = tc.amplitude(p, energy)
-            assert f == pytest.approx(-1.0 / (1.0 / a_eps + 1j * math.sqrt(energy)), rel=1e-12)
+            inv = tc.inverse_amplitude(p, energy)
+            assert inv == pytest.approx(-(1.0 / a_eps + 1j * math.sqrt(energy)), rel=1e-12)
 
     @pytest.mark.parametrize(
         "a_range, eps_range",
@@ -297,9 +286,9 @@ class TestAmplitude:
             return dawson(x)
 
         monkeypatch.setattr(tc, "_dawson", counted)
-        f = tc.amplitude(reference_params(eps=0.1), 0.5)
+        inv = tc.inverse_amplitude(reference_params(eps=0.1), 0.5)
         assert len(calls) == 1
-        assert f == 1.0 / tc.inverse_amplitude(reference_params(eps=0.1), 0.5)
+        assert inv.imag == pytest.approx(-math.sqrt(0.5), rel=1e-12)
 
 
 class TestEffectiveParams:
@@ -518,9 +507,9 @@ class TestKernels:
 
         def recorded(p_, energy):
             calls.append(energy)
-            d, terms, s = denominator(p_, energy)
+            d, s = denominator(p_, energy)
             # the slope overflowing at the start makes the first Newton step zero
-            return d, terms, math.inf if len(calls) == 1 else s
+            return d, math.inf if len(calls) == 1 else s
 
         monkeypatch.setattr(tc, "_denominator", recorded)
         energy, s_root = tc._pole_energy(p, lo, hi)
@@ -528,14 +517,14 @@ class TestKernels:
         # the zero step from D(hi) > 0 is replaced by bisection of log|E|
         x1 = calls[1]
         assert x1 == -math.sqrt(-lo) * math.sqrt(-hi)
-        d1, _, s1 = denominator(p, x1)
+        d1, s1 = denominator(p, x1)
         assert d1 < 0.0
         kappa1 = math.sqrt(-p.mass * x1)
         assert x1 - d1 / (p.mass * (p._rstar + s1 / (2.0 * kappa1))) > hi
         # so is the Newton step from x1 that leaves [x1, hi]
         assert calls[2] == -math.sqrt(-x1) * math.sqrt(-hi)
         assert abs(energy - root) <= 4e-15 * abs(root)
-        assert s_root == denominator(p, energy)[2]
+        assert s_root == denominator(p, energy)[1]
 
     @pytest.mark.parametrize(
         "a_range, eps_range, draws",
@@ -740,7 +729,6 @@ class TestBoundState:
             x = kappa * mp.mpf(p.eps) / mp.sqrt(2)
             j = m**2 / (8 * mp.pi * kappa * mp.sqrt(mp.pi) * x**3)
             beta2 = 1 / (1 + 2 * mp.mpf(p.lam) ** 2 * j)
-        assert tc.norm_integral(p, state.energy) == pytest.approx(float(j), rel=1e-14)
         assert state.beta2 == pytest.approx(float(beta2), rel=1e-14)
         assert state.open_norm == 1.0
 
@@ -809,7 +797,6 @@ class TestBoundState:
         )
         state = tc.bound_state(p)
         assert_is_pole(p, state.energy)
-        assert tc.norm_integral(p, state.energy) == math.inf
         with mp.workdps(40):
             m = mp.mpf(p.mass)
             kappa = mp.sqrt(-m * mp.mpf(state.energy))
@@ -906,17 +893,17 @@ class TestBoundState:
 
 class TestZeroRangeAmplitudeConvergence:
     def test_amplitude_approaches_effective_range_model(self):
-        # at fixed E the difference to the one-channel amplitude is O(eps)
+        # at fixed E the difference to the one-channel 1/f is O(eps)
         from resokit import scattering
         from resokit.contact import PhaseShiftModel
 
         eff = PhaseShiftModel.from_effective_range(1.0, 1.0)
         energy = 0.01
-        f_ref = scattering.amplitude(eff, math.sqrt(energy))
+        inv_ref = 1.0 / scattering.amplitude(eff, math.sqrt(energy))
         gaps = []
         for eps in (0.2, 0.1, 0.05, 0.025):
-            f_2ch = tc.amplitude(reference_params(eps=eps), energy)
-            gaps.append(abs(f_2ch - f_ref))
+            inv_2ch = tc.inverse_amplitude(reference_params(eps=eps), energy)
+            gaps.append(abs(inv_2ch - inv_ref))
         for g1, g2 in zip(gaps, gaps[1:]):
             assert 1.5 < g1 / g2 < 2.5
 

@@ -137,10 +137,40 @@ def _emit(args, chunks) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _grid(args, what: str):
-    """The --min/--max/--steps/--log sweep grid; ``what`` names the sweep in errors."""
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """numpy.linspace(lo, hi, n) for n >= 2 as a list, by its arithmetic.
 
+    Point i is i * step + lo and the last point is hi; a step that underflows
+    to 0 (a subnormal span) takes numpy's i / (n - 1) * (hi - lo) + lo.
+    """
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
+def _exp10(x: float) -> float:
+    """10.0 ** x by the C library's pow; inf past the float range, as numpy's power."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def _grid(args, what: str):
+    """The --min/--max/--steps/--log sweep grid; ``what`` names the sweep in errors.
+
+    A log grid is 10.0 ** x (the C library's pow) over the linear grid of
+    math.log10(min) .. math.log10(max), with its end points min and max, so
+    its bits depend on the C library, not on the CPU. A grid of at most ``BLOCK_ROWS``
+    points is a list of floats, for the scalar expressions; a longer one is
+    a float array with the same points.
+    """
     if args.min is None or args.max is None:
         raise InvalidInput(f"{what} needs --min --max --steps")
     # written so that a NaN bound fails too
@@ -156,12 +186,26 @@ def _grid(args, what: str):
         raise InvalidInput("sweep needs at least 2 steps")
     if args.log and args.min <= 0.0:
         raise InvalidInput("log sweep needs min > 0")
-    space = np.geomspace if args.log else np.linspace
-    try:
-        return space(args.min, args.max, args.steps)
-    except ValueError as exc:
-        # numpy refuses a point count beyond its array size limit
-        raise InvalidInput(f"sweep has too many steps: {exc}") from None
+    lo, hi, n = args.min, args.max, args.steps
+    if args.log:
+        lo, hi = math.log10(lo), math.log10(hi)
+    if n <= BLOCK_ROWS:
+        grid = _linspace(lo, hi, n)
+        if args.log:
+            grid = list(map(_exp10, grid))
+    else:
+        import numpy as np
+
+        try:
+            grid = np.linspace(lo, hi, n)  # the bits of _linspace
+        except ValueError as exc:
+            # numpy refuses a point count beyond its array size limit
+            raise InvalidInput(f"sweep has too many steps: {exc}") from None
+        if args.log:
+            grid = np.fromiter(map(_exp10, grid.tolist()), float, n)
+    if args.log:
+        grid[0], grid[-1] = args.min, args.max
+    return grid
 
 
 def _model_from_args(args) -> PhaseShiftModel:
@@ -184,29 +228,35 @@ def _cmd_amplitude(args) -> int:
     model = _model_from_args(args)
     inputs = {"coeffs": list(model.coeffs), "identical": args.identical}
     if args.k is None:
-        import numpy as np
-
         ks = _grid(args, "a table without --k")
         inputs.update(min=args.min, max=args.max, steps=args.steps, log=args.log)
+    elif args.min is not None or args.max is not None or args.steps is not None or args.log:
+        raise InvalidInput("give either --k or a sweep (--min --max --steps --log), not both")
+    else:
+        ks = [args.k]
+        inputs["k"] = args.k
+    names = ("k", "E", "Re_f", "Im_f", "delta", "sigma")
+    # delta and sigma are defined for k > 0 only; threshold rows read nan
+    if isinstance(ks, list):
+        rows = []
+        for k in ks:
+            f = scattering.amplitude(model, k)
+            delta = sigma = math.nan
+            if k > 0.0:
+                delta = scattering.phase_shift(model, k)
+                sigma = scattering.cross_section(model, k, identical=args.identical)
+            rows.append((k, scattering.energy(k), f.real, f.imag, delta, sigma))
+        table = _table(names, rows)
+    else:
+        import numpy as np
+
         f = scattering.amplitude(model, ks)
-        # delta and sigma are defined for k > 0 only; threshold rows read nan
         above = ks > 0.0
         delta = np.full_like(ks, math.nan)
         delta[above] = scattering.phase_shift(model, ks[above])
         sigma = np.full_like(ks, math.nan)
         sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
-        columns = ks, scattering.energy(ks), f.real, f.imag, delta, sigma
-    elif args.min is not None or args.max is not None or args.steps is not None or args.log:
-        raise InvalidInput("give either --k or a sweep (--min --max --steps --log), not both")
-    else:
-        k = inputs["k"] = args.k
-        f = scattering.amplitude(model, k)
-        delta = sigma = math.nan
-        if k > 0.0:
-            delta = scattering.phase_shift(model, k)
-            sigma = scattering.cross_section(model, k, identical=args.identical)
-        columns = [[v] for v in (k, scattering.energy(k), f.real, f.imag, delta, sigma)]
-    table = dict(zip(("k", "E", "Re_f", "Im_f", "delta", "sigma"), columns))
+        table = dict(zip(names, (ks, scattering.energy(ks), f.real, f.imag, delta, sigma)))
     _write_output(args, args.command, table, inputs)
     return EXIT_OK
 

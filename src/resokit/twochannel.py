@@ -313,12 +313,18 @@ def inverse_amplitude(p: TwoChannelParams, energy: float) -> complex:
 
     Below threshold the form factor is analytically continued, which makes
     1/f the numerically tame direction (the continued chi^2 grows, its
-    inverse decays). Above it, where 1/chi^2 overflows, :class:`InvalidInput`.
+    inverse decays). Above it, where 1/chi^2 overflows, :class:`InvalidInput`;
+    also far below it, where -D/chi^2 underflows to 0 although D is not 0,
+    so that 0 means a pole.
     """
     exponent = p.mass * energy * p.eps**2 / 2.0  # -ln chi(k0)^2
     if exponent > _LOG_FLOAT_MAX:
         raise InvalidInput(f"1/chi(k0)^2 overflows at E = {energy!r} above threshold")
-    return complex(-_denominator(p, energy)[0] * math.exp(exponent))
+    d = _denominator(p, energy)[0]
+    inverse = complex(-d * math.exp(exponent))
+    if inverse == 0.0 and d != 0.0:
+        raise InvalidInput(f"1/f underflows at E = {energy!r} below threshold")
+    return inverse
 
 
 def effective_params(p: TwoChannelParams) -> tuple[float, float]:

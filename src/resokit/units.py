@@ -155,6 +155,22 @@ def convert_resonance(res: ResonanceData, to: UnitSystem) -> ResonanceData:
     )
 
 
+_POLE = "scattering length diverges at B = B0"
+
+
+def _a_of_field(res: ResonanceData, field: float) -> float:
+    """a(B) at one field by the arithmetic and errors of :func:`scattering_length_of_field`."""
+    if field == res.b0:
+        raise PoleAtResonance(_POLE)
+    num, den = field - (res.b0 + res.delta_b), field - res.b0
+    a = res.a_bg * num / den
+    if math.isinf(a):
+        a = res.a_bg * (num / den)
+        if math.isinf(a):
+            raise InvalidInput(f"the scattering length leaves the float range at B = {field!r}")
+    return a
+
+
 def scattering_length_of_field(res: ResonanceData, field):
     """Scattering length a(B) = a_bg (1 - dB/(B - B0)) at magnetic field B.
 
@@ -162,14 +178,19 @@ def scattering_length_of_field(res: ResonanceData, field):
     B = B0 + dB is exact in floating point. Near the float limit the
     product overflows before the division; there the quotient is taken
     first, and an a that still overflows raises :class:`InvalidInput`.
-    ``field`` may be an array; any field exactly at B0 raises
-    :class:`PoleAtResonance`.
+    ``field`` is a float, a list of floats (giving a list) or an array; a
+    field exactly at B0 raises :class:`PoleAtResonance`, ahead of any
+    overflow elsewhere in the list or array.
     """
+    if isinstance(field, (int, float)):
+        return _a_of_field(res, float(field))
+    if res.b0 in field:  # reported before any point is evaluated
+        raise PoleAtResonance(_POLE)
+    if isinstance(field, list):
+        return [_a_of_field(res, b) for b in field]
     import numpy as np
 
     field = np.asarray(field, dtype=float)
-    if (field == res.b0).any():
-        raise PoleAtResonance("scattering length diverges at B = B0")
     num, den = field - (res.b0 + res.delta_b), field - res.b0
     with np.errstate(over="ignore"):
         a = res.a_bg * num / den
@@ -178,10 +199,8 @@ def scattering_length_of_field(res: ResonanceData, field):
         with np.errstate(over="ignore"):
             a = np.where(overflowed, res.a_bg * (num / den), a)
         infinite = np.isinf(a)
-        if infinite.any():
-            raise InvalidInput(
-                f"the scattering length leaves the float range at B = {float(field[infinite][0])!r}"
-            )
+        if infinite.any():  # evaluated alone, the first such field raises
+            _a_of_field(res, float(field[infinite][0]))
     return a.item() if a.ndim == 0 else a
 
 

@@ -11,7 +11,8 @@ low-energy fit, anchored on the closed-form a_eps (:func:`fit_effective_params`)
 A randomized check draws its cases one at a time from a generator seeded
 by the battery seed plus a fixed offset, in a fixed order, so one seed
 fixes every draw and reproduces every ``worst`` value bit for bit on a
-given numpy. Only evaluation is batched, in three places: the one-channel
+given numpy and CPU (numpy picks its ``exp``, ``sinh``, ``cosh`` and
+``power`` kernels by the CPU). Only evaluation is batched, in three places: the one-channel
 unitarity check stacks the g values of all its models into one array, the
 two-channel one builds the wavenumber grids of all its drawn sets in one
 geomspace call, and the loop oracle evaluates the 15 energies of each

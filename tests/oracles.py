@@ -15,6 +15,29 @@ from scipy.integrate import quad
 mp.mp.dps = 40
 
 
+def sweep_grid(lo, hi, steps, log):
+    """The CLI's sweep grid as a list, by its defining formula.
+
+    A linear grid is numpy.linspace's arithmetic, point i = i * step + lo with
+    the last point hi, or i / (steps - 1) * (hi - lo) + lo where the step
+    underflows to 0. A log grid is 10.0 ** x (the C library's pow) over that
+    grid between math.log10(lo) and math.log10(hi), with the end points lo
+    and hi. np.geomspace can differ in the last bit: numpy sends its power and
+    log10 to vector kernels on CPUs with AVX-512.
+    """
+    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+    div = steps - 1
+    step = (b - a) / div
+    if step == 0.0:
+        points = [i / div * (b - a) + a for i in range(steps)]
+    else:
+        points = [i * step + a for i in range(steps)]
+    points[-1] = b
+    if log:
+        points = [lo] + [10.0**x for x in points[1:-1]] + [hi]
+    return points
+
+
 def mp_polyval(coeffs, x):
     """Polynomial sum via mpmath, highest precision, lowest cleverness."""
     x = mp.mpf(float(x))

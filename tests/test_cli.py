@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -879,7 +880,8 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     # prints, and the unblocked process loads no numpy, neither with
     # `import resokit.cli` nor running them. bound-state and modified-norm
     # take degree-1 models, whose poles come in closed form; amplitude and
-    # phase-shift take one wavenumber, a float.
+    # phase-shift take one wavenumber, a float, and the sweeps a grid of at
+    # most cli.BLOCK_ROWS points, a list of floats.
     species = tmp_path / "species.csv"
     species.write_text(SYNTHETIC_SPECIES_CSV)
     commands = [
@@ -898,6 +900,13 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
         ["amplitude", "--a", "3", "--rstar", "0.7", "--k", "0.37"],
         ["phase-shift", "--coeffs=-0.7,1.3,-0.2,0.05", "--k", "1.5"],
         ["amplitude", "--a", "1", "--k", "0", "--identical"],
+        ["amplitude", "--a", "1", "--rstar", "1", "--min", "0.1", "--max", "2", "--steps", "4",
+         "--log"],
+        ["phase-shift", "--coeffs=-0.7,1.3,-0.2", "--min", "0", "--max", "2", "--steps", "4"],
+        ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--min", "0.01", "--max", "0.2",
+         "--steps", "4", "--log"],
+        ["feshbach", "sweep", "--species", str(species), "--min", "0.0033", "--max", "0.0035",
+         "--steps", "4"],
         # a negative wavenumber is an input error on the scalar route too
         ["amplitude", "--a", "1", "--k", "-1"],
     ]
@@ -985,3 +994,27 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "resokit" in proc.stdout
+
+
+# Every parser's --help page, in the order of the command tree.
+HELP_COMMANDS = [
+    [], ["amplitude"], ["phase-shift"], ["bound-state"], ["modified-norm"],
+    ["two-channel"], ["two-channel", "params"], ["two-channel", "bound"],
+    ["two-channel", "sweep"], ["feshbach"], ["feshbach", "sweep"],
+    ["feshbach", "classify"], ["verify"],
+]
+
+
+def test_help_pages_are_pinned(capsys, monkeypatch):
+    # At 80 columns. Each usage paragraph is compared with its whitespace
+    # collapsed: Python 3.13 wraps usage lines differently from 3.10-3.12.
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for command in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as stop:
+            cli.main([*command, "--help"])
+        assert stop.value.code == 0
+        usage, _, body = capsys.readouterr().out.partition("\n\n")
+        pages.append(f"$ resokit {' '.join(command + ['--help'])}\n"
+                     f"{' '.join(usage.split())}\n\n{body}")
+    assert "".join(pages) == (Path(__file__).parent / "cli_help.txt").read_text()

@@ -11,9 +11,9 @@ timestamp masked.
 import json
 import re
 
-import numpy as np
 import pytest
 
+from oracles import sweep_grid
 from resokit import PhaseShiftModel, __version__, bound, cli
 from resokit import twochannel as tc
 from resokit.species import load_species
@@ -149,9 +149,8 @@ def test_two_channel_bound_bytes(capsys, flags, make):
     (4.0, 0.3, 2.0, 0.01, 0.3, 7, False),
 ])
 def test_two_channel_sweep_bytes(capsys, a, rstar, mass, lo, hi, steps, log):
-    grid = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
     rows = []
-    for eps in grid.tolist():
+    for eps in sweep_grid(lo, hi, steps, log):
         p = tc.params_for_targets(a, rstar, eps, mass)
         a_eps, rstar_eps = tc.effective_params(p)
         s = tc.bound_state(p)

@@ -4,9 +4,11 @@ Each expected table is rebuilt row by row with Python scalar arithmetic:
 f = -1/complex(-g, k) (CPython's complex division), delta = math.atan2(k, g),
 sigma = 4 pi |f|^2 (8 pi for identical bosons) with ``abs(complex)`` squared
 by multiplication, E = k * k, and a(B) = a_bg (B - (B0 + dB))/(B - B0),
-every value written with ``format(v, ".17g")``. The CLI computes whole
-columns and writes them in blocks of rows, so these loops are the reference
-its CSV bytes and its whole JSON report (``json.dumps(indent=2,
+every value written with ``format(v, ".17g")``, over the grid of
+``oracles.sweep_grid``. The CLI evaluates a grid of at most
+``cli.BLOCK_ROWS`` points point by point and a longer one as whole columns,
+written in blocks of rows either way, so these loops are the reference its
+CSV bytes and its whole JSON report (``json.dumps(indent=2,
 sort_keys=True)``, timestamp masked) must reproduce exactly.
 """
 
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sweep_grid
 from resokit import __version__, cli
 from resokit.species import load_species
 from resokit.verify import SYNTHETIC_SPECIES_CSV
@@ -32,11 +35,6 @@ AMPLITUDE_HEADER = ("k", "E", "Re_f", "Im_f", "delta", "sigma")
 
 def _fmt(v):
     return format(v, ".17g")
-
-
-def _grid(lo, hi, steps, log):
-    values = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
-    return values.tolist()
 
 
 def _g(coeffs, energy):
@@ -133,7 +131,7 @@ def test_amplitude_sweep_bytes(capsys, command, degree, lo, hi, steps, log, iden
     argv = [command, "--coeffs=" + ",".join(repr(c) for c in coeffs),
             "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
     argv += ["--log"] * log + ["--identical"] * identical
-    rows = amplitude_rows(coeffs, _grid(lo, hi, steps, log), identical)
+    rows = amplitude_rows(coeffs, sweep_grid(lo, hi, steps, log), identical)
     inputs = {"coeffs": coeffs, "identical": identical, "min": lo, "max": hi,
               "steps": steps, "log": log}
     assert_table(capsys, argv, AMPLITUDE_HEADER, rows, command, inputs)
@@ -160,7 +158,7 @@ def test_field_sweep_bytes(capsys, tmp_path, units, index, log):
     argv = ["feshbach", "sweep", "--species", str(path), "--index", str(index),
             "--units", units, "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
     argv += ["--log"] * log
-    rows = field_rows(res, _grid(lo, hi, steps, log))
+    rows = field_rows(res, sweep_grid(lo, hi, steps, log))
     inputs = {"species_file": str(path), "units": units, "species": res.species,
               "min": lo, "max": hi, "steps": steps, "log": log}
     assert_table(capsys, argv, ("B", "a"), rows, "feshbach sweep", inputs)
@@ -172,7 +170,7 @@ def test_amplitude_sweep_block_edges(capsys, steps):
     coeffs = _coeffs(2, seed=steps)
     argv = ["amplitude", "--coeffs=" + ",".join(repr(c) for c in coeffs),
             "--min", "0.0", "--max", "7.0", "--steps", str(steps)]
-    rows = amplitude_rows(coeffs, _grid(0.0, 7.0, steps, False), identical=False)
+    rows = amplitude_rows(coeffs, sweep_grid(0.0, 7.0, steps, False), identical=False)
     inputs = {"coeffs": coeffs, "identical": False, "min": 0.0, "max": 7.0,
               "steps": steps, "log": False}
     assert_table(capsys, argv, AMPLITUDE_HEADER, rows, "amplitude", inputs)
@@ -186,10 +184,89 @@ def test_field_sweep_block_edges(capsys, tmp_path, steps):
     lo, hi = res.b0 - 2.1 * abs(res.delta_b), res.b0 + 3.9 * abs(res.delta_b)
     argv = ["feshbach", "sweep", "--species", str(path), "--index", "1",
             "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
-    rows = field_rows(res, _grid(lo, hi, steps, False))
+    rows = field_rows(res, sweep_grid(lo, hi, steps, False))
     inputs = {"species_file": str(path), "units": "natural", "species": res.species,
               "min": lo, "max": hi, "steps": steps, "log": False}
     assert_table(capsys, argv, ("B", "a"), rows, "feshbach sweep", inputs)
+
+
+# A grid of at most BLOCK_ROWS points is a list, evaluated by the scalar
+# expressions; a longer one is an array. Both give the rows of the same grid.
+def assert_route(argv, steps, grid):
+    got = cli._grid(cli.build_parser().parse_args(argv), "test")
+    assert isinstance(got, list) == (steps <= cli.BLOCK_ROWS)
+    assert list(got) == grid
+
+
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("steps", [cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+def test_amplitude_sweep_route_boundary(capsys, steps, log):
+    coeffs = _coeffs(3, seed=steps + log)
+    lo, hi = (1e-3, 40.0) if log else (0.0, 40.0)
+    argv = ["amplitude", "--coeffs=" + ",".join(repr(c) for c in coeffs),
+            "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)] + ["--log"] * log
+    grid = sweep_grid(lo, hi, steps, log)
+    assert_route(argv, steps, grid)
+    inputs = {"coeffs": coeffs, "identical": False, "min": lo, "max": hi,
+              "steps": steps, "log": log}
+    assert_table(capsys, argv, AMPLITUDE_HEADER, amplitude_rows(coeffs, grid, False),
+                 "amplitude", inputs)
+
+
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("steps", [cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+def test_field_sweep_route_boundary(capsys, tmp_path, steps, log):
+    path = tmp_path / "species.csv"
+    path.write_text(SYNTHETIC_SPECIES_CSV)
+    res = load_species(str(path))[2]
+    lo, hi = res.b0 - 3.3 * abs(res.delta_b), res.b0 + 1.7 * abs(res.delta_b)
+    argv = ["feshbach", "sweep", "--species", str(path), "--index", "2",
+            "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)] + ["--log"] * log
+    grid = sweep_grid(lo, hi, steps, log)
+    assert_route(argv, steps, grid)
+    inputs = {"species_file": str(path), "units": "natural", "species": res.species,
+              "min": lo, "max": hi, "steps": steps, "log": log}
+    assert_table(capsys, argv, ("B", "a"), field_rows(res, grid), "feshbach sweep", inputs)
+
+
+@pytest.mark.parametrize("steps", [10, cli.BLOCK_ROWS + 1])
+def test_zero_step_grid(capsys, steps):
+    # 4 subnormal units over steps - 1 intervals: the step underflows to 0,
+    # and numpy.linspace's i / (steps - 1) * (max - min) + min spreads the
+    # points over the 5 values in between
+    lo, hi = 0.0, 2e-323
+    grid = sweep_grid(lo, hi, steps, False)
+    assert grid == np.linspace(lo, hi, steps).tolist()
+    assert sorted(set(grid)) == [0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]
+    argv = ["amplitude", "--coeffs=-0.5,1.5", "--min", repr(lo), "--max", repr(hi),
+            "--steps", str(steps)]
+    assert_route(argv, steps, grid)
+    inputs = {"coeffs": [-0.5, 1.5], "identical": False, "min": lo, "max": hi,
+              "steps": steps, "log": False}
+    assert_table(capsys, argv, AMPLITUDE_HEADER, amplitude_rows([-0.5, 1.5], grid, False),
+                 "amplitude", inputs)
+
+
+# |a| = a_bg |1 - dB/(B - B0)| is about 1e310 at B = B0 - 1e-10 dB, in either
+# order of evaluation. The grids end at B0, or just short of it.
+OVERFLOWING_SPECIES = ("species,mass_amu,C6_au,B0_G,DeltaB_G,abg_a0,dmu_muB\n"
+                       "over,1.0,1.0,100.0,2.5,1e300,1.0\n")
+
+
+@pytest.mark.parametrize("steps", [3, cli.BLOCK_ROWS + 1])
+@pytest.mark.parametrize("at_pole", [True, False])
+def test_field_sweep_pole_precedes_overflow(capsys, tmp_path, steps, at_pole):
+    path = tmp_path / "species.csv"
+    path.write_text(OVERFLOWING_SPECIES)
+    res = load_species(str(path))[0]
+    lo = res.b0 - 1e-10 * res.delta_b
+    hi = res.b0 if at_pole else res.b0 - 1e-11 * res.delta_b
+    code = cli.main(["feshbach", "sweep", "--species", str(path), f"--min={lo!r}",
+                     f"--max={hi!r}", "--steps", str(steps)])
+    out, err = capsys.readouterr()
+    message = ("scattering length diverges at B = B0" if at_pole
+               else f"the scattering length leaves the float range at B = {lo!r}")
+    assert (code, out, err) == (2, "", f"resokit: input error: {message}\n")
 
 
 # ---------------------------------------------------------------- the writer

@@ -217,6 +217,16 @@ class TestAmplitude:
         with pytest.raises(InvalidInput, match="overflows"):
             tc.inverse_amplitude(p, 1.5e5)
 
+    def test_far_below_threshold(self):
+        # -D exp(m E eps^2/2) with D = -12566.37 at E = -2000: the product is
+        # below the float range, and a 0 would read as a pole
+        p = tc.TwoChannelParams(lam=1.0, e_mol=0.0, eps=1.0)
+        inv = tc.inverse_amplitude(p, -1400.0)
+        assert inv.imag == 0.0 and 8e-301 < inv.real < 9e-301
+        assert tc._denominator(p, -2000.0)[0] == pytest.approx(-12566.37, rel=1e-6)
+        with pytest.raises(InvalidInput, match="underflows at E = -2000.0"):
+            tc.inverse_amplitude(p, -2000.0)
+
     def test_threshold_matches_effective_scattering_length(self):
         p = reference_params(eps=0.1)
         a_eps, _ = tc.effective_params(p)

@@ -75,6 +75,25 @@ class TestScatteringLengthOfField:
         with pytest.raises(PoleAtResonance):
             scattering_length_of_field(res, 1.25)
 
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_pole_precedes_overflow(self, kind):
+        # B = 1e-300 overflows, and a later field is B0
+        res = natural_res(a_bg=1e300, delta_b=1.0, b0=0.0)
+        with pytest.raises(PoleAtResonance):
+            scattering_length_of_field(res, kind([2.0, 1e-300, 0.0]))
+        with pytest.raises(InvalidInput, match=r"float range at B = 3e-300$"):
+            scattering_length_of_field(res, kind([2.0, 3e-300, 1e-300]))
+
+    def test_float_list_and_array_carry_the_same_bits(self):
+        rng = np.random.default_rng(31)
+        res = natural_res(a_bg=-3.7, delta_b=0.0072, b0=917.6)
+        fields = (res.b0 + rng.standard_normal(500) * 10.0 ** rng.uniform(-12, 3, 500)).tolist()
+        fields += [1e308, 1.7e308, -1.7e308, res.b0 + res.delta_b]
+        points = [scattering_length_of_field(res, b) for b in fields]
+        assert all(type(a) is float for a in points)
+        assert scattering_length_of_field(res, fields) == points
+        assert scattering_length_of_field(res, np.array(fields)).tolist() == points
+
     def test_monotone_on_each_side_and_signs(self):
         res = natural_res(a_bg=1.0, delta_b=1.0, b0=0.0)
         below = [scattering_length_of_field(res, b) for b in np.linspace(-5.0, -0.1, 40)]

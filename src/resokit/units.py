@@ -15,9 +15,9 @@ radius hbar^2/(m a_bg dmu dB) is dimensionally closed in every mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Literal
 
+from .contact import _ReadOnly
 from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
 
 # CODATA 2022 values, as scipy.constants 1.17 gives them; HBAR_SI is
@@ -36,8 +36,8 @@ Mode = Literal["natural", "si", "atomic"]
 _BASE_DIMENSIONS = ("length", "energy", "field", "mass")
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+# Not dataclasses, so that the Feshbach commands import none (see contact._ReadOnly).
+class UnitSystem(_ReadOnly):
     """Conversion factors from a source unit system into the working units.
 
     ``length``, ``energy``, ``field`` and ``mass`` are the number of working
@@ -45,12 +45,11 @@ class UnitSystem:
     source system's own units.
     """
 
-    mode: Mode
-    length: float = 1.0
-    energy: float = 1.0
-    field: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("mode", "length", "energy", "field", "mass", "hbar")
+
+    def __init__(self, mode: Mode, length: float = 1.0, energy: float = 1.0,
+                 field: float = 1.0, mass: float = 1.0, hbar: float = 1.0):
+        super().__init__(mode, length, energy, field, mass, hbar)
 
     @classmethod
     def natural(cls) -> "UnitSystem":
@@ -113,8 +112,7 @@ class UnitSystem:
 NATURAL = UnitSystem.natural()
 
 
-@dataclass(frozen=True)
-class ResonanceData:
+class ResonanceData(_ReadOnly):
     """Physical parameterization of one magnetic Feshbach resonance.
 
     Fields are expressed in ``units``; ``dmu`` is the differential magnetic
@@ -122,29 +120,23 @@ class ResonanceData:
     energy times length^6.
     """
 
-    a_bg: float
-    delta_b: float
-    b0: float
-    dmu: float
-    c6: float
-    mass: float
-    units: UnitSystem = NATURAL
-    species: str = ""
+    __slots__ = ("a_bg", "delta_b", "b0", "dmu", "c6", "mass", "units", "species")
 
-    def __post_init__(self):
-        if self.delta_b == 0.0:
+    def __init__(self, a_bg: float, delta_b: float, b0: float, dmu: float, c6: float,
+                 mass: float, units: UnitSystem = NATURAL, species: str = ""):
+        if delta_b == 0.0:
             raise DegenerateResonance("resonance width delta_b must be nonzero")
-        if not self.mass > 0.0:
+        if not mass > 0.0:
             raise InvalidInput("mass must be positive")
-        if not self.c6 > 0.0:
+        if not c6 > 0.0:
             raise InvalidInput("c6 must be positive")
+        super().__init__(a_bg, delta_b, b0, dmu, c6, mass, units, species)
 
 
 def convert_resonance(res: ResonanceData, to: UnitSystem) -> ResonanceData:
     """Re-express every field of ``res`` in the target unit system."""
     u = res.units
-    return replace(
-        res,
+    return ResonanceData(
         a_bg=u.convert(res.a_bg, "length", to),
         delta_b=u.convert(res.delta_b, "field", to),
         b0=u.convert(res.b0, "field", to),
@@ -152,6 +144,7 @@ def convert_resonance(res: ResonanceData, to: UnitSystem) -> ResonanceData:
         c6=u.convert(res.c6, "c6", to),
         mass=u.convert(res.mass, "mass", to),
         units=to,
+        species=res.species,
     )
 
 

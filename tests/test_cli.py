@@ -941,6 +941,50 @@ print(json.dumps([runs, numpy]))
     assert numpy == []
 
 
+def test_one_channel_and_feshbach_commands_load_no_dataclasses_or_datetime(tmp_path):
+    # With dataclasses and datetime blocked, these commands print what an
+    # unblocked process prints (timestamp masked), and the unblocked process
+    # loads neither, nor the inspect modules that dataclasses imports.
+    species = tmp_path / "species.csv"
+    species.write_text(SYNTHETIC_SPECIES_CSV)
+    commands = [
+        ["amplitude", "--a", "3", "--rstar", "0.7", "--k", "0.37"],
+        ["phase-shift", "--coeffs=-0.7,1.3,-0.2", "--min", "0.1", "--max", "2", "--steps", "4",
+         "--log"],
+        ["feshbach", "classify", "--species", str(species), "--units", "si"],
+        ["feshbach", "sweep", "--species", str(species), "--min", "0.0033", "--max", "0.0035",
+         "--steps", "4"],
+    ]
+    script = """
+import contextlib, io, json, re, sys
+if sys.argv[1] == "block":
+    sys.modules["dataclasses"] = None
+    sys.modules["datetime"] = None
+import resokit.cli as cli
+
+runs = []
+for argv in json.loads(sys.argv[2]):
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([*argv, "--format", fmt])
+        runs.append([code, re.sub(r'"timestamp": "[^"]*"', "", buf.getvalue())])
+framework = ["dataclasses", "datetime", "inspect", "ast", "dis", "tokenize"]
+print(json.dumps([runs, [m for m in framework if sys.modules.get(m)]]))
+"""
+    results = []
+    for mode in ("block", "plain"):
+        proc = subprocess.run([sys.executable, "-c", script, mode, json.dumps(commands)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    (blocked, _), (plain, loaded) = results
+    assert blocked == plain
+    assert [code for code, _ in plain] == [0] * 2 * len(commands)
+    assert all(text for _, text in plain)
+    assert loaded == []
+
+
 def test_pole_far_above_an_overflowing_start(capsys):
     # The line -2 lam^2 B(0-) overflows and the pole lies 50 decades above
     # -float_info.max.
@@ -1018,3 +1062,87 @@ def test_help_pages_are_pinned(capsys, monkeypatch):
         pages.append(f"$ resokit {' '.join(command + ['--help'])}\n"
                      f"{' '.join(usage.split())}\n\n{body}")
     assert "".join(pages) == (Path(__file__).parent / "cli_help.txt").read_text()
+
+
+# Usage errors, each message with its whitespace collapsed as the help pages.
+ROOT_USAGE = ("usage: resokit [-h] [--version] [--config CONFIG] {amplitude,phase-shift,"
+              "bound-state,modified-norm,two-channel,feshbach,verify} ...")
+USAGE_ERRORS = [
+    ([], ROOT_USAGE + " resokit: error: the following arguments are required: command"),
+    (["bogus"], ROOT_USAGE + " resokit: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'amplitude', 'phase-shift', 'bound-state', 'modified-norm', "
+     "'two-channel', 'feshbach', 'verify')"),
+    (["two-channel", "bogus"], "usage: resokit two-channel [-h] {params,bound,sweep} ... "
+     "resokit two-channel: error: argument tc_command: invalid choice: 'bogus' "
+     "(choose from 'params', 'bound', 'sweep')"),
+    (["amplitude", "--a", "1", "--k", "1", "--bogus", "2"],
+     ROOT_USAGE + " resokit: error: unrecognized arguments: --bogus 2"),
+    (["feshbach", "sweep", "--min", "1", "--max", "2"],
+     "usage: resokit feshbach sweep [-h] [--index INDEX] [--min MIN] [--max MAX] "
+     "[--steps STEPS] [--log] --species SPECIES [--units {natural,si,atomic}] [--out OUT] "
+     "[--format {csv,json}] resokit feshbach sweep: error: the following arguments are "
+     "required: --species"),
+    (["amplitude", "--a", "1", "--k", "1", "--format", "xml"],
+     "usage: resokit amplitude [-h] [--a A] [--rstar RSTAR] [--coeffs COEFFS] [--k K] "
+     "[--identical] [--min MIN] [--max MAX] [--steps STEPS] [--log] [--out OUT] "
+     "[--format {csv,json}] resokit amplitude: error: argument --format: invalid choice: "
+     "'xml' (choose from 'csv', 'json')"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out, " ".join(err.split())) == (2, "", message)
+
+
+# Every leaf command, with a flag of its own.
+LEAF_COMMANDS = [
+    ["amplitude", "--a", "1", "--k", "0.5", "--identical"],
+    ["phase-shift", "--coeffs=-1,2", "--min", "0", "--max", "1", "--log"],
+    ["bound-state", "--a", "1", "--rstar", "1", "--qmax", "5"],
+    ["modified-norm", "--a", "1", "--format", "json"],
+    ["two-channel", "params", "--lambda", "2", "--emol", "1"],
+    ["two-channel", "bound", "--a", "1", "--rstar", "1", "--mass", "2"],
+    ["two-channel", "sweep", "--a", "1", "--rstar", "1", "--steps", "3"],
+    ["feshbach", "sweep", "--species", "s.csv", "--index", "1"],
+    ["feshbach", "classify", "--species", "s.csv", "--threshold", "2"],
+    ["verify", "unitarity", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS)
+def test_parser_of_one_subcommand_parses_as_the_full_parser(argv):
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_config_may_preset_flags_of_other_subcommands(capsys, tmp_path):
+    # A config builds every subcommand's flags: threshold belongs to
+    # feshbach classify, a and k to amplitude.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threshold = 2\na = 1\nk = 0.5\n")
+    assert run_cli(capsys, "--config", str(cfg), "amplitude") == \
+        run_cli(capsys, "amplitude", "--a", "1", "--k", "0.5")
+
+
+@pytest.mark.parametrize("ns", [
+    0, 1_000, 999, -1, 951_782_400_000_000_000, 1_709_164_799_999_999_999,
+    1_760_000_000_123_456_789, 1_760_000_000_000_001_000, 4_102_444_800_000_000_000,
+])
+def test_report_timestamp_is_datetime_isoformat(ns):
+    from datetime import datetime, timedelta, timezone
+
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    expected = (epoch + timedelta(microseconds=ns // 1000)).isoformat()
+    assert cli._utc_timestamp(ns) == expected
+
+
+def test_report_timestamp_is_now():
+    from datetime import datetime, timezone
+
+    before = datetime.now(timezone.utc)
+    stamp = json.loads(cli._report("c", {}, [], {}))["timestamp"]
+    assert before <= datetime.fromisoformat(stamp) <= datetime.now(timezone.utc)

@@ -1,6 +1,8 @@
 """Polynomial phase-function models."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,25 @@ class TestConstruction:
         c0, c1 = (*model.coeffs, 0.0)[:2]  # R* = 0 strips c_1
         assert -1.0 / c0 == pytest.approx(a, rel=1e-12)
         assert -c1 == pytest.approx(rstar, rel=1e-12, abs=1e-12)
+
+
+class TestValue:
+    def test_read_only(self):
+        model = PhaseShiftModel((1.0, 2.0))
+        with pytest.raises(AttributeError):
+            model.coeffs = (3.0,)
+        with pytest.raises(AttributeError):
+            del model.coeffs
+        with pytest.raises(AttributeError):
+            model.extra = 1.0
+        assert model.coeffs == (1.0, 2.0)
+
+    @pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)),
+                                         copy.deepcopy, copy.copy])
+    def test_copy_and_pickle(self, copy_of):
+        back = copy_of(PhaseShiftModel((1.0, 2.0, 0.0)))
+        assert type(back) is PhaseShiftModel
+        assert back.coeffs == (1.0, 2.0)
 
 
 class TestEvaluation:

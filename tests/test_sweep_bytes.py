@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from oracles import sweep_grid
 from resokit import __version__, cli
 from resokit.species import load_species
+from resokit.units import scattering_length_of_field
 from resokit.verify import SYNTHETIC_SPECIES_CSV
 
 AMPLITUDE_HEADER = ("k", "E", "Re_f", "Im_f", "delta", "sigma")
@@ -267,6 +268,40 @@ def test_field_sweep_pole_precedes_overflow(capsys, tmp_path, steps, at_pole):
     message = ("scattering length diverges at B = B0" if at_pole
                else f"the scattering length leaves the float range at B = {lo!r}")
     assert (code, out, err) == (2, "", f"resokit: input error: {message}\n")
+
+
+# Both bounds have log10 308.25471555991675, whose 10 ** x overflows: the
+# inner points of the log grid leave the float range.
+@pytest.mark.parametrize("steps", [4, cli.BLOCK_ROWS + 1])
+@pytest.mark.parametrize("command", ["amplitude", "feshbach"])
+def test_overflowing_log_grid_point_is_input_error(capsys, tmp_path, steps, command):
+    path = tmp_path / "species.csv"
+    path.write_text(SYNTHETIC_SPECIES_CSV)
+    argv = (["amplitude", "--a", "1"] if command == "amplitude"
+            else ["feshbach", "sweep", "--species", str(path)])
+    code = cli.main([*argv, "--min", "1.797693134862315e308", "--max",
+                     "1.7976931348623157e308", "--steps", str(steps), "--log"])
+    out, err = capsys.readouterr()
+    message = "log sweep point 10 ** 308.25471555991675 leaves the float range"
+    assert (code, out, err) == (2, "", f"resokit: input error: {message}\n")
+
+
+# 10 ** math.log10(max) overflows at the largest float, but the end points
+# of a log grid are min and max themselves, so this grid is valid.
+@pytest.mark.parametrize("steps", [4, cli.BLOCK_ROWS + 1])
+def test_log_grid_ending_at_the_largest_float(capsys, tmp_path, steps):
+    path = tmp_path / "species.csv"
+    path.write_text(SYNTHETIC_SPECIES_CSV)
+    res = load_species(str(path))[0]
+    lo, hi = 1e300, 1.7976931348623157e308
+    argv = ["feshbach", "sweep", "--species", str(path), "--min", repr(lo), "--max", repr(hi),
+            "--steps", str(steps), "--log"]
+    grid = sweep_grid(lo, hi, steps, True)
+    assert_route(argv, steps, grid)
+    # a_bg (B - (B0 + dB)) overflows near the largest float, so the rows
+    # take a(B) from the scalar evaluator, which divides first there
+    rows = [[_fmt(b), _fmt(scattering_length_of_field(res, b))] for b in grid]
+    assert run(capsys, argv) == csv_text(("B", "a"), rows)
 
 
 # ---------------------------------------------------------------- the writer

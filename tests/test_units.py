@@ -1,5 +1,8 @@
 """Unit systems and the magnetic-resonance parameter layer."""
 
+import copy
+import pickle
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -301,6 +304,53 @@ class TestUnitSystem:
 def test_resonance_requires_nonzero_width():
     with pytest.raises(DegenerateResonance):
         natural_res(delta_b=0.0)
+
+
+def test_resonance_checks_in_order():
+    # the width first, then the mass, then c6
+    with pytest.raises(DegenerateResonance):
+        natural_res(delta_b=0.0, mass=-1.0, c6=-1.0)
+    with pytest.raises(InvalidInput, match="mass"):
+        natural_res(mass=float("nan"), c6=-1.0)
+    with pytest.raises(InvalidInput, match="c6"):
+        natural_res(c6=0.0)
+
+
+SI_RES_FIELDS = ("a_bg", "delta_b", "b0", "dmu", "c6", "mass", "species")
+
+
+def si_resonance():
+    return ResonanceData(a_bg=5.2e-9, delta_b=2.5e-4, b0=0.0155, dmu=1.9e-23, c6=6.7e-76,
+                         mass=1.44e-25, units=UnitSystem.si(1.44e-25), species="Rb87")
+
+
+@pytest.mark.parametrize("make", [si_resonance, lambda: UnitSystem.atomic(1.44e-25)])
+def test_values_are_read_only(make):
+    value = make()
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+
+
+@pytest.mark.parametrize("copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                                     copy.copy])
+def test_values_copy_and_pickle(copy_of):
+    res = si_resonance()
+    back = copy_of(res)
+    assert type(back) is ResonanceData and type(back.units) is UnitSystem
+    assert [getattr(back, name) for name in SI_RES_FIELDS] == \
+        [getattr(res, name) for name in SI_RES_FIELDS]
+    assert [getattr(back.units, name) for name in UnitSystem.__slots__] == \
+        [getattr(res.units, name) for name in UnitSystem.__slots__]
+
+
+def test_convert_resonance_keeps_the_species():
+    res = convert_resonance(si_resonance(), NATURAL)
+    assert res.species == "Rb87" and res.units is NATURAL
 
 
 def test_codata_literals_match_scipy():

@@ -7,8 +7,8 @@ Core objects:
   effective-range case as a constructor.
 - :mod:`~resokit.scattering`, :mod:`~resokit.bound`: observables and bound
   states of such models, including the modified-product normalization.
-- :mod:`~resokit.product`: the modified scalar product in its
-  difference-quotient and double-series forms.
+- :mod:`~resokit.product`: the modified scalar product by the difference
+  quotient of g.
 - :mod:`~resokit.twochannel`: the Gaussian-regularized two-channel
   resonance model and its zero-range mapping onto the effective-range
   description.
@@ -45,10 +45,8 @@ _EXPORTS = {
     "find_bound_states": "bound",
     "modified_norm_check": "bound",
     "modified_product": "product",
-    "modified_product_series": "product",
     "parse_model_literal": "contact",
     "plain_overlap_bound": "product",
-    "reg_matrix_element": "product",
     "scattering_length_of_field": "units",
     "vdw_length": "units",
     "wavefunction": "bound",

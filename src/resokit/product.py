@@ -6,12 +6,11 @@ the usual scalar product of the zero-range limit equals
     <1|2> = 4 pi conj(A_1) A_2 (g(E_1) - g(E_2))/(E_1 - E_2),
 
 so subtracting that quantity defines a product under which nondegenerate
-eigenstates are orthogonal. Two equivalent routes are provided: the
-difference-quotient subtraction (:func:`modified_product`, with the
-model's :meth:`PhaseShiftModel.difference_quotient`, whose diagonal is g')
-and the double series over regularized kinetic-power matrix elements
-(:func:`modified_product_series`). For a polynomial g both are finite sums
-and agree identically.
+eigenstates are orthogonal. :func:`modified_product` subtracts it with the
+model's :meth:`PhaseShiftModel.difference_quotient`, whose diagonal is g'.
+The paper's double series over regularized kinetic-power matrix elements
+is the same finite sum for a polynomial g; it lives in :mod:`resokit.verify`
+as the oracle of the ``series-quotient`` check.
 """
 
 from __future__ import annotations
@@ -77,45 +76,6 @@ def modified_product(
     quotient = model.difference_quotient(s1.energy, s2.energy)
     prefactor = 4.0 * math.pi
     return plain - prefactor * s1.amplitude.conjugate() * s2.amplitude * quotient
-
-
-def reg_matrix_element(s: ContactEigenstate, n: int) -> complex:
-    """Regularized large-k limit of <k|(p^2/2mu)^n|s>.
-
-    Equals -4 pi A E^(n-1) for n >= 1 and 0 for n = 0.
-    """
-    if n < 0:
-        raise InvalidInput("power must be nonnegative")
-    if n == 0:
-        return 0.0j
-    prefactor = -4.0 * math.pi
-    return prefactor * s.amplitude * s.energy ** (n - 1)
-
-
-def modified_product_series(
-    model: PhaseShiftModel,
-    s1: ContactEigenstate,
-    s2: ContactEigenstate,
-    plain: complex,
-) -> complex:
-    """(1|2)_0 through the double series of regularized matrix elements.
-
-    Exact finite sum for a polynomial model; no truncation is involved.
-    Each matrix element is formed once per state and power.
-    """
-    powers = range(1, model.degree + 1)
-    left = [reg_matrix_element(s1, j).conjugate() for j in powers]
-    right = [reg_matrix_element(s2, j) for j in powers]
-    acc = 0.0j
-    for n in powers:
-        c = model.coeffs[n]
-        if c == 0.0:
-            continue
-        inner = 0.0j
-        for p in range(1, n + 1):
-            inner += left[n - p] * right[p - 1]
-        acc += c * inner
-    return plain - (1.0 / (4.0 * math.pi)) * acc
 
 
 def construct_two_pole_model(q1: float, q2: float) -> PhaseShiftModel:

@@ -4,23 +4,39 @@ Each check returns a :class:`CheckResult` with the worst observed residual
 and its tolerance. The CLI ``verify`` subcommand and the acceptance test
 module both run these functions, so there is a single source of truth for
 what "passing" means. Derived reference values are produced by independent
-oracles (quadrature of defining integrals, closed-form roots) rather than
-by the code paths under test, except the intercept of the two-channel
-low-energy fit, anchored on the closed-form a_eps (:func:`fit_effective_params`).
+oracles (quadrature of defining integrals, closed-form roots, the double
+series of the modified product) rather than by the code paths under test,
+except the intercept of the two-channel low-energy fit, anchored on the
+closed-form a_eps (:func:`fit_effective_params`).
 
 A randomized check draws its cases one at a time from a generator seeded
 by the battery seed plus a fixed offset, in a fixed order, so one seed
 fixes every draw and reproduces every ``worst`` value bit for bit on a
 given numpy and CPU (numpy picks its ``exp``, ``sinh``, ``cosh`` and
-``power`` kernels by the CPU). Only evaluation is batched, in three places: the one-channel
-unitarity check stacks the g values of all its models into one array, the
-two-channel one builds the wavenumber grids of all its drawn sets in one
-geomspace call, and the loop oracle evaluates the 15 energies of each
-(eps, sign) as one block whose rows keep their one-energy bits.
-Draws are converted to Python floats, whose arithmetic carries the same
-bits as numpy's float64 scalars at less cost per operation, and a random
-sign is ``(-1.0, 1.0)[rng.integers(2)]``, which consumes the generator as
-``rng.choice([-1.0, 1.0])`` does and picks the same entry.
+``power`` kernels by the CPU, for the quadrature nodes and the geomspace
+grids).
+
+Draws cost only their arithmetic:
+- a uniform is numpy's own lo + (hi - lo) u on raw ``rng.random()``
+  doubles (:func:`_uniform`), the bits of ``rng.uniform`` at less cost;
+- ``series-quotient`` takes the six normals of a draw from one
+  ``rng.normal(size=6)``, the values of ``normal(size=4)`` and two
+  ``normal()`` calls;
+- a log-uniform value is ``10.0 ** x`` per Python float, the C library's
+  ``pow``, so the drawn two-pole models do not depend on numpy's
+  CPU-dependent array power;
+- a random sign is ``(-1.0, 1.0)[rng.integers(2)]``, which consumes the
+  generator as ``rng.choice([-1.0, 1.0])`` does and picks the same entry.
+Draws are Python floats, whose arithmetic carries the same bits as
+numpy's float64 scalars at less cost per operation.
+
+Only evaluation is batched, in four places: the one-channel unitarity
+check evaluates g of all its models in one Horner pass over their
+zero-padded coefficient table (:func:`_horner_block`) and their residuals
+in one kernel call, the two-channel one builds the wavenumber grids of
+all its drawn sets in one geomspace call, and the loop oracle evaluates
+the 15 energies of each (eps, sign) as one block whose rows keep their
+one-energy bits.
 """
 
 from __future__ import annotations
@@ -38,7 +54,6 @@ from .product import (
     ContactEigenstate,
     construct_two_pole_model,
     modified_product,
-    modified_product_series,
     plain_overlap_bound,
 )
 from .species import parse_species
@@ -81,26 +96,55 @@ class CheckResult:
         )
 
 
-def _random_model(rng, max_degree):
+def _uniform(rng, lo, hi, size=None):
+    """``rng.uniform(lo, hi, size)`` as a float or a list, at the cost of ``rng.random``.
+
+    Each value is numpy's own lo + (hi - lo) u on the same double u, so the
+    generator stream and every bit stay those of ``rng.uniform``.
+    """
+    if size is None:
+        return lo + (hi - lo) * rng.random()
+    scale = hi - lo
+    return [lo + scale * u for u in rng.random(size).tolist()]
+
+
+def _random_coeffs(rng, max_degree):
+    """Coefficients of a random polynomial model of degree at most ``max_degree``."""
     degree = int(rng.integers(0, max_degree + 1))
-    coeffs = rng.uniform(-2.0, 2.0, degree + 1).tolist()
+    coeffs = _uniform(rng, -2.0, 2.0, degree + 1)
     if abs(coeffs[0]) < 1e-3:
         coeffs[0] = math.copysign(1e-3, coeffs[0] if coeffs[0] != 0.0 else 1.0)
     if degree > 0 and coeffs[degree] == 0.0:
         coeffs[degree] = 0.5
-    return PhaseShiftModel(tuple(coeffs))
+    return coeffs
+
+
+def _horner_block(table, energies):
+    """g of every coefficient list in ``table`` on ``energies``, one row each, in one pass.
+
+    The lists are zero-padded to the longest into one array. On a grid of
+    finite energies a padded leading coefficient keeps the running sum at
+    0 * E + 0 = 0, so each row has the bits of :meth:`PhaseShiftModel.g`.
+    """
+    width = max(map(len, table))
+    columns = np.array([coeffs + [0.0] * (width - len(coeffs)) for coeffs in table]).T
+    gs = np.zeros((len(table), len(energies)))
+    for column in columns[::-1]:
+        gs = gs * energies + column[:, None]
+    return gs
 
 
 def check_unitarity_one_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     """Im(1/f) = -k for 200 random polynomial models on a 50-point log grid.
 
-    The models are drawn in turn and each evaluates g on the shared grid;
+    The coefficients of the models are drawn in turn; g of all of them on
+    the shared grid is one Horner pass over their zero-padded table, and
     the residual of the stacked 200 x 50 array is one kernel call.
     """
     rng = np.random.default_rng(seed)
     ks = np.geomspace(1e-2, 1e2, 50)
     energies = scattering.energy(ks)
-    gs = np.array([_random_model(rng, max_degree=6).g(energies) for _ in range(200)])
+    gs = _horner_block([_random_coeffs(rng, max_degree=6) for _ in range(200)], energies)
     worst = float(scattering.unitarity_kernel(ks, gs).max())
     tol = 1e-13
     return CheckResult(
@@ -112,7 +156,7 @@ def check_unitarity_one_channel(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_unitarity_two_channel(seed: int = DEFAULT_SEED) -> CheckResult:
     """Im(1/f) = -k0 at finite regulator width for 50 random parameter sets."""
     rng = np.random.default_rng(seed + 1)
-    draws = [(rng.uniform(0.2, 5.0), rng.uniform(0.05, 0.5), rng.uniform(-5.0, 5.0))
+    draws = [(_uniform(rng, 0.2, 5.0), _uniform(rng, 0.05, 0.5), _uniform(rng, -5.0, 5.0))
              for _ in range(50)]
     grids = np.geomspace(1e-3, 1.0 / np.array([eps for _, eps, _ in draws]), 40, axis=1)
     worst = 0.0
@@ -142,12 +186,13 @@ def check_orthogonality(seed: int = DEFAULT_SEED) -> CheckResult:
     cases = []
     pairs = []
     while len(pairs) < 100:
-        q1, q2 = (10.0 ** rng.uniform(-1.0, 1.0, 2)).tolist()
+        q1 = 10.0 ** _uniform(rng, -1.0, 1.0)
+        q2 = 10.0 ** _uniform(rng, -1.0, 1.0)
         if abs(q1 - q2) >= 0.05 * max(q1, q2):
             pairs.append((q1, q2))
     for _ in range(50):
-        q1 = 10.0 ** rng.uniform(-1.0, 1.0)
-        pairs.append((q1, q1 * (1.0 + 10.0 ** rng.uniform(-5.0, -2.0))))
+        q1 = 10.0 ** _uniform(rng, -1.0, 1.0)
+        pairs.append((q1, q1 * (1.0 + 10.0 ** _uniform(rng, -5.0, -2.0))))
     for q1, q2 in pairs:
         model = construct_two_pole_model(q1, q2)
         states = bound.find_bound_states(model, q_max=4.0 * max(q1, q2))
@@ -176,26 +221,52 @@ def check_orthogonality(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+def _modified_product_series(model, s1, s2, plain):
+    """(1|2)_0 through the double series of regularized matrix elements.
+
+    The regularized large-k limit of <k|(p^2/2mu)^n|s> is -4 pi A E^(n-1)
+    for n >= 1, so the product is the finite sum
+    plain - (1/4 pi) sum_n c_n sum_{p=1..n} conj(M_1,n-p+1) M_2,p, with no
+    truncation for a polynomial model. It is the oracle of ``series-quotient``
+    and shares no arithmetic with :func:`modified_product`.
+    """
+    powers = range(1, model.degree + 1)
+    m1 = -4.0 * math.pi * s1.amplitude
+    m2 = -4.0 * math.pi * s2.amplitude
+    left = [(m1 * s1.energy ** (j - 1)).conjugate() for j in powers]
+    right = [m2 * s2.energy ** (j - 1) for j in powers]
+    acc = 0.0j
+    for n in powers:
+        c = model.coeffs[n]
+        if c == 0.0:
+            continue
+        inner = 0.0j
+        for p in range(1, n + 1):
+            inner += left[n - p] * right[p - 1]
+        acc += c * inner
+    return plain - (1.0 / (4.0 * math.pi)) * acc
+
+
 def check_series_quotient(seed: int = DEFAULT_SEED) -> CheckResult:
     """Difference-quotient and double-series products agree over 500 draws."""
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for i in range(500):
-        model = _random_model(rng, max_degree=8)
-        e1 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-2.0, 1.0)
+        model = PhaseShiftModel(tuple(_random_coeffs(rng, max_degree=8)))
+        e1 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** _uniform(rng, -2.0, 1.0)
         mode = i % 5
         if mode == 0:
             e2 = e1  # exactly degenerate
         elif mode in (1, 2):
-            e2 = e1 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0))  # near degenerate
+            e2 = e1 * (1.0 + 10.0 ** _uniform(rng, -12.0, -2.0))  # near degenerate
         else:
-            e2 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** rng.uniform(-2.0, 1.0)
-        amps = rng.normal(size=4).tolist()
-        s1 = ContactEigenstate(e1, complex(amps[0], amps[1]))
-        s2 = ContactEigenstate(e2, complex(amps[2], amps[3]))
-        plain = complex(rng.normal(), rng.normal())
+            e2 = (-1.0, 1.0)[rng.integers(2)] * 10.0 ** _uniform(rng, -2.0, 1.0)
+        a = rng.normal(size=6).tolist()
+        s1 = ContactEigenstate(e1, complex(a[0], a[1]))
+        s2 = ContactEigenstate(e2, complex(a[2], a[3]))
+        plain = complex(a[4], a[5])
         lhs = modified_product(model, s1, s2, plain)
-        rhs = modified_product_series(model, s1, s2, plain)
+        rhs = _modified_product_series(model, s1, s2, plain)
         scale = max(abs(lhs), abs(rhs), abs(plain), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
     tol = 1e-12
@@ -226,7 +297,7 @@ def check_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed + 4)
     found = 0
     while found < 50:
-        model = _random_model(rng, max_degree=4)
+        model = PhaseShiftModel(tuple(_random_coeffs(rng, max_degree=4)))
         states = bound.find_bound_states(model, q_max=10.0)
         for state in states:
             # Skip states whose normalization denominator nearly vanishes;
@@ -338,9 +409,9 @@ def check_effective_params(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
     for _ in range(20):
-        rstar = rng.uniform(0.3, 3.0)
-        eps = rng.uniform(0.03, 0.3)
-        a_target = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.5, 3.0)
+        rstar = _uniform(rng, 0.3, 3.0)
+        eps = _uniform(rng, 0.03, 0.3)
+        a_target = (-1.0, 1.0)[rng.integers(2)] * _uniform(rng, 0.5, 3.0)
         p = twochannel.params_for_targets(a_target, rstar, eps)
         a_cf, r_cf = twochannel.effective_params(p)
         a_fit, r_fit = fit_effective_params(p)

@@ -69,8 +69,9 @@ def mp_modified_product(coeffs, e1, a1, e2, a2, plain, dps=50):
     """plain - (2 pi hbar^2/mu) conj(A_1) A_2 D at ``dps`` digits, and its scale.
 
     D = sum_n c_n sum_{p=1..n} e1^(n-p) e2^(p-1) is the finite sum that
-    both routes of resokit.product evaluate, the series term by term and the
-    quotient by synthetic division (hbar = 1, mu = 1/2). The scale
+    the battery's series oracle evaluates term by term and
+    resokit.product.modified_product by synthetic division (hbar = 1,
+    mu = 1/2). The scale
     |plain| + (2 pi/mu) |A_1 A_2| sum_n |c_n| sum_p |e1|^(n-p) |e2|^(p-1)
     bounds the magnitude of every term either route adds up.
     """

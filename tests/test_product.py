@@ -1,4 +1,4 @@
-"""Modified scalar product: orthogonality, series form, two-pole fixtures."""
+"""Modified scalar product: orthogonality, the series oracle, two-pole fixtures."""
 
 import cmath
 import math
@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import mp_difference_quotient, mp_modified_product, radial_overlap_quadrature
 from resokit import bound
+from resokit.verify import _modified_product_series
 from resokit.contact import PhaseShiftModel
 from resokit.errors import InvalidInput, KindMismatch, SingularSystem
 from resokit.product import (
     ContactEigenstate,
     construct_two_pole_model,
     modified_product,
-    modified_product_series,
     plain_overlap_bound,
-    reg_matrix_element,
 )
 
 CONST = PhaseShiftModel.from_effective_range(1.0)
@@ -180,35 +179,13 @@ class TestDifferenceQuotient:
                 assert got.hex() == (coeffs[1] if degree else 0.0).hex()
 
 
-class TestRegMatrixElement:
-    def test_zero_power_vanishes(self):
-        s = bound_state(-0.5, 2.0 + 1.0j)
-        assert reg_matrix_element(s, 0) == 0.0j
-
-    def test_first_power_energy_independent(self):
-        for energy in (-0.5, -2.0):
-            s = bound_state(energy, 1.0)
-            assert reg_matrix_element(s, 1) == pytest.approx(-4.0 * math.pi, rel=1e-15)
-
-    def test_cubic_power_value(self):
-        s = bound_state(-0.5, 1.0)
-        assert reg_matrix_element(s, 3).real == pytest.approx(-math.pi, rel=1e-15)
-
-    def test_threshold_scattering_state(self):
-        s = ContactEigenstate.scattering(0.0, 1.0)
-        assert reg_matrix_element(s, 1) == pytest.approx(-4.0 * math.pi, rel=1e-15)
-        assert reg_matrix_element(s, 2) == 0.0j
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(InvalidInput):
-            reg_matrix_element(bound_state(-1.0), -1)
-
-
 class TestSeriesEquivalence:
+    """:func:`modified_product` against the battery's double-series oracle."""
+
     def test_constant_model_empty_sum(self):
         s1 = bound_state(-1.0)
         s2 = bound_state(-2.0)
-        assert modified_product_series(CONST, s1, s2, 0.5 + 0.5j) == 0.5 + 0.5j
+        assert _modified_product_series(CONST, s1, s2, 0.5 + 0.5j) == 0.5 + 0.5j
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -238,7 +215,7 @@ class TestSeriesEquivalence:
         k = 4 * model.degree + 16
         u = np.finfo(float).eps / 2.0
         bound = k * u / (1.0 - k * u) * scale
-        for route in (modified_product, modified_product_series):
+        for route in (modified_product, _modified_product_series):
             assert abs(route(model, s1, s2, plain) - exact) <= bound, route.__name__
 
     def test_exactly_degenerate_energies_agree(self):
@@ -246,7 +223,7 @@ class TestSeriesEquivalence:
         s1 = bound_state(-0.8, 1.0 + 0.2j)
         s2 = bound_state(-0.8, 0.5 - 0.1j)
         lhs = modified_product(model, s1, s2, 1.0 + 0.0j)
-        rhs = modified_product_series(model, s1, s2, 1.0 + 0.0j)
+        rhs = _modified_product_series(model, s1, s2, 1.0 + 0.0j)
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 
 

@@ -1,9 +1,10 @@
 """The battery against its per-draw loops: same draws, same bits.
 
-The checks draw their cases as Python floats and batch only evaluation.
-Each reference below is the straightforward per-draw form of a check,
-with numpy scalars and ``rng.choice`` for random signs; the check must
-return exactly its ``worst`` value.
+The checks draw their cases as Python floats from raw ``rng.random``
+doubles and batch only evaluation. Each reference below is the
+straightforward per-draw form of a check, with ``rng.uniform``,
+``rng.normal``, numpy scalars and ``rng.choice`` for random signs; the
+check must return exactly its ``worst`` value.
 """
 
 import math
@@ -14,17 +15,22 @@ import pytest
 from resokit import scattering, twochannel, verify
 from resokit.errors import InvalidInput
 from resokit.contact import PhaseShiftModel
-from resokit.product import (
-    ContactEigenstate,
-    modified_product,
-    modified_product_series,
-    reg_matrix_element,
-)
+from resokit.product import ContactEigenstate, construct_two_pole_model, modified_product
 
 SEEDS = (verify.DEFAULT_SEED, 0, 1, 2, 3, 4)
 # The series-quotient breach seeds of ROADMAP item 2 (tolerance 1e-12) and
-# the worst value each reads: the first breaches, the second passes.
-SERIES_BREACH_SEEDS = ((1225879262, "2.18e-12", False), (61097360, "4.89e-13", True))
+# the worst value each reads: all but 61097360 breach. A change that
+# re-draws the battery shows here before it can hide the known breach.
+SERIES_BREACH_SEEDS = (
+    (1225879262, "2.18e-12", False),
+    (61097360, "4.89e-13", True),
+    (680, "2.26e-12", False),
+    (476338473, "1.23e-12", False),
+    (1559277049, "1.55e-12", False),
+)
+# Every (lo, hi) the battery draws uniforms from.
+UNIFORM_RANGES = ((-2.0, 2.0), (0.2, 5.0), (0.05, 0.5), (-5.0, 5.0), (-1.0, 1.0),
+                  (-5.0, -2.0), (-2.0, 1.0), (-12.0, -2.0), (0.3, 3.0), (0.03, 0.3), (0.5, 3.0))
 
 
 def _random_model_numpy(rng, max_degree, coeff_range=2.0):
@@ -100,6 +106,11 @@ def _two_channel_sets(seed):
     return sets
 
 
+def _matrix_element(s, n):
+    """Regularized large-k limit of <k|(p^2/2mu)^n|s>, n >= 1: -4 pi A E^(n-1)."""
+    return -4.0 * math.pi * s.amplitude * s.energy ** (n - 1)
+
+
 def _series_by_double_loop(model, s1, s2, plain):
     acc = 0.0j
     for n in range(1, model.degree + 1):
@@ -108,7 +119,7 @@ def _series_by_double_loop(model, s1, s2, plain):
             continue
         inner = 0.0j
         for p in range(1, n + 1):
-            inner += reg_matrix_element(s1, n - p + 1).conjugate() * reg_matrix_element(s2, p)
+            inner += _matrix_element(s1, n - p + 1).conjugate() * _matrix_element(s2, p)
         acc += c * inner
     return plain - (1.0 / (4.0 * math.pi)) * acc
 
@@ -137,9 +148,65 @@ def _series_quotient_per_draw(seed):
     return worst
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stacked_unitarity_equals_per_model_loop(seed):
     assert verify.check_unitarity_one_channel(seed).worst == _unitarity_per_model(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_horner_block_rows_equal_model_g(seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    table = [verify._random_coeffs(ours, max_degree=6) for _ in range(200)]
+    models = [_random_model_numpy(theirs, max_degree=6) for _ in range(200)]
+    energies = scattering.energy(np.geomspace(1e-2, 1e2, 50))
+    block = verify._horner_block(table, energies)
+    assert block.shape == (200, 50)
+    for coeffs, model, row in zip(table, models, block):
+        assert _bits(coeffs) == _bits(model.coeffs)
+        assert _bits(row) == _bits(model.g(energies))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_raw_double_uniforms_equal_rng_uniform(seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for lo, hi in UNIFORM_RANGES * 4:
+        assert verify._uniform(ours, lo, hi).hex() == theirs.uniform(lo, hi).hex()
+        assert ours.integers(2) == theirs.integers(2)
+        for size in (1, 2, 9):
+            assert _bits(verify._uniform(ours, lo, hi, size)) == _bits(theirs.uniform(lo, hi, size))
+            assert ours.integers(2) == theirs.integers(2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_six_normals_at_once_equal_four_then_two(seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        six = ours.normal(size=6).tolist()
+        assert _bits(six) == _bits([*theirs.normal(size=4).tolist(), theirs.normal(), theirs.normal()])
+        assert ours.integers(2) == theirs.integers(2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_orthogonality_pairs_take_pow_per_value(seed):
+    # numpy's array power may round other than the C library's pow,
+    # depending on the CPU; the pairs must not.
+    rng = np.random.default_rng(seed + 2)
+    pairs = []
+    while len(pairs) < 100:
+        q1, q2 = (10.0 ** x for x in rng.uniform(-1.0, 1.0, 2).tolist())
+        if abs(q1 - q2) >= 0.05 * max(q1, q2):
+            pairs.append((q1, q2))
+    for _ in range(50):
+        q1 = 10.0 ** rng.uniform(-1.0, 1.0)
+        pairs.append((q1, q1 * (1.0 + 10.0 ** rng.uniform(-5.0, -2.0))))
+    cases = verify.check_orthogonality(seed).cases
+    assert [_bits(case["model"]) for case in cases] == [
+        _bits(construct_two_pole_model(q1, q2).coeffs) for q1, q2 in pairs
+    ]
 
 
 def test_unitarity_kernel_of_a_stack_equals_one_model_calls():
@@ -165,7 +232,7 @@ def test_series_equals_double_loop_exactly(degree):
             s1 = ContactEigenstate(e1, complex(a1, b1))
             s2 = ContactEigenstate(e2, complex(a2, b2))
             plain = complex(rng.normal(), rng.normal())
-            assert modified_product_series(model, s1, s2, plain) == _series_by_double_loop(
+            assert verify._modified_product_series(model, s1, s2, plain) == _series_by_double_loop(
                 model, s1, s2, plain
             )
 

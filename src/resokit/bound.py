@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .contact import PhaseShiftModel, _quotient
-from .errors import InvalidInput, RootAtGridBoundary
+from .errors import InvalidInput, NoConvergence, RootAtGridBoundary
 
 Q_MIN_DEFAULT = 1e-8
 REAL_ROOT_REL = 1e-6
@@ -109,8 +109,15 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     rounded once. Newton steps on h in plain arithmetic would move them away
     again (by about u/gap for a close pair), so they are not polished. For
     N >= 2 the roots are the eigenvalues of the companion matrix, built in
-    place and handed to ``np.linalg.eigvals``, and each kept root is
-    polished with guarded Newton steps; only this branch imports numpy.
+    place and handed to ``numpy.linalg._umath_linalg.eigvals`` with
+    signature ``d->D``, the LAPACK kernel that ``np.linalg.eigvals`` calls.
+    The wrapper's checks hold by construction: the matrix is square float64,
+    and finite, since the overflow test below raises before it is built.
+    The kernel's eigenvalues are always complex; sorted, they come in the
+    order, and with the values, of the wrapper's real-or-complex array. Each
+    kept root is polished with guarded Newton steps; only this branch
+    imports numpy. An eigenvalue solve that does not converge raises
+    :class:`NoConvergence`.
 
     A root z counts as real when |Im z| <= ``REAL_ROOT_REL`` |z|. Simple
     real roots come with Im z = 0 exactly; the band admits a tangent
@@ -152,24 +159,30 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
         if max(map(abs, h)) / abs(h[-1]) == math.inf:
             raise InvalidInput("the companion matrix of h(q) overflows")
         import numpy as np
+        from numpy.linalg import _umath_linalg
 
         # numpy's polycompanion(h), built in place: ones on the subdiagonal
         # and last column 0 - h[n]/h[-1].
         mat = np.zeros((n, n))
         mat.ravel()[n :: n + 1] = 1.0
         mat[:, -1] = [0.0 - c / h[-1] for c in h[:-1]]
-        eig = np.linalg.eigvals(mat)
+        # Where LAPACK does not converge it returns NaN eigenvalues and
+        # raises the invalid flag; the sort puts NaN last.
+        with np.errstate(all="ignore"):
+            eig = _umath_linalg.eigvals(mat, signature="d->D")
         eig.sort()
         roots = eig.tolist()
+        if roots[-1] != roots[-1]:
+            raise NoConvergence("the companion matrix's eigenvalue solve did not converge")
     candidates: list[float] = []
     for z in map(complex, roots):  # sorted by real part
-        # A root beyond the float range, where abs(z) raises, lies outside
-        # every window, and as inf it would pass the tangent test below.
-        # Im z >= 0 keeps one member of each conjugate pair.
-        if not (math.hypot(z.real, z.imag) < math.inf
-                and 0.0 <= z.imag <= REAL_ROOT_REL * abs(z)):
+        # A root beyond the float range lies outside every window, and as
+        # inf it would pass the tangent test below. Im z >= 0 keeps one
+        # member of each conjugate pair.
+        modulus = math.hypot(z.real, z.imag)
+        if not (modulus < math.inf and 0.0 <= z.imag <= REAL_ROOT_REL * modulus):
             continue
-        if candidates and z.real - candidates[-1] <= REAL_ROOT_REL * abs(z):
+        if candidates and z.real - candidates[-1] <= REAL_ROOT_REL * modulus:
             # The other half of a tangent pole that rounding split into two
             # real roots; their mean, like a conjugate pair's real part, is
             # the accurate estimate of the double root.

@@ -13,7 +13,7 @@ from oracles import mp_bound_poles, mp_pole_residual, mp_quadratic_poles, radial
 from resokit import bound
 from resokit.contact import PhaseShiftModel
 from resokit.product import construct_two_pole_model
-from resokit.errors import InvalidInput, RootAtGridBoundary
+from resokit.errors import InvalidInput, NoConvergence, RootAtGridBoundary
 
 CONST = PhaseShiftModel.from_effective_range(1.0)
 EFF = PhaseShiftModel.from_effective_range(1.0, 1.0)
@@ -24,17 +24,30 @@ Q_EFF = float((-1 + mp.sqrt(5)) / 2)
 A2_EFF = float(mp.mpf(1) / (4 * mp.pi) * 2 / (1 / ((-1 + mp.sqrt(5)) / 2) + 2))
 
 
+def reference_eigvals(model):
+    """np.linalg.eigvals(polycompanion(h)) for h(q) = g(-q^2) + q.
+
+    A companion matrix with an entry that is not finite raises the
+    InvalidInput that find_bound_states documents for it.
+    """
+    coeffs = model.coeffs
+    h = [0.0] * max(2, 2 * len(coeffs) - 1)
+    h[0::2] = [-c if n % 2 else c for n, c in enumerate(coeffs)]
+    h[1] += 1.0
+    with np.errstate(over="ignore"):
+        companion = polycompanion(h)
+    if not np.isfinite(companion).all():
+        raise InvalidInput("the companion matrix of h(q) overflows")
+    return np.linalg.eigvals(companion)
+
+
 def reference_bound_states(model, q_max):
     """find_bound_states with the roots taken as eigvals(polycompanion(h)), sorted.
 
     The real-root filter, tangent merge and polish are those of
     find_bound_states; each state is (q, energy, a2, norm_sign).
     """
-    coeffs = model.coeffs
-    h = [0.0] * max(2, 2 * len(coeffs) - 1)
-    h[0::2] = [-c if n % 2 else c for n, c in enumerate(coeffs)]
-    h[1] += 1.0
-    roots = np.linalg.eigvals(polycompanion(h))
+    roots = reference_eigvals(model)
     roots.sort()
     candidates = []
     for z in map(complex, roots.tolist()):
@@ -68,6 +81,23 @@ def resonance_scan_draws():
         q2 = q1 * (1.0 + 10.0 ** rng.uniform(-4.0, -2.0))
         models.append((construct_two_pole_model(q1, q2), 100.0))
     models.append((PhaseShiftModel((-0.5, 0.5)), 10.0))
+    return models
+
+
+def wide_magnitude_draws():
+    """(model, q_max) of degree 2 to 8 with |c_n| = 10^U(-60, 10), random signs
+    and q_max = 10^U(1, 4); in one draw of four the top coefficient is
+    10^U(-323, -300) instead, and below about 5.6e-309 the companion matrix,
+    which holds h[1]/h[-1] = 1/h[-1], overflows."""
+    rng = np.random.default_rng(3401)
+    models = []
+    for i in range(2000):
+        degree = int(rng.integers(2, 9))
+        exponents = rng.uniform(-60.0, 10.0, degree + 1)
+        if i % 4 == 3:
+            exponents[-1] = rng.uniform(-323.0, -300.0)
+        coeffs = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** exponents
+        models.append((PhaseShiftModel(tuple(coeffs.tolist())), 10.0 ** rng.uniform(1.0, 4.0)))
     return models
 
 
@@ -174,6 +204,12 @@ class TestFindBoundStates:
         with pytest.raises(InvalidInput, match="companion matrix"):
             bound.find_bound_states(model, q_max=1e300)
 
+    def test_unconverged_eigenvalue_solve_raises(self, unconverged_eigvals):
+        before = np.geterr()
+        with pytest.raises(NoConvergence, match="did not converge"):
+            bound.find_bound_states(PhaseShiftModel((-1.0, 0.5, 0.8)), q_max=100.0)
+        assert np.geterr() == before
+
 
 class TestPolynomialRoots:
     @pytest.mark.parametrize("q2", [1.001, 1.003])
@@ -227,6 +263,28 @@ class TestPolynomialRoots:
             got = [(s.q, s.energy, s.a2, s.norm_sign) for s in states]
             assert state_bits(got) == state_bits(reference_bound_states(model, q_max))
         assert found > len(models) // 2
+
+    @pytest.mark.filterwarnings("ignore::resokit.errors.RootAtGridBoundary")
+    def test_wide_magnitude_draws_match_polycompanion_reference_bit_for_bit(self):
+        # Both kinds of eigenvalue array that np.linalg.eigvals returns, real
+        # and complex, and both outcomes of the overflow guard.
+        real = complex_ = rejected = found = 0
+        for model, q_max in wide_magnitude_draws():
+            try:
+                roots = reference_eigvals(model)
+            except InvalidInput as exc:
+                with pytest.raises(InvalidInput) as caught:
+                    bound.find_bound_states(model, q_max)
+                assert str(caught.value) == str(exc)
+                rejected += 1
+                continue
+            real += np.isrealobj(roots)
+            complex_ += np.iscomplexobj(roots)
+            states = bound.find_bound_states(model, q_max)
+            found += len(states)
+            got = [(s.q, s.energy, s.a2, s.norm_sign) for s in states]
+            assert state_bits(got) == state_bits(reference_bound_states(model, q_max))
+        assert min(real, complex_, rejected, found) >= 50
 
     def test_degree_one_closed_form_against_companion_and_mpmath(self):
         # The companion route's states, with every q within 2 ulps of the

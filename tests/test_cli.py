@@ -182,6 +182,11 @@ class TestBoundStateCommand:
         assert (code, out) == (2, "")
         assert "input error" in err and "energy -q^2 that overflows" in err
 
+    def test_unconverged_eigenvalue_solve_exits_3(self, capsys, unconverged_eigvals):
+        code, out, err = run_cli(capsys, "bound-state", "--coeffs=-1,0.5,0.8")
+        assert (code, out) == (3, "")
+        assert "numerical failure" in err and "did not converge" in err
+
 
 class TestTwoChannelCommand:
     def test_params(self, capsys):

@@ -45,7 +45,6 @@ _EXPORTS = {
     "find_bound_states": "bound",
     "modified_norm_check": "bound",
     "modified_product": "product",
-    "parse_model_literal": "contact",
     "plain_overlap_bound": "product",
     "scattering_length_of_field": "units",
     "vdw_length": "units",

@@ -18,7 +18,7 @@ import time
 from itertools import chain
 
 from . import __version__
-from .contact import PhaseShiftModel, parse_model_literal
+from .contact import PhaseShiftModel
 from .errors import (
     DivergentAmplitude,
     InvalidInput,
@@ -90,7 +90,8 @@ def _write_output(args, command: str, table: dict, inputs: dict, residuals=None)
 
     A column is a list or a numeric array. Rows go through one ``%`` template
     and are written in blocks of ``BLOCK_ROWS``: numbers with 17 significant
-    digits, text (str) as it is in CSV and as a JSON string in the report.
+    digits, text (str) as csv.writer quotes it in CSV and as a JSON string
+    in the report.
     The report is the text ``json.dumps(indent=2, sort_keys=True)`` writes
     for rows of strings, its rows spliced into the envelope ``_report``
     writes with no rows.
@@ -113,9 +114,16 @@ def _write_output(args, command: str, table: dict, inputs: dict, residuals=None)
         chunks = chain([head, '\n  "outputs": ['], rows, ["\n  ]" if count else "]", tail])
     else:
         template = ",".join("%s" if text else "%.17g" for text in texts) + "\n"
-        chunks = chain([",".join(names) + "\n"],
-                       _rows(columns, count, template, "", [None] * len(names)))
+        chunks = chain([",".join(names) + "\n"], _rows(
+            columns, count, template, "", [_csv_text if text else None for text in texts]))
     _emit(args, chunks)
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as csv.writer writes it: quoted, '"' doubled, if it holds ',', '"', CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _rows(columns, count: int, template: str, sep: str, escapes):
@@ -209,8 +217,9 @@ def _grid(args, what: str):
 
     try:
         grid = np.linspace(lo, hi, n)  # the bits of _linspace
-    except ValueError as exc:
-        # numpy refuses a point count beyond its array size limit
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a point count beyond its array size limit, or one
+        # whose array cannot be allocated
         raise InvalidInput(f"sweep has too many steps: {exc}") from None
     if args.log:
         inner = map(_exp10, grid[1:-1].tolist())
@@ -218,15 +227,20 @@ def _grid(args, what: str):
     return grid
 
 
+def _coeffs_model(text: str, what: str) -> PhaseShiftModel:
+    """The model of comma-separated coefficients c0,c1,...; ``what`` names ``text`` in errors."""
+    try:
+        coeffs = tuple(map(float, text.split(",")))
+    except ValueError as exc:
+        raise InvalidInput(f"bad {what}: {exc}") from None
+    return PhaseShiftModel(coeffs)
+
+
 def _model_from_args(args) -> PhaseShiftModel:
     if args.coeffs:
         if args.a is not None or args.rstar is not None:
             raise InvalidInput("give either --coeffs or --a/--rstar, not both")
-        try:
-            coeffs = tuple(float(c) for c in args.coeffs.split(","))
-        except ValueError as exc:
-            raise InvalidInput(f"bad --coeffs: {exc}") from None
-        return PhaseShiftModel(coeffs)
+        return _coeffs_model(args.coeffs, "--coeffs")
     if args.a is None:
         raise InvalidInput("need --a (with optional --rstar) or --coeffs")
     return PhaseShiftModel.from_effective_range(args.a, args.rstar or 0.0)
@@ -369,7 +383,7 @@ def _cmd_tc_sweep(args) -> int:
 
 def _cmd_fb_classify(args) -> int:
     from .species import load_species
-    from .units import vdw_length, width_radius, width_ratio
+    from .units import classify_resonance, vdw_length, width_radius, width_ratio
 
     # checked before the file is read, so that a table without rows fails too
     if not math.isfinite(args.threshold):
@@ -378,9 +392,8 @@ def _cmd_fb_classify(args) -> int:
     rows = []
     for res in load_species(args.species, mode=args.units):
         rstar, rvdw = width_radius(res), vdw_length(res)
-        ratio = width_ratio(rstar, rvdw)
-        label = "narrow" if ratio > args.threshold else "broad"  # classify_resonance's rule
-        rows.append([res.species, rstar, rvdw, ratio, label])
+        rows.append([res.species, rstar, rvdw, width_ratio(rstar, rvdw),
+                     classify_resonance(res, args.threshold)])
     inputs = {"species_file": args.species, "units": args.units, "threshold": args.threshold}
     _write_output(args, "feshbach classify", _table(columns, rows), inputs)
     return EXIT_OK
@@ -589,10 +602,11 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict) -> None:
     actions = _config_actions(parser)
     defaults = {}
     for key, value in mapping.items():
-        if key == "g":
-            defaults["coeffs"] = ",".join(
-                str(c) for c in parse_model_literal(f"g = {value}").coeffs
-            )
+        if key == "g":  # the --coeffs list in brackets, checked here
+            if not (value.startswith("[") and value.endswith("]")):
+                raise InvalidInput(f"g = {value!r}: expected [c0, c1, ...]")
+            _coeffs_model(value[1:-1], "g")
+            defaults["coeffs"] = value[1:-1]
             continue
         action = actions.get(key)
         if action is None:

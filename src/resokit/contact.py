@@ -12,7 +12,6 @@ mass 1/2 enters as a literal factor.
 from __future__ import annotations
 
 import math
-import re
 
 from .errors import InvalidInput
 
@@ -109,31 +108,3 @@ class PhaseShiftModel(_ReadOnly):
         """Exact derivative dg/dE, the diagonal of :meth:`difference_quotient`."""
         return self.difference_quotient(energy, energy)
 
-
-_LITERAL_EFF_RANGE = re.compile(
-    r"^\s*a\s*=\s*(?P<a>[^\s,]+)\s*(?:[,\s]\s*rstar\s*=\s*(?P<rstar>[^\s,]+)\s*)?$"
-)
-_LITERAL_COEFFS = re.compile(r"^\s*(?:g\s*=\s*)?\[(?P<body>[^\]]*)\]\s*$")
-
-
-def parse_model_literal(text: str) -> PhaseShiftModel:
-    """Parse ``g = [c0, c1, ...]`` or ``a=<val> rstar=<val>`` into a model."""
-    m = _LITERAL_COEFFS.match(text)
-    if m:
-        body = m.group("body").strip()
-        if not body:
-            raise InvalidInput(f"empty coefficient list in {text!r}")
-        try:
-            coeffs = tuple(float(part) for part in body.split(","))
-        except ValueError as exc:
-            raise InvalidInput(f"bad coefficient in {text!r}: {exc}") from None
-        return PhaseShiftModel(coeffs)
-    m = _LITERAL_EFF_RANGE.match(text)
-    if m:
-        try:
-            a = float(m.group("a"))
-            rstar = float(m.group("rstar")) if m.group("rstar") else 0.0
-        except ValueError as exc:
-            raise InvalidInput(f"bad value in {text!r}: {exc}") from None
-        return PhaseShiftModel.from_effective_range(a, rstar)
-    raise InvalidInput(f"cannot parse model literal {text!r}")

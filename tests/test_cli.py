@@ -1,7 +1,11 @@
 """Command-line interface: grammar, outputs, exit codes, config."""
 
+import csv
+import io
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +15,8 @@ import pytest
 
 from oracles import mp_quadratic_poles
 from resokit import bound, cli
+from resokit.species import load_species
+from resokit.units import classify_resonance
 from resokit.verify import SYNTHETIC_SPECIES_CSV, CheckResult
 
 
@@ -122,13 +128,17 @@ class TestAmplitudeCommand:
 
     @pytest.mark.parametrize("log", [[], ["--log"]])
     def test_steps_beyond_array_limit_is_input_error(self, capsys, species_file, log):
-        # numpy refuses 1e20 points before it allocates any
-        for argv in (["amplitude", "--a", "1"], ["feshbach", "sweep", "--species", species_file]):
-            code, out, err = run_cli(capsys, *argv, "--min", "0.1", "--max", "1",
-                                     "--steps", "100000000000000000000", *log)
-            assert code == 2, err
-            assert out == ""
-            assert "input error" in err and "too many steps" in err
+        # numpy refuses 1e20 points before it allocates any; 1e15 points
+        # need 8e15 bytes, more than a 64-bit address space, so their
+        # allocation fails at once
+        for argv in (["amplitude", "--a", "1"], ["feshbach", "sweep", "--species", species_file],
+                     ["two-channel", "sweep", "--a", "1", "--rstar", "1"]):
+            for steps in (10**20, 10**15):
+                code, out, err = run_cli(capsys, *argv, "--min", "0.1", "--max", "1",
+                                         "--steps", str(steps), *log)
+                assert code == 2, err
+                assert out == ""
+                assert "input error" in err and "too many steps" in err
 
 
 class TestBoundStateCommand:
@@ -292,6 +302,48 @@ class TestFeshbachCommand:
         assert header == ["B", "a"]
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("units", ["natural", "si", "atomic"])
+    def test_class_is_classify_resonance(self, capsys, tmp_path, units):
+        rng = random.Random(7)
+        lines = SYNTHETIC_SPECIES_CSV.splitlines()[:2]
+        for i in range(12):
+            sign = rng.choice((-1, 1))
+            lines.append(f"s{i},{rng.uniform(1, 200)!r},{10 ** rng.uniform(2, 4)!r},"
+                         f"{rng.uniform(10, 1000)!r},{sign * 10 ** rng.uniform(-2, 2)!r},"
+                         f"{rng.uniform(-1000, 1000)!r},{rng.uniform(0.1, 3)!r}")
+        path = tmp_path / "species.csv"
+        path.write_text("\n".join(lines) + "\n")
+        records = load_species(str(path), mode=units)
+        _, rows = parse_csv(run_cli(capsys, "feshbach", "classify", "--species", str(path),
+                                    "--units", units)[1])
+        # the threshold is one row's ratio exactly: the rule is strict, so it is broad
+        threshold = float(rows[5][3])
+        code, out, _ = run_cli(capsys, "feshbach", "classify", "--species", str(path),
+                               "--units", units, f"--threshold={threshold!r}")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[5][4] == "broad"
+        assert [row[4] for row in rows] == [classify_resonance(res, threshold)
+                                            for res in records]
+        assert {"broad", "narrow"} <= {row[4] for row in rows}
+
+    def test_text_cells_are_quoted_as_csv_writer_quotes_them(self, capsys, tmp_path):
+        path = tmp_path / "species.csv"
+        header, row = SYNTHETIC_SPECIES_CSV.splitlines()[1:3]
+        values = row.split(",", 1)[1]
+        path.write_text(f'{header}\n"Rb,87",{values}\n"Li ""6""",{values}\nplain,{values}\n')
+        code, out, _ = run_cli(capsys, "feshbach", "classify", "--species", str(path))
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(r) for r in rows] == [5] * 4
+        assert [r[0] for r in rows] == ["species", "Rb,87", 'Li "6"', "plain"]
+        assert out.splitlines()[3].startswith("plain,")
+        # names the species loader cannot read (CR, LF) follow csv.writer too
+        for text in ("a\rb", "a\nb", 'say "x"', "a,b", "", " x ", "plain"):
+            with io.StringIO() as buf:
+                csv.writer(buf).writerow([text, "1"])
+                assert cli._csv_text(text) + ",1\r\n" == buf.getvalue()
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "feshbach", "classify", "--species", "/nope.csv")
         assert code == 2
@@ -372,6 +424,39 @@ class TestConfig:
         f = scattering.amplitude(PhaseShiftModel((-1.0, -1.0)), 1.0)
         _, rows = parse_csv(out)
         assert float(rows[0][2]) == f.real
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_g_is_the_coeffs_list_in_brackets(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        forms = (repr, "{:e}".format, "{:.3g}".format, "{:E}".format)
+        coeffs = [rng.choice(forms)(rng.uniform(-2, 2)) for _ in range(rng.randrange(1, 5))]
+        coeffs += rng.choice(([], ["0"], ["0.0", "0e0"], ["-0.0E+3"]))
+        text = ",".join(" " * rng.randrange(3) + c + " " * rng.randrange(3) for c in coeffs)
+        cfg = tmp_path / "g.conf"
+        cfg.write_text(f"g = [{text}]\n")
+        for argv in (["amplitude", "--k", "0.7"],
+                     ["phase-shift", "--min", "0", "--max", "2", "--steps", "5"],
+                     ["bound-state"], ["modified-norm", "--qmax", "50"]):
+            for fmt in ("csv", "json"):
+                runs = []
+                for model in (["--config", str(cfg)], [f"--coeffs={text}"]):
+                    code, out, err = run_cli(capsys, *argv, *model, "--format", fmt)
+                    runs.append((code, re.sub(r'"timestamp": "[^"]*"', "", out)))
+                assert runs[0] == runs[1], (text, argv, err)
+
+    @pytest.mark.parametrize("value", ["[]", "[1, two]", "1, 2", "[[1]]", "[inf]"])
+    @pytest.mark.parametrize("argv", [
+        ["amplitude", "--k", "1"], ["bound-state", "--a", "1"],
+        ["two-channel", "params", "--a", "1", "--rstar", "1"],
+        ["feshbach", "classify", "--species", "SPECIES"], ["verify", "orthogonality"],
+    ])
+    def test_malformed_g_is_config_error(self, capsys, tmp_path, species_file, value, argv):
+        cfg = tmp_path / "g.conf"
+        cfg.write_text(f"g = {value}\n")
+        argv = [species_file if token == "SPECIES" else token for token in argv]
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("resokit: config error: ")
 
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "env.conf"

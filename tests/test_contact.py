@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_polyder, mp_polyval, richardson_derivative
-from resokit.contact import PhaseShiftModel, parse_model_literal
+from resokit.contact import PhaseShiftModel
 from resokit.errors import InvalidInput
 
 # fixed draw for the arbitrary-precision comparisons
@@ -111,17 +111,3 @@ class TestEvaluation:
         scale = max(abs(fd), abs(model.g_prime(energy)), 1.0)
         assert abs(model.g_prime(energy) - fd) / scale < 1e-8
 
-
-class TestLiteralParsing:
-    def test_bracket_forms(self):
-        assert parse_model_literal("g = [1, -2]").coeffs == (1.0, -2.0)
-        assert parse_model_literal("[1,-2,0.5]").coeffs == (1.0, -2.0, 0.5)
-
-    def test_effective_range_forms(self):
-        assert parse_model_literal("a=2 rstar=0.5").coeffs == (-0.5, -0.5)
-        assert parse_model_literal("a=-1").coeffs == (1.0,)
-
-    def test_rejects_garbage(self):
-        for text in ("", "g = []", "a=zed", "q=3", "[1, two]"):
-            with pytest.raises(InvalidInput):
-                parse_model_literal(text)

@@ -14,6 +14,7 @@ sort_keys=True)``, timestamp masked) must reproduce exactly.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -321,11 +322,20 @@ def write_table(fmt, table, residuals=None):
     return buf.getvalue()
 
 
+def csv_cell(text):
+    """``text`` as csv.writer writes it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(',\r\n')]
+
+
 def assert_writer(table, residuals=None):
     header = list(table)
     cells = [[v if isinstance(v, str) else _fmt(v) for v in column] for column in table.values()]
     rows = [list(row) for row in zip(*cells)]
-    assert write_table("csv", table) == csv_text(header, rows)
+    quoted = [[csv_cell(v) if isinstance(v, str) else _fmt(v) for v in row]
+              for row in zip(*table.values())]
+    assert write_table("csv", table) == csv_text(header, quoted)
     text = masked(write_table("json", table, residuals))
     assert text == report_text("writer test", {"n": 1}, header, rows, residuals)
 

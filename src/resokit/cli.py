@@ -260,27 +260,7 @@ def _cmd_amplitude(args) -> int:
         ks = [args.k]
         inputs["k"] = args.k
     names = ("k", "E", "Re_f", "Im_f", "delta", "sigma")
-    # delta and sigma are defined for k > 0 only; threshold rows read nan
-    if isinstance(ks, list):
-        rows = []
-        for k in ks:
-            f = scattering.amplitude(model, k)
-            delta = sigma = math.nan
-            if k > 0.0:
-                delta = scattering.phase_shift(model, k)
-                sigma = scattering.cross_section(model, k, identical=args.identical)
-            rows.append((k, scattering.energy(k), f.real, f.imag, delta, sigma))
-        table = _table(names, rows)
-    else:
-        import numpy as np
-
-        f = scattering.amplitude(model, ks)
-        above = ks > 0.0
-        delta = np.full_like(ks, math.nan)
-        delta[above] = scattering.phase_shift(model, ks[above])
-        sigma = np.full_like(ks, math.nan)
-        sigma[above] = scattering.cross_section(model, ks[above], identical=args.identical)
-        table = dict(zip(names, (ks, scattering.energy(ks), f.real, f.imag, delta, sigma)))
+    table = dict(zip(names, scattering.table(model, ks, identical=args.identical)))
     _write_output(args, args.command, table, inputs)
     return EXIT_OK
 

@@ -4,17 +4,16 @@ The amplitude is parameterized as f(k) = -1/(-g(E) + i k) with E = k^2 in
 the working units, which satisfies the optical theorem Im(1/f) = -k
 identically for any real polynomial g.
 
-Every observable takes a wavenumber or an array of them and returns a
-Python scalar or an array of the same shape. An ``int`` or ``float`` (and
-so ``np.float64``) takes the scalar expressions that define the values,
-f = -1/complex(-g, k), atan2(k, g) and abs(f), without importing numpy;
-anything else is an array. Arrays are validated once, and the first
-offending entry decides the error, as if the points were evaluated in
-order. Their arithmetic reproduces the scalar expressions bit for bit:
-complex division follows CPython's algorithm, squares are products, and
-moduli and atan2 go through the C library (``np.hypot`` and
-``math.atan2``), because numpy's complex ``abs`` and ``arctan2`` round
-differently in the last bit.
+Each observable takes one wavenumber and returns a Python scalar from the
+expressions that define it, f = -1/complex(-g, k), atan2(k, g) and abs(f),
+without importing numpy. :func:`table` evaluates many wavenumbers at once:
+each point is validated once and evaluates g once. A list takes the scalar
+expressions; an array takes array arithmetic that reproduces them bit for
+bit, and is validated once, the first offending entry deciding the error
+as if the points were evaluated in order. Complex division follows
+CPython's algorithm, squares are products, and moduli and atan2 go through
+the C library (``np.hypot`` and ``math.atan2``), because numpy's complex
+``abs`` and ``arctan2`` round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -25,22 +24,15 @@ from .contact import PhaseShiftModel
 from .errors import DivergentAmplitude, InvalidInput
 
 
-def energy(k):
-    """Relative energy E = k^2 of a wavenumber or an array of them."""
-    if isinstance(k, (int, float)):
-        return float(k) * float(k)
-    import numpy as np
-    k = np.asarray(k, dtype=float)
-    with np.errstate(over="ignore"):  # E = inf past the float range, as for a float
-        return k * k
-
-
 def _evaluate_point(model: PhaseShiftModel, k, positive: bool):
     """k as a float with g(E(k)). k must be finite and nonnegative (positive
     if ``positive``) with a finite energy, else :class:`InvalidInput`; k = 0
     with g(0) = 0 raises :class:`DivergentAmplitude`.
     """
-    k = float(k)
+    try:
+        k = float(k)
+    except OverflowError:  # an int past the float range
+        k = math.inf
     e = k * k
     g = model.g(e)
     if not ((k > 0.0 if positive else k >= 0.0) and math.isfinite(e)):
@@ -51,27 +43,22 @@ def _evaluate_point(model: PhaseShiftModel, k, positive: bool):
     return k, g
 
 
-def _evaluate(model: PhaseShiftModel, k, positive: bool):
-    """k as a float array with E(k) and g(E), validated point by point.
+def _evaluate(model: PhaseShiftModel, k):
+    """k as a float array with E = k^2 and g(E), validated point by point.
 
     The first offending point decides: it raises the error of
-    :func:`_evaluate_point`, whose arithmetic is the same.
+    :func:`_evaluate_point` with ``positive=False``, whose arithmetic is the
+    same.
     """
     import numpy as np
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = energy(k)
+        e = k * k  # E = inf past the float range, as for a float
         g = model.g(e)
-    bad = ~(((k > 0.0) if positive else (k >= 0.0)) & np.isfinite(e))
-    failed = bad | ((k == 0.0) & (g == 0.0))
+    failed = ~((k >= 0.0) & np.isfinite(e)) | ((k == 0.0) & (g == 0.0))
     if failed.any():
-        _evaluate_point(model, k.flat[np.flatnonzero(failed)[0]], positive)
+        _evaluate_point(model, k.flat[np.flatnonzero(failed)[0]], positive=False)
     return k, e, g
-
-
-def _result(values):
-    """A Python scalar for 0-d results, the array otherwise."""
-    return values.item() if values.ndim == 0 else values
 
 
 def _complex_quotient(ar, ai, br, bi):
@@ -107,49 +94,65 @@ def _amplitude_point(k: float, g: float) -> complex:
     return complex(1.0 / g, 0.0) if k == 0.0 else -1.0 / complex(-g, k)
 
 
-def amplitude(model: PhaseShiftModel, k):
+def _sigma_point(f: complex, factor: float) -> float:
+    """factor |f|^2, |f| by the C library's hypot (as ``np.hypot``)."""
+    try:
+        modulus = abs(f)
+    except OverflowError:  # finite parts, a modulus past the float range
+        modulus = math.inf
+    return factor * (modulus * modulus)
+
+
+def _sigma_factor(identical: bool) -> float:
+    return 8.0 * math.pi if identical else 4.0 * math.pi
+
+
+def amplitude(model: PhaseShiftModel, k) -> complex:
     """f(k) = -1/(-g(E) + ik); at k = 0 the real threshold value -a."""
-    if isinstance(k, (int, float)):
-        return _amplitude_point(*_evaluate_point(model, k, positive=False))
-    import numpy as np
-    k, _, g = _evaluate(model, k, positive=False)
-    real, imag = _amplitude(k, g)
-    f = np.empty(k.shape, dtype=complex)
-    f.real = real
-    f.imag = imag
-    return _result(f)
+    return _amplitude_point(*_evaluate_point(model, k, positive=False))
 
 
-def phase_shift(model: PhaseShiftModel, k):
+def phase_shift(model: PhaseShiftModel, k) -> float:
     """delta_s(k) = arccot(g(E)/k) on the branch (0, pi].
 
     Evaluated as atan2(k, g), which keeps the branch open at 0 for any
     finite g; the limits g/k -> +inf and -inf map to 0+ and pi.
     """
-    if isinstance(k, (int, float)):
-        return math.atan2(*_evaluate_point(model, k, positive=True))
-    import numpy as np
-    k, _, g = _evaluate(model, k, positive=True)
-    delta = np.fromiter(map(math.atan2, k.ravel().tolist(), g.ravel().tolist()), float, k.size)
-    return _result(delta.reshape(k.shape))
+    return math.atan2(*_evaluate_point(model, k, positive=True))
 
 
-def cross_section(model: PhaseShiftModel, k, identical: bool = False):
+def cross_section(model: PhaseShiftModel, k, identical: bool = False) -> float:
     """4 pi |f|^2, or 8 pi |f|^2 for identical bosons."""
-    factor = 8.0 * math.pi if identical else 4.0 * math.pi
-    if isinstance(k, (int, float)):
-        f = _amplitude_point(*_evaluate_point(model, k, positive=True))
-        try:
-            modulus = abs(f)  # the C library's hypot, as np.hypot
-        except OverflowError:  # finite parts, a modulus past the float range
-            modulus = math.inf
-        return factor * (modulus * modulus)
+    f = _amplitude_point(*_evaluate_point(model, k, positive=True))
+    return _sigma_point(f, _sigma_factor(identical))
+
+
+def table(model: PhaseShiftModel, ks, identical: bool = False) -> tuple:
+    """The columns k, E, Re f, Im f, delta and sigma at wavenumbers ``ks``.
+
+    A list gives six lists of Python floats, anything else six float arrays
+    of its shape. delta and sigma (with the factor of
+    :func:`cross_section`) are defined for k > 0 only and read nan at k = 0.
+    """
+    factor = _sigma_factor(identical)
+    if isinstance(ks, list):
+        rows = []
+        for k in ks:
+            k, g = _evaluate_point(model, k, positive=False)
+            f = _amplitude_point(k, g)
+            rest = (math.atan2(k, g), _sigma_point(f, factor)) if k > 0.0 else (math.nan, math.nan)
+            rows.append((k, k * k, f.real, f.imag, *rest))
+        return tuple(map(list, zip(*rows))) or tuple([] for _ in range(6))
     import numpy as np
-    k, _, g = _evaluate(model, k, positive=True)
+    k, e, g = _evaluate(model, ks)
     real, imag = _amplitude(k, g)
+    above = k > 0.0
+    delta = np.fromiter(map(math.atan2, k.ravel().tolist(), g.ravel().tolist()), float, k.size)
     with np.errstate(over="ignore"):
         modulus = np.hypot(real, imag)
-        return _result(factor * (modulus * modulus))
+        sigma = factor * (modulus * modulus)
+    return (k, e, real, imag, np.where(above, delta.reshape(k.shape), math.nan),
+            np.where(above, sigma, math.nan))
 
 
 def unitarity_kernel(k, g):

@@ -362,6 +362,7 @@ def rstar_from_lambda(lam: float, mass: float = 1.0) -> float:
 
 def emol_for_target_a(a_target: float, lam: float, eps: float, mass: float = 1.0) -> float:
     """Molecular energy that sets the scattering length to ``a_target`` at (lam, eps, mass)."""
+    _check_width_and_mass(eps, mass)
     if a_target == 0.0:
         raise InvalidInput("target scattering length must be nonzero")
     return (lam * lam * mass / (2.0 * math.pi)) * (SQRT_2_OVER_PI / eps - 1.0 / a_target)
@@ -370,7 +371,6 @@ def emol_for_target_a(a_target: float, lam: float, eps: float, mass: float = 1.0
 def params_for_targets(a: float, rstar: float, eps: float, mass: float = 1.0) -> TwoChannelParams:
     """Parameter set holding (a_eps, R*) = (a, rstar) at regulator width eps."""
     lam = lambda_from_rstar(rstar, mass)
-    _check_width_and_mass(eps, mass)
     return TwoChannelParams(lam, emol_for_target_a(a, lam, eps, mass), eps, mass)
 
 

@@ -1,8 +1,8 @@
-"""Scattering observables: amplitude, phase shift, cross section, unitarity."""
+"""Scattering observables: amplitude, phase shift, cross section, unitarity, the table."""
 
 import math
+import os
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_amplitude, mp_arccot
-from resokit import scattering
+from resokit import cli, scattering
 from resokit.contact import PhaseShiftModel
 from resokit.errors import DivergentAmplitude, InvalidInput, ResokitError
 
@@ -23,7 +23,7 @@ DEG6 = PhaseShiftModel((-0.73, 1.21, -0.44, 0.9, -1.37, 0.25, 0.61))
 def unitarity_residual(model, k):
     """|Im(1/f) + k| / k of a model at wavenumbers k > 0."""
     k = np.asarray(k, dtype=float)
-    return scattering.unitarity_kernel(k, model.g(scattering.energy(k)))
+    return scattering.unitarity_kernel(k, model.g(k * k))
 
 
 class TestAmplitude:
@@ -58,12 +58,31 @@ class TestAmplitude:
 
     def test_arrays_keep_shape_and_scalar_types(self):
         ks = np.array([[0.0, 0.5], [1.0, 2.0]])
-        f = scattering.amplitude(EFF, ks)
-        assert f.shape == ks.shape and f.dtype == complex
-        assert f[1, 0] == scattering.amplitude(EFF, 1.0)
+        columns = scattering.table(EFF, ks)
+        listed = scattering.table(EFF, [1.0])
+        assert len(columns) == len(listed) == 6
+        for column, (value,) in zip(columns, listed):
+            assert column.shape == ks.shape and column.dtype == float
+            assert column[1, 0] == value and type(value) is float
         assert type(scattering.amplitude(EFF, 1.0)) is complex
         assert type(scattering.phase_shift(EFF, 1.0)) is float
         assert type(scattering.cross_section(EFF, 1.0)) is float
+        # one wavenumber per call: an array of them is float()'s TypeError
+        for observable in (scattering.amplitude, scattering.phase_shift,
+                           scattering.cross_section):
+            with pytest.raises(TypeError):
+                observable(EFF, ks[1])
+
+    @pytest.mark.parametrize(
+        "observable", [scattering.amplitude, scattering.phase_shift, scattering.cross_section]
+    )
+    def test_int_past_the_float_range_rejected(self, observable):
+        # float() raised OverflowError where 10**200 (a finite float) was rejected
+        for k in (10**400, -(10**400), 10**200):
+            with pytest.raises(InvalidInput, match="wavenumber must be finite"):
+                observable(CONST, k)
+        with pytest.raises(InvalidInput, match="finite and nonnegative"):
+            scattering.table(CONST, [0.5, 10**400])
 
     @pytest.mark.parametrize(
         "model, ks, error",
@@ -76,8 +95,15 @@ class TestAmplitude:
     )
     def test_first_offending_point_decides(self, model, ks, error):
         # as if the points were evaluated one by one, in order
-        with pytest.raises(error):
-            scattering.amplitude(model, np.array(ks))
+        outcomes = set()
+        for route in (list, np.array):
+            with pytest.raises(error) as err:
+                scattering.table(model, route(ks))
+            outcomes.add(str(err.value))
+        with pytest.raises(error) as err:
+            for k in ks:
+                scattering.amplitude(model, k)
+        assert outcomes == {str(err.value)}
 
     def test_threshold_error_is_quadratic(self):
         # Re f + a shrinks by 4 when k halves
@@ -168,16 +194,40 @@ class TestUnitarity:
 
 
 class TestScalarRoute:
-    """A float wavenumber and a one-element array give the same bits and errors."""
+    """The table's list and array routes give the same bits and errors, and
+    the list route those of the one-number observables."""
 
-    OBSERVABLES = {
-        "amplitude": scattering.amplitude,
-        "phase_shift": scattering.phase_shift,
-        "cross_section": scattering.cross_section,
-        "cross_section_identical": partial(scattering.cross_section, identical=True),
-        "energy": lambda model, k: scattering.energy(k),
-    }
-    TYPES = {"amplitude": complex}
+    @staticmethod
+    def outcome(call):
+        try:
+            columns = call()
+        except ResokitError as exc:
+            return type(exc), str(exc)
+        return [[value.hex() for value in np.asarray(column, dtype=float).tolist()]
+                for column in columns]
+
+    @staticmethod
+    def observables(model, k, identical):
+        """The row of one wavenumber from amplitude, phase_shift and cross_section."""
+        f = scattering.amplitude(model, k)
+        if not k > 0.0:
+            return [k, k * k, f.real, f.imag, math.nan, math.nan]
+        sigma = scattering.cross_section(model, k, identical)
+        return [k, k * k, f.real, f.imag, scattering.phase_shift(model, k), sigma]
+
+    def assert_routes_agree(self, model, ks):
+        for identical in (False, True):
+            listed = [self.outcome(lambda: scattering.table(model, [k], identical)) for k in ks]
+            for k, row in zip(ks, listed):
+                array = self.outcome(lambda: scattering.table(model, np.array([k]), identical))
+                scalar = self.outcome(lambda: [[v] for v in self.observables(model, k, identical)])
+                assert row == array == scalar, (model.coeffs, k, identical)
+            # many points at once: the array's masks and the list's rows agree
+            good = [k for k, row in zip(ks, listed) if isinstance(row, list)]
+            assert self.outcome(lambda: scattering.table(model, good, identical)) == self.outcome(
+                lambda: scattering.table(model, np.array(good), identical))
+            columns = scattering.table(model, good, identical)
+            assert all(type(value) is float for column in columns for value in column)
 
     @staticmethod
     def models():
@@ -189,24 +239,6 @@ class TestScalarRoute:
                     -exponent, exponent, degree + 1) * rng.uniform(1.0, 3.0, degree + 1)
                 coeffs[rng.random(degree + 1) < 0.1] = 0.0
                 yield PhaseShiftModel(tuple(coeffs.tolist()))
-
-    @staticmethod
-    def outcome(observable, model, k, pick):
-        try:
-            value = pick(observable(model, k))
-        except ResokitError as exc:
-            return type(exc), str(exc)
-        value = complex(value)
-        return value.real.hex(), value.imag.hex()
-
-    def assert_routes_agree(self, model, ks):
-        for name, observable in self.OBSERVABLES.items():
-            for k in ks:
-                scalar = self.outcome(observable, model, k, lambda v: v)
-                array = self.outcome(observable, model, np.array([k]), lambda v: v[0])
-                assert scalar == array, (name, model.coeffs, k)
-                if isinstance(scalar[0], str):
-                    assert type(observable(model, k)) is self.TYPES.get(name, float)
 
     def test_bits_and_errors_agree(self):
         rng = np.random.default_rng(2029)
@@ -239,4 +271,36 @@ class TestScalarRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert scattering.amplitude(model, 0.0) == complex(-math.inf, 0.0)
-            assert scattering.amplitude(model, np.array([0.0, 1.0]))[0] == complex(-math.inf, 0.0)
+            for route in (list, np.array):
+                _, _, re_f, im_f, _, _ = scattering.table(model, route([0.0, 1.0]))
+                assert (re_f[0], im_f[0]) == (-math.inf, 0.0)
+
+
+class TestTable:
+    def test_g_is_evaluated_once_per_point(self, monkeypatch, capsys):
+        # a list table evaluates g once per point, an array table once
+        calls = []
+        g = PhaseShiftModel.g
+
+        def counted(model, energy):
+            calls.append(np.size(energy))
+            return g(model, energy)
+
+        monkeypatch.setattr(PhaseShiftModel, "g", counted)
+        monkeypatch.delenv("RESOKIT_CONFIG", raising=False)
+        sweep = ["amplitude", "--a", "1", "--rstar", "0.5", "--min", "0", "--max", "2"]
+        for argv, expected in [
+            (sweep + ["--steps", "4"], [1] * 4),
+            (sweep + ["--steps", "4", "--identical", "--format", "json"], [1] * 4),
+            (["phase-shift", "--coeffs=-1,0.3", "--k", "0.5"], [1]),
+            (sweep + ["--steps", str(cli.BLOCK_ROWS + 1), "--out", os.devnull],
+             [cli.BLOCK_ROWS + 1]),
+        ]:
+            calls.clear()
+            assert cli.main(argv) == 0
+            assert calls == expected, argv
+        capsys.readouterr()
+        for ks, expected in [(np.linspace(0.0, 2.0, 7), [7]), ([0.0, 0.5, 1.0], [1] * 3)]:
+            calls.clear()
+            scattering.table(DEG6, ks, identical=True)
+            assert calls == expected

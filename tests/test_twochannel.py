@@ -420,6 +420,22 @@ class TestParameterMaps:
         assert values[1] / values[0] == pytest.approx(2.0, rel=1e-12)
         assert values[2] / values[1] == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "eps, mass, message",
+        [
+            *((eps, 1.0, "regulator width eps must be positive") for eps in (0.0, -0.1, math.nan)),
+            *((eps, 1.0, "regulator width eps needs a finite, nonzero square")
+              for eps in (1e-320, math.inf)),
+            *((0.1, mass, "mass must be positive and finite") for mass in (0.0, math.inf)),
+        ],
+    )
+    def test_emol_checks_width_and_mass_first(self, eps, mass, message):
+        # eps = 0 divided by zero, and the others returned a number
+        for a_target in (1.0, 0.0):
+            with pytest.raises(InvalidInput) as err:
+                tc.emol_for_target_a(a_target, 1.0, eps, mass)
+            assert type(err.value) is InvalidInput and str(err.value) == message
+
 
 class TestKernels:
     def test_erfcx_against_mpmath(self):

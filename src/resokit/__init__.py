@@ -41,7 +41,6 @@ _EXPORTS = {
     "UnitSystem": "units",
     "classify_resonance": "units",
     "construct_two_pole_model": "product",
-    "convert_resonance": "units",
     "find_bound_states": "bound",
     "modified_norm_check": "bound",
     "modified_product": "product",

@@ -24,6 +24,14 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
+def _float(value) -> float:
+    """float(value) of a real number; inf for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 class _ReadOnly:
     """Attributes named in ``__slots__``, set in that order by ``__init__``, then read-only.
 

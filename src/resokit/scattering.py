@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .contact import PhaseShiftModel
+from .contact import PhaseShiftModel, _float
 from .errors import DivergentAmplitude, InvalidInput
 
 
@@ -29,10 +29,7 @@ def _evaluate_point(model: PhaseShiftModel, k, positive: bool):
     if ``positive``) with a finite energy, else :class:`InvalidInput`; k = 0
     with g(0) = 0 raises :class:`DivergentAmplitude`.
     """
-    try:
-        k = float(k)
-    except OverflowError:  # an int past the float range
-        k = math.inf
+    k = _float(k)
     e = k * k
     g = model.g(e)
     if not ((k > 0.0 if positive else k >= 0.0) and math.isfinite(e)):
@@ -51,7 +48,12 @@ def _evaluate(model: PhaseShiftModel, k):
     same.
     """
     import numpy as np
-    k = np.asarray(k, dtype=float)
+    try:
+        k = np.asarray(k, dtype=float)
+    except OverflowError:  # an int past the float range: evaluated in order, a point raises
+        for point in np.asarray(k, dtype=object).flat:
+            _evaluate_point(model, point, positive=False)
+        raise
     with np.errstate(over="ignore", invalid="ignore"):
         e = k * k  # E = inf past the float range, as for a float
         g = model.g(e)

@@ -502,8 +502,6 @@ class IdentityReport:
     which the identity holds to machine precision.
     """
 
-    beta_product: float
-    tail_product: float
     residual_beta: float
     residual_exact: float
 
@@ -523,14 +521,9 @@ def product_identity_check(
         q = s.params
         if (q.lam, q.eps, q.mass) != (p.lam, p.eps, p.mass):
             raise ParameterMismatch("states must share coupling, regulator width and mass")
-    rstar = p._rstar
-    beta_product = s1.beta * s2.beta
-    tail_product = 4.0 * math.pi * rstar * s1.a_tail * s2.a_tail
+    betas = s1.beta * s2.beta
+    tails = 4.0 * math.pi * p._rstar * s1.a_tail * s2.a_tail
     a1, a2 = (tail_amplitude_from_beta(p, s.beta) for s in (s1, s2))
-    exact_tail = 4.0 * math.pi * rstar * a1 * a2
-    return IdentityReport(
-        beta_product=beta_product,
-        tail_product=tail_product,
-        residual_beta=abs(beta_product - tail_product) / abs(beta_product),
-        residual_exact=abs(beta_product - exact_tail) / abs(beta_product),
-    )
+    exact_tails = 4.0 * math.pi * p._rstar * a1 * a2
+    return IdentityReport(residual_beta=abs(betas - tails) / abs(betas),
+                          residual_exact=abs(betas - exact_tails) / abs(betas))

@@ -15,9 +15,8 @@ radius hbar^2/(m a_bg dmu dB) is dimensionally closed in every mode.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
-from .contact import _ReadOnly
+from .contact import _ReadOnly, _float
 from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
 
 # CODATA 2022 values, as scipy.constants 1.17 gives them; HBAR_SI is
@@ -31,8 +30,6 @@ ELECTRON_MASS_SI = 9.1093837139e-31
 FIELD_AU_SI = 235051.757077
 GAUSS_SI = 1.0e-4
 
-Mode = Literal["natural", "si", "atomic"]
-
 _BASE_DIMENSIONS = ("length", "energy", "field", "mass")
 
 
@@ -45,16 +42,16 @@ class UnitSystem(_ReadOnly):
     source system's own units.
     """
 
-    __slots__ = ("mode", "length", "energy", "field", "mass", "hbar")
+    __slots__ = ("length", "energy", "field", "mass", "hbar")
 
-    def __init__(self, mode: Mode, length: float = 1.0, energy: float = 1.0,
-                 field: float = 1.0, mass: float = 1.0, hbar: float = 1.0):
-        super().__init__(mode, length, energy, field, mass, hbar)
+    def __init__(self, length: float = 1.0, energy: float = 1.0, field: float = 1.0,
+                 mass: float = 1.0, hbar: float = 1.0):
+        super().__init__(length, energy, field, mass, hbar)
 
     @classmethod
     def natural(cls) -> "UnitSystem":
         """The working system itself; all factors are exactly 1."""
-        return cls(mode="natural")
+        return cls()
 
     @classmethod
     def si(cls, atom_mass_kg: float) -> "UnitSystem":
@@ -68,27 +65,15 @@ class UnitSystem(_ReadOnly):
         if not all(0.0 < s < math.inf and 1.0 / s < math.inf
                    for s in (energy_j, field_t, atom_mass_kg)):
             raise InvalidInput(f"the SI scale factors leave the float range at {atom_mass_kg!r} kg")
-        return cls(
-            mode="si",
-            length=1.0 / BOHR_RADIUS_SI,
-            energy=1.0 / energy_j,
-            field=1.0 / field_t,
-            mass=1.0 / atom_mass_kg,
-            hbar=HBAR_SI,
-        )
+        return cls(length=1.0 / BOHR_RADIUS_SI, energy=1.0 / energy_j, field=1.0 / field_t,
+                   mass=1.0 / atom_mass_kg, hbar=HBAR_SI)
 
     @classmethod
     def atomic(cls, atom_mass_kg: float) -> "UnitSystem":
         """Hartree atomic units (bohr, hartree, m_e) mapped onto the working units."""
         si = cls.si(atom_mass_kg)
-        return cls(
-            mode="atomic",
-            length=BOHR_RADIUS_SI * si.length,
-            energy=HARTREE_SI * si.energy,
-            field=FIELD_AU_SI * si.field,
-            mass=ELECTRON_MASS_SI * si.mass,
-            hbar=1.0,
-        )
+        return cls(length=BOHR_RADIUS_SI * si.length, energy=HARTREE_SI * si.energy,
+                   field=FIELD_AU_SI * si.field, mass=ELECTRON_MASS_SI * si.mass, hbar=1.0)
 
     def factor(self, dimension: str) -> float:
         """Working units per one source unit of the given dimension.
@@ -133,28 +118,16 @@ class ResonanceData(_ReadOnly):
         super().__init__(a_bg, delta_b, b0, dmu, c6, mass, units, species)
 
 
-def convert_resonance(res: ResonanceData, to: UnitSystem) -> ResonanceData:
-    """Re-express every field of ``res`` in the target unit system."""
-    u = res.units
-    return ResonanceData(
-        a_bg=u.convert(res.a_bg, "length", to),
-        delta_b=u.convert(res.delta_b, "field", to),
-        b0=u.convert(res.b0, "field", to),
-        dmu=u.convert(res.dmu, "dmu", to),
-        c6=u.convert(res.c6, "c6", to),
-        mass=u.convert(res.mass, "mass", to),
-        units=to,
-        species=res.species,
-    )
-
-
 _POLE = "scattering length diverges at B = B0"
 
 
-def _a_of_field(res: ResonanceData, field: float) -> float:
+def _a_of_field(res: ResonanceData, field) -> float:
     """a(B) at one field by the arithmetic and errors of :func:`scattering_length_of_field`."""
+    field = _float(field)
     if field == res.b0:
         raise PoleAtResonance(_POLE)
+    if not math.isfinite(field):
+        raise InvalidInput(f"the field must be finite, got {field!r}")
     num, den = field - (res.b0 + res.delta_b), field - res.b0
     a = res.a_bg * num / den
     if math.isinf(a):
@@ -171,29 +144,30 @@ def scattering_length_of_field(res: ResonanceData, field):
     B = B0 + dB is exact in floating point. Near the float limit the
     product overflows before the division; there the quotient is taken
     first, and an a that still overflows raises :class:`InvalidInput`.
-    ``field`` is a float, a list of floats (giving a list) or an array; a
-    field exactly at B0 raises :class:`PoleAtResonance`, ahead of any
-    overflow elsewhere in the list or array.
+    ``field`` is a real number, a list of them (giving a list) or an array.
+    A field exactly at B0 raises :class:`PoleAtResonance` ahead of any other
+    error; otherwise the first field that is not finite, or whose a still
+    overflows, raises :class:`InvalidInput`.
     """
-    if isinstance(field, (int, float)):
-        return _a_of_field(res, float(field))
+    if not hasattr(field, "__iter__"):
+        return _a_of_field(res, field)
     if res.b0 in field:  # reported before any point is evaluated
         raise PoleAtResonance(_POLE)
     if isinstance(field, list):
         return [_a_of_field(res, b) for b in field]
     import numpy as np
 
-    field = np.asarray(field, dtype=float)
+    try:
+        field = np.asarray(field, dtype=float)
+    except OverflowError:  # an int past the float range: evaluated in order, a field raises
+        for b in np.asarray(field, dtype=object).flat:
+            _a_of_field(res, b)
+        raise
     num, den = field - (res.b0 + res.delta_b), field - res.b0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         a = res.a_bg * num / den
-    overflowed = np.isinf(a)
-    if overflowed.any():
-        with np.errstate(over="ignore"):
-            a = np.where(overflowed, res.a_bg * (num / den), a)
-        infinite = np.isinf(a)
-        if infinite.any():  # evaluated alone, the first such field raises
-            _a_of_field(res, float(field[infinite][0]))
+    for i in np.flatnonzero(~np.isfinite(a)):  # in order: the first offending field raises
+        a.flat[i] = _a_of_field(res, field.flat[i])
     return a.item() if a.ndim == 0 else a
 
 

@@ -805,6 +805,17 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, species_file, argv):
     assert "input error" in err
 
 
+def test_two_channel_bound_where_inverse_a_eps_overflows(capsys):
+    # a_eps is a subnormal float, so params print it; its 1/a_eps rounds to inf
+    model = ["--lambda", "1.0280303649806484", "--emol=-5.042767913407391e+306", "--eps", "1.0",
+             "--mass", "0.16677133450269746"]
+    code, out, _ = run_cli(capsys, "two-channel", "params", *model)
+    header, rows = parse_csv(out)
+    assert code == 0 and 0.0 < float(rows[0][header.index("a_eps")]) < 2.0**-1022
+    assert run_cli(capsys, "two-channel", "bound", *model) == (
+        2, "", "resokit: input error: 1/a_eps overflows for these parameters\n")
+
+
 @pytest.mark.parametrize(
     "row, argv",
     [

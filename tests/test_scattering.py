@@ -105,6 +105,26 @@ class TestAmplitude:
                 scattering.amplitude(model, k)
         assert outcomes == {str(err.value)}
 
+    @pytest.mark.parametrize(
+        "model, ks, error",
+        [
+            (CONST, (10**400,), InvalidInput),
+            (CONST, (0.5, -(10**400)), InvalidInput),
+            (UNITARY, (0.0, 10**400), DivergentAmplitude),
+            (UNITARY, (10**400, 0.0), InvalidInput),
+            (UNITARY, ((0.5,), (10**400,), (0.0,)), InvalidInput),
+        ],
+        ids=["alone", "after-a-point", "threshold-first", "int-first", "nested"],
+    )
+    def test_int_past_the_float_range_in_a_sequence(self, model, ks, error):
+        # numpy's float conversion raised OverflowError; the first offending
+        # point decides, as on the list route
+        with pytest.raises(error) as err:
+            scattering.table(model, ks)
+        with pytest.raises(error) as expected:
+            scattering.table(model, np.asarray(ks, dtype=object).ravel().tolist())
+        assert str(err.value) == str(expected.value)
+
     def test_threshold_error_is_quadratic(self):
         # Re f + a shrinks by 4 when k halves
         errors = [abs(scattering.amplitude(EFF, k).real + 1.0) for k in (0.02, 0.01, 0.005)]

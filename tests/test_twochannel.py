@@ -872,6 +872,15 @@ class TestBoundState:
         columns = (state.energy, state.beta2, state.a_tail**2, state.open_norm)
         assert all(math.isfinite(c) for c in columns), (p, columns)
 
+    def test_inverse_a_eps_past_the_float_range(self):
+        # The float guard of __post_init__ passes and a_eps is a subnormal
+        # float, but the correctly rounded 1/a_eps is inf: no pole is sought
+        p = tc.TwoChannelParams(lam=1.0280303649806484, e_mol=-5.042767913407391e+306,
+                                eps=1.0, mass=0.16677133450269746)
+        assert 0.0 < tc.effective_params(p)[0] < 2.0**-1022
+        with pytest.raises(InvalidInput, match="^1/a_eps overflows for these parameters$"):
+            tc.bound_state(p)
+
     def test_shallow_pole_to_full_precision(self):
         # a large scattering length puts the pole at |E| ~ 1e-3
         p = tc.params_for_targets(28.454393197906118, 9.945882700671524, 0.04292441413980349)
@@ -985,6 +994,12 @@ class TestProductIdentity:
         s = tc.bound_state(tc.params_for_targets(1e10, 2.0 * math.pi / 1e-300, 1.0, mass=1e-150))
         ref = mp_open_norm(s.params.lam, s.params.eps, s.params.mass, s.energy)
         assert s.open_norm == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+    def test_report_holds_the_two_residuals(self):
+        p = reference_params()
+        state = tc.bound_state(p)
+        report = tc.product_identity_check(p, state, state)
+        assert list(vars(report)) == ["residual_beta", "residual_exact"]
 
     def test_parameter_mismatch_rejected(self):
         p1 = reference_params(eps=0.1)

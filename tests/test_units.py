@@ -9,6 +9,7 @@ import pytest
 from scipy import constants as const
 
 from resokit.errors import DegenerateResonance, InvalidInput, PoleAtResonance
+from resokit.species import SPECIES_COLUMNS, parse_species
 from resokit.units import (
     ATOMIC_MASS_SI,
     BOHR_MAGNETON_SI,
@@ -21,12 +22,14 @@ from resokit.units import (
     ResonanceData,
     UnitSystem,
     classify_resonance,
-    convert_resonance,
     scattering_length_of_field,
     vdw_length,
     width_radius,
     width_ratio,
 )
+
+
+SPECIES_HEADER = ",".join(SPECIES_COLUMNS)
 
 
 def natural_res(**overrides):
@@ -86,6 +89,36 @@ class TestScatteringLengthOfField:
             scattering_length_of_field(res, kind([2.0, 1e-300, 0.0]))
         with pytest.raises(InvalidInput, match=r"float range at B = 3e-300$"):
             scattering_length_of_field(res, kind([2.0, 3e-300, 1e-300]))
+
+    @pytest.mark.parametrize("field", [np.inf, -np.inf, np.nan, 10**400, -(10**400)],
+                             ids=["inf", "-inf", "nan", "int-inf", "int--inf"])
+    def test_field_that_is_not_finite_raises(self, field):
+        # a non-finite float gave nan, an int past the float range OverflowError
+        res = natural_res()
+        with pytest.raises(InvalidInput, match="field must be finite"):
+            scattering_length_of_field(res, field)
+        kinds = [list, tuple] + ([np.array] if isinstance(field, float) else [])
+        for kind in kinds:
+            with pytest.raises(InvalidInput, match="field must be finite"):
+                scattering_length_of_field(res, kind([2.0, field]))
+            with pytest.raises(PoleAtResonance):  # a field at B0 still goes first
+                scattering_length_of_field(res, kind([2.0, field, res.b0]))
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_first_offending_field_decides(self, kind):
+        # the same error on every route, as if the fields were evaluated in order
+        res = natural_res(a_bg=1e300, delta_b=1.0, b0=0.0)
+        with pytest.raises(InvalidInput, match="must be finite, got nan"):
+            scattering_length_of_field(res, kind([2.0, np.nan, 1e-300]))
+        with pytest.raises(InvalidInput, match=r"float range at B = 1e-300$"):
+            scattering_length_of_field(res, kind([2.0, 1e-300, np.nan]))
+
+    def test_numpy_scalars_take_the_number_route(self):
+        # np.int64 and np.float32 raised TypeError (not iterable)
+        res = natural_res()
+        for field in (5, np.int64(5), np.float32(5.0), np.float64(5.0), 5.0):
+            a = scattering_length_of_field(res, field)
+            assert type(a) is float and a == 0.8
 
     def test_float_list_and_array_carry_the_same_bits(self):
         rng = np.random.default_rng(31)
@@ -150,22 +183,10 @@ class TestWidthRadius:
             width_radius(natural_res(a_bg=1e-200, dmu=1e-200))
 
     def test_defining_product_every_mode(self):
-        mass_kg = 86.909 * ATOMIC_MASS_SI
-        si = UnitSystem.si(mass_kg)
-        res_si = ResonanceData(
-            a_bg=98.98 * BOHR_RADIUS_SI,
-            delta_b=2.5e-4,
-            b0=100.5e-4,
-            dmu=2.0 * BOHR_MAGNETON_SI,
-            c6=4700.0 * 9.573e-80,
-            mass=mass_kg,
-            units=si,
-        )
-        for res in (
-            res_si,
-            convert_resonance(res_si, NATURAL),
-            convert_resonance(res_si, UnitSystem.atomic(mass_kg)),
-        ):
+        # the same row, loaded in each unit mode as the CLI loads it
+        for mode in ("si", "natural", "atomic"):
+            (res,) = parse_species(f"{SPECIES_HEADER}\nsynthA,86.909,4700.0,100.5,2.5,98.98,2.0\n",
+                                   mode=mode)
             product = width_radius(res) * (
                 res.a_bg * res.dmu * res.delta_b * res.mass / res.units.hbar**2
             )
@@ -238,24 +259,19 @@ class TestClassify:
             classify_resonance(natural_res(a_bg=0.2), threshold=threshold)
 
     def test_invariant_under_unit_mode(self):
-        mass_kg = 39.964 * ATOMIC_MASS_SI
-        si = UnitSystem.si(mass_kg)
-        res_si = ResonanceData(
-            a_bg=61.65 * BOHR_RADIUS_SI,
-            delta_b=0.0625e-4,
-            b0=543.25e-4,
-            dmu=1.5 * BOHR_MAGNETON_SI,
-            c6=3926.9 * const.physical_constants["Hartree energy"][0] * BOHR_RADIUS_SI**6,
-            mass=mass_kg,
-            units=si,
-        )
-        cls_si = classify_resonance(res_si)
-        cls_nat = classify_resonance(convert_resonance(res_si, NATURAL))
-        cls_au = classify_resonance(convert_resonance(res_si, UnitSystem.atomic(mass_kg)))
-        assert cls_si == cls_nat == cls_au == "narrow"
+        text = f"{SPECIES_HEADER}\nsynthB,39.964,3926.9,543.25,0.0625,61.65,1.5\n"
+        labels = [classify_resonance(res) for mode in ("si", "natural", "atomic")
+                  for res in parse_species(text, mode=mode)]
+        assert labels == ["narrow"] * 3
 
 
 class TestUnitSystem:
+    def test_constructor_takes_the_five_factors(self):
+        assert UnitSystem.__slots__ == ("length", "energy", "field", "mass", "hbar")
+        units = UnitSystem(2.0, 3.0, 5.0, 7.0, 11.0)
+        dimensions = ("length", "energy", "field", "mass")
+        assert [units.factor(d) for d in dimensions] + [units.hbar] == [2.0, 3.0, 5.0, 7.0, 11.0]
+
     def test_natural_factors_exactly_one(self):
         nat = UnitSystem.natural()
         for dim in ("length", "energy", "field", "mass"):
@@ -346,11 +362,6 @@ def test_values_copy_and_pickle(copy_of):
         [getattr(res, name) for name in SI_RES_FIELDS]
     assert [getattr(back.units, name) for name in UnitSystem.__slots__] == \
         [getattr(res.units, name) for name in UnitSystem.__slots__]
-
-
-def test_convert_resonance_keeps_the_species():
-    res = convert_resonance(si_resonance(), NATURAL)
-    assert res.species == "Rb87" and res.units is NATURAL
 
 
 def test_codata_literals_match_scipy():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .contact import PhaseShiftModel, _quotient
-from .errors import InvalidInput, NoConvergence, RootAtGridBoundary
+from .errors import InvalidInput, NumericalFailure, RootAtGridBoundary
 
 Q_MIN_DEFAULT = 1e-8
 REAL_ROOT_REL = 1e-6
@@ -117,7 +117,7 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
     order, and with the values, of the wrapper's real-or-complex array. Each
     kept root is polished with guarded Newton steps; only this branch
     imports numpy. An eigenvalue solve that does not converge raises
-    :class:`NoConvergence`.
+    :class:`NumericalFailure`.
 
     A root z counts as real when |Im z| <= ``REAL_ROOT_REL`` |z|. Simple
     real roots come with Im z = 0 exactly; the band admits a tangent
@@ -173,7 +173,7 @@ def find_bound_states(model: PhaseShiftModel, q_max: float) -> list[BoundState]:
         eig.sort()
         roots = eig.tolist()
         if roots[-1] != roots[-1]:
-            raise NoConvergence("the companion matrix's eigenvalue solve did not converge")
+            raise NumericalFailure("the companion matrix's eigenvalue solve did not converge")
     candidates: list[float] = []
     for z in map(complex, roots):  # sorted by real part
         # A root beyond the float range lies outside every window, and as

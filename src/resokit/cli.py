@@ -19,17 +19,7 @@ from itertools import chain
 
 from . import __version__
 from .contact import PhaseShiftModel
-from .errors import (
-    DivergentAmplitude,
-    InvalidInput,
-    NoBoundState,
-    NoConvergence,
-    ParseError,
-    ResokitError,
-)
-
-# Every other ResokitError is an input error.
-NUMERICAL_ERRORS = (DivergentAmplitude, NoBoundState, NoConvergence)
+from .errors import InvalidInput, NumericalFailure, ParseError, ResokitError
 
 # The verify subcommand's groups and default seed, kept here so that parsing
 # a command line does not import the battery; a test pins them to
@@ -356,7 +346,8 @@ def _cmd_tc_sweep(args) -> int:
             eps, a_eps, rstar_eps, state.energy, state.beta2,
             state.a_tail * state.a_tail, report_id.residual_beta,
         ])
-    inputs = {"a": args.a, "rstar": args.rstar, "mass": args.mass}
+    inputs = {"a": args.a, "rstar": args.rstar, "mass": args.mass,
+              "min": args.min, "max": args.max, "steps": args.steps, "log": args.log}
     _write_output(args, "two-channel sweep", _table(columns, rows), inputs)
     return EXIT_OK
 
@@ -545,7 +536,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -630,7 +621,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"resokit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ResokitError as exc:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A computation fails in one of two ways, and each has one class: an input
+outside the model's domain (:class:`InvalidInput`, CLI exit 2) or a
+numerical failure (:class:`NumericalFailure`, CLI exit 3).
+"""
 
 
 class ResokitError(Exception):
@@ -9,39 +14,7 @@ class InvalidInput(ResokitError, ValueError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class PoleAtResonance(ResokitError):
-    """The magnetic field sits exactly on the resonance pole, a(B) diverges."""
-
-
-class DegenerateResonance(ResokitError):
-    """Resonance parameters make the width radius undefined (zero denominator)."""
-
-
-class DivergentAmplitude(ResokitError):
-    """The scattering amplitude has a pole at the requested wavenumber."""
-
-
-class KindMismatch(ResokitError):
-    """Operation requires eigenstates of a different kind (bound vs scattering)."""
-
-
-class SingularSystem(ResokitError):
-    """The linear system for the requested model construction is singular."""
-
-
-class NoBoundState(ResokitError):
-    """The two-channel model has no bound-state pole below threshold."""
-
-
-class NoConvergence(ResokitError):
-    """An iterative solve reached its step cap without converging."""
-
-
-class ParameterMismatch(ResokitError):
-    """States were built with incompatible model parameters."""
-
-
-class ParseError(ResokitError):
+class ParseError(InvalidInput):
     """Malformed input file; the message starts with the line, and the column if known."""
 
     def __init__(self, message, line=None, column=None):
@@ -52,8 +25,12 @@ class ParseError(ResokitError):
         self.column = column
 
 
-class UnitError(ResokitError):
-    """A field value cannot be converted to the target unit system."""
+class NumericalFailure(ResokitError):
+    """The computation has no finite result (a divergent amplitude) or did not converge."""
+
+
+class NoBoundState(NumericalFailure):
+    """The two-channel model has no bound-state pole below threshold."""
 
 
 class RootAtGridBoundary(UserWarning):

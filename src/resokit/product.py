@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .contact import PhaseShiftModel
-from .errors import InvalidInput, KindMismatch, SingularSystem
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,14 @@ class ContactEigenstate:
     def q(self) -> float:
         """Decay constant sqrt(-E); bound states only."""
         if self.kind != "bound":
-            raise KindMismatch("q is defined for bound states only")
+            raise InvalidInput("q is defined for bound states only")
         return math.sqrt(-self.energy)
 
 
 def plain_overlap_bound(s1: ContactEigenstate, s2: ContactEigenstate) -> complex:
     """Closed-form <1|2> for two bound-type wavefunctions -A exp(-qr)/r."""
     if s1.kind != "bound" or s2.kind != "bound":
-        raise KindMismatch("plain_overlap_bound needs two bound states")
+        raise InvalidInput("plain_overlap_bound needs two bound states")
     return s1.amplitude.conjugate() * s2.amplitude * 4.0 * math.pi / (s1.q + s2.q)
 
 
@@ -89,7 +89,7 @@ def construct_two_pole_model(q1: float, q2: float) -> PhaseShiftModel:
     e2 = -q2 * q2
     det = e2 - e1
     if det == 0.0:
-        raise SingularSystem("coincident energies: the two poles must differ")
+        raise InvalidInput("coincident energies: the two poles must differ")
     c1 = (q1 - q2) / det
     c0 = -q1 - c1 * e1
     return PhaseShiftModel((c0, c1))

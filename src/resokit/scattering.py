@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 
 from .contact import PhaseShiftModel, _float
-from .errors import DivergentAmplitude, InvalidInput
+from .errors import InvalidInput, NumericalFailure
 
 
 def _evaluate_point(model: PhaseShiftModel, k, positive: bool):
     """k as a float with g(E(k)). k must be finite and nonnegative (positive
     if ``positive``) with a finite energy, else :class:`InvalidInput`; k = 0
-    with g(0) = 0 raises :class:`DivergentAmplitude`.
+    with g(0) = 0 (a divergent amplitude) raises :class:`NumericalFailure`.
     """
     k = _float(k)
     e = k * k
@@ -36,7 +36,7 @@ def _evaluate_point(model: PhaseShiftModel, k, positive: bool):
         kind = "positive" if positive else "nonnegative"
         raise InvalidInput(f"wavenumber must be finite and {kind} with a finite energy")
     if k == 0.0 and g == 0.0:
-        raise DivergentAmplitude("zero-energy resonance: g(0) = 0")
+        raise NumericalFailure("zero-energy resonance: g(0) = 0")
     return k, g
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 
-from .errors import DegenerateResonance, InvalidInput, ParseError, UnitError
+from .errors import InvalidInput, ParseError
 from .units import (
     ATOMIC_MASS_SI,
     BOHR_MAGNETON_SI,
@@ -45,11 +45,11 @@ def _converted(lineno: int, values, units: str, converted):
     """``converted``, if each value is finite and nonzero where the file's value is."""
     for column, value, result in zip(SPECIES_COLUMNS[1:], values, converted):
         if result == 0.0 and value != 0.0:
-            raise UnitError(f"line {lineno}: {column} = {value!r} underflows to 0 "
-                            f"in {units} units")
+            raise InvalidInput(f"line {lineno}: {column} = {value!r} underflows to 0 "
+                               f"in {units} units")
         if not math.isfinite(result):
-            raise UnitError(f"line {lineno}: {column} = {value!r} overflows to {result!r} "
-                            f"in {units} units")
+            raise InvalidInput(f"line {lineno}: {column} = {value!r} overflows to {result!r} "
+                               f"in {units} units")
     return converted
 
 
@@ -96,13 +96,13 @@ def parse_species(text: str, mode: str = "natural") -> list[ResonanceData]:
                 ) from None
         mass_amu, c6_au, b0_g, db_g, abg_a0, dmu_mub = values
         if not all(math.isfinite(v) for v in values):
-            raise UnitError(f"line {lineno}: non-finite field value")
+            raise InvalidInput(f"line {lineno}: non-finite field value")
         if mass_amu <= 0.0:
-            raise UnitError(f"line {lineno}: mass_amu must be positive")
+            raise InvalidInput(f"line {lineno}: mass_amu must be positive")
         if c6_au <= 0.0:
-            raise UnitError(f"line {lineno}: C6_au must be positive")
+            raise InvalidInput(f"line {lineno}: C6_au must be positive")
         if db_g == 0.0:
-            raise DegenerateResonance(f"line {lineno}: DeltaB_G must be nonzero")
+            raise InvalidInput(f"line {lineno}: DeltaB_G must be nonzero")
 
         # the file's values in SI units, then in the requested ones
         converted = _converted(lineno, values, "SI", (
@@ -132,11 +132,10 @@ def load_species(path, mode: str = "natural") -> list[ResonanceData]:
 
     ``mode`` selects the unit system the returned fields are expressed in.
     Natural units are anchored per row: each species' own mass maps to 1.
-    Structural problems raise :class:`ParseError` with the line number,
-    unphysical field values and values that leave the float range in the
-    conversion (infinite, or 0 from a nonzero value) raise
-    :class:`UnitError` with their line and column, and a zero resonance width raises
-    :class:`DegenerateResonance`.
+    Structural problems raise :class:`ParseError` with the line number.
+    Unphysical field values, values that leave the float range in the
+    conversion (infinite, or 0 from a nonzero value) and a zero resonance
+    width raise :class:`InvalidInput` with their line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_species(fh.read(), mode=mode)

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .contact import _quotient
-from .errors import InvalidInput, NoBoundState, NoConvergence, ParameterMismatch
+from .errors import InvalidInput, NoBoundState, NumericalFailure
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT_PI = math.sqrt(math.pi)
@@ -379,7 +379,8 @@ def bound_state(p: TwoChannelParams) -> TwoChannelBoundState:
 
     Below threshold D(E) rises strictly, with slope m (R* + S/(2 kappa)) > 0,
     from -inf to D(0-) = 1/a_eps: there is exactly one pole when the correctly
-    rounded 1/a_eps is positive and none otherwise (:class:`NoBoundState`).
+    rounded 1/a_eps is positive and none otherwise (:class:`NoBoundState`, a
+    :class:`NumericalFailure`).
     :func:`_pole_energy` solves D = 0 between the effective-range pole and
     the zero of 1/a_eps + R* m E (:func:`_pole_bracket`). By unit total norm
     beta^2 = 1/(1 + w) = R*/(R* + S/(2 kappa)) and open_norm = w beta^2, with
@@ -451,7 +452,7 @@ def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, floa
     after a longer such step, where D is flat to its rounding, a bisection
     follows. A clamped end with the wrong sign puts the pole outside the
     normal float range (:class:`InvalidInput`); ``POLE_MAX_STEPS`` steps
-    raise :class:`NoConvergence`.
+    raise :class:`NumericalFailure`.
     """
     x, fmax = hi, sys.float_info.max
     d, s = _denominator(p, x)
@@ -483,7 +484,7 @@ def _pole_energy(p: TwoChannelParams, lo: float, hi: float) -> tuple[float, floa
                 return x, s
             older = 0.0
         x, d, s = new, d_new, s_new
-    raise NoConvergence(f"pole solve did not converge in {POLE_MAX_STEPS} steps")
+    raise NumericalFailure(f"pole solve did not converge in {POLE_MAX_STEPS} steps")
 
 
 def tail_amplitude_from_beta(p: TwoChannelParams, beta: float) -> float:
@@ -520,7 +521,7 @@ def product_identity_check(
     for s in (s1, s2):
         q = s.params
         if (q.lam, q.eps, q.mass) != (p.lam, p.eps, p.mass):
-            raise ParameterMismatch("states must share coupling, regulator width and mass")
+            raise InvalidInput("states must share coupling, regulator width and mass")
     betas = s1.beta * s2.beta
     tails = 4.0 * math.pi * p._rstar * s1.a_tail * s2.a_tail
     a1, a2 = (tail_amplitude_from_beta(p, s.beta) for s in (s1, s2))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .contact import _ReadOnly, _float
-from .errors import DegenerateResonance, InvalidInput, PoleAtResonance
+from .errors import InvalidInput
 
 # CODATA 2022 values, as scipy.constants 1.17 gives them; HBAR_SI is
 # h/(2 pi) with the exact SI value of h.
@@ -110,7 +110,7 @@ class ResonanceData(_ReadOnly):
     def __init__(self, a_bg: float, delta_b: float, b0: float, dmu: float, c6: float,
                  mass: float, units: UnitSystem = NATURAL, species: str = ""):
         if delta_b == 0.0:
-            raise DegenerateResonance("resonance width delta_b must be nonzero")
+            raise InvalidInput("resonance width delta_b must be nonzero")
         if not mass > 0.0:
             raise InvalidInput("mass must be positive")
         if not c6 > 0.0:
@@ -125,10 +125,12 @@ def _a_of_field(res: ResonanceData, field) -> float:
     """a(B) at one field by the arithmetic and errors of :func:`scattering_length_of_field`."""
     field = _float(field)
     if field == res.b0:
-        raise PoleAtResonance(_POLE)
+        raise InvalidInput(_POLE)
     if not math.isfinite(field):
         raise InvalidInput(f"the field must be finite, got {field!r}")
     num, den = field - (res.b0 + res.delta_b), field - res.b0
+    if math.isinf(num) or math.isinf(den):  # halved operands: exact at these magnitudes
+        num, den = field / 2 - (res.b0 / 2 + res.delta_b / 2), field / 2 - res.b0 / 2
     a = res.a_bg * num / den
     if math.isinf(a):
         a = res.a_bg * (num / den)
@@ -141,18 +143,20 @@ def scattering_length_of_field(res: ResonanceData, field):
     """Scattering length a(B) = a_bg (1 - dB/(B - B0)) at magnetic field B.
 
     Evaluated as a_bg (B - (B0 + dB))/(B - B0) so the zero crossing at
-    B = B0 + dB is exact in floating point. Near the float limit the
-    product overflows before the division; there the quotient is taken
-    first, and an a that still overflows raises :class:`InvalidInput`.
+    B = B0 + dB is exact in floating point. Near the float limit a
+    difference that overflows is formed from halved operands, B/2 - (B0/2 +
+    dB/2) and B/2 - B0/2, which is exact there; where the product overflows
+    before the division the quotient is taken first, and an a that still
+    overflows raises :class:`InvalidInput`.
     ``field`` is a real number, a list of them (giving a list) or an array.
-    A field exactly at B0 raises :class:`PoleAtResonance` ahead of any other
-    error; otherwise the first field that is not finite, or whose a still
-    overflows, raises :class:`InvalidInput`.
+    Every failure is an :class:`InvalidInput`: a field exactly at B0 is
+    reported ahead of any other, then the first field that is not finite or
+    whose a still overflows.
     """
     if not hasattr(field, "__iter__"):
         return _a_of_field(res, field)
     if res.b0 in field:  # reported before any point is evaluated
-        raise PoleAtResonance(_POLE)
+        raise InvalidInput(_POLE)
     if isinstance(field, list):
         return [_a_of_field(res, b) for b in field]
     import numpy as np
@@ -163,8 +167,8 @@ def scattering_length_of_field(res: ResonanceData, field):
         for b in np.asarray(field, dtype=object).flat:
             _a_of_field(res, b)
         raise
-    num, den = field - (res.b0 + res.delta_b), field - res.b0
     with np.errstate(over="ignore", invalid="ignore"):
+        num, den = field - (res.b0 + res.delta_b), field - res.b0
         a = res.a_bg * num / den
     for i in np.flatnonzero(~np.isfinite(a)):  # in order: the first offending field raises
         a.flat[i] = _a_of_field(res, field.flat[i])
@@ -175,7 +179,7 @@ def width_radius(res: ResonanceData) -> float:
     """Width radius hbar^2/(m a_bg dmu dB); sign follows the denominator."""
     denom = res.mass * res.a_bg * res.dmu * res.delta_b
     if denom == 0.0 and 0.0 in (res.a_bg, res.dmu):
-        raise DegenerateResonance("a_bg * dmu * delta_b must be nonzero")
+        raise InvalidInput("a_bg * dmu * delta_b must be nonzero")
     # nonzero factors whose product underflows put R* past the float range
     rstar = res.units.hbar**2 / denom if denom != 0.0 else math.inf
     if not 0.0 < abs(rstar) < math.inf:

@@ -11,8 +11,9 @@ dispatch: only its exit code is pinned.
 The cases cover every command in CSV and JSON: sweeps of 4, 4096, 4097 and
 6000 points (both sides of ``cli.BLOCK_ROWS``), linear and log grids,
 models of degree 0-6, the two-channel commands by targets and by
-``--lambda/--emol``, the Feshbach commands in every unit mode, config files,
-and input and numerical errors.
+``--lambda/--emol``, the Feshbach commands in every unit mode (with fields
+near the float limit), species and config files with and without a UTF-8
+byte-order mark, and input and numerical errors.
 
 After a change that moves a pinned output on purpose, rerun
 
@@ -67,6 +68,12 @@ FILES = {
     "heavy.csv": SPECIES_HEADER + "heavy,1e308,100.5,1e200,1e200,1e160,1e160\n",
     "big.csv": SPECIES_HEADER + "big,1e250,4700,100.5,1e100,98.98,2.0\n",
     "tiny.csv": SPECIES_HEADER + "tiny,86.9,4700,100.5,2.5,1e-320,2.0\n",
+    # natural B0 = -1e308 (B - B0 overflows near the float limit), and B0 = 0
+    # with natural dB = -1e308 (only B - (B0 + dB) overflows there)
+    "far.csv": SPECIES_HEADER + "z,1e13,4700,-2.6e301,1,98.98,2.0\n"
+    + "w,1e13,4700,0,-2.6e301,98.98,2.0\n",
+    # a UTF-8 byte-order mark ahead of the header
+    "bom.csv": "\ufeff" + SPECIES_HEADER + "synthA,86.909,4700.0,100.5,2.5,98.98,2.0\n",
     # text cells that CSV quotes
     "quoted.csv": SPECIES_HEADER + '"Rb,87",86.909,4700.0,100.5,2.5,98.98,2.0\n'
     + '"say ""hi""",39.964,3926.9,543.25,0.0625,61.65,1.5\n',
@@ -86,6 +93,7 @@ FILES = {
     "tc_sweep.cfg": "a = 1\nrstar = 1\nmin = 0.01\nmax = 0.2\nsteps = 4\nlog = true\n",
     "fb.cfg": "species = species.csv\nunits = si\nmin = 0.0099\nmax = 0.0102\nsteps = 6\n",
     "json.cfg": "format = json\n",
+    "bom.cfg": "\ufeffa = 1\nrstar = 0.5\n",
     "bad_key.cfg": "nope = 1\n",
     "bad_line.cfg": "a = 1\njust text\n",
     "bad_switch.cfg": "log = maybe\n",
@@ -251,6 +259,14 @@ def _feshbach(rng: random.Random) -> list:
                  "empty.csv", "header_only.csv", "missing.csv"):
         cases.append(["feshbach", "classify", "--species", path])
         cases.append(["feshbach", "sweep", "--species", path, "--min", "1", "--max", "2"])
+    for index in ("0", "1"):  # fields near the float limit, on the list and array routes
+        for steps in ("3", "5000"):
+            cases.append(["feshbach", "sweep", "--species", "far.csv", "--index", index,
+                          "--min", "1e308", "--max", "1.7e308", "--steps", steps])
+    for fmt in ([], ["--format", "json"]):
+        cases.append(["feshbach", "classify", "--species", "bom.csv", *fmt])
+        cases.append(["feshbach", "sweep", "--species", "bom.csv", "--min", "0.0033",
+                      "--max", "0.0035", "--steps", "4", *fmt])
     return cases
 
 
@@ -271,6 +287,7 @@ def _configs() -> list:
         ["--config", "fb.cfg", "feshbach", "sweep"],
         ["--config", "fb.cfg", "feshbach", "classify", "--format", "json"],
         ["--config", "json.cfg", "amplitude", "--a", "1", "--k", "0.5"],
+        ["--config", "bom.cfg", "amplitude", "--k", "0.5"],
         ["--config", "bad_key.cfg", "amplitude", "--a", "1", "--k", "0.5"],
         ["--config", "bad_line.cfg", "amplitude", "--k", "0.5"],
         ["--config", "bad_switch.cfg", "amplitude", "--a", "1", "--k", "0.5"],

@@ -13,7 +13,7 @@ from oracles import mp_bound_poles, mp_pole_residual, mp_quadratic_poles, radial
 from resokit import bound
 from resokit.contact import PhaseShiftModel
 from resokit.product import construct_two_pole_model
-from resokit.errors import InvalidInput, NoConvergence, RootAtGridBoundary
+from resokit.errors import InvalidInput, NumericalFailure, RootAtGridBoundary
 
 CONST = PhaseShiftModel.from_effective_range(1.0)
 EFF = PhaseShiftModel.from_effective_range(1.0, 1.0)
@@ -206,7 +206,7 @@ class TestFindBoundStates:
 
     def test_unconverged_eigenvalue_solve_raises(self, unconverged_eigvals):
         before = np.geterr()
-        with pytest.raises(NoConvergence, match="did not converge"):
+        with pytest.raises(NumericalFailure, match="did not converge"):
             bound.find_bound_states(PhaseShiftModel((-1.0, 0.5, 0.8)), q_max=100.0)
         assert np.geterr() == before
 

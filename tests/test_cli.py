@@ -15,6 +15,7 @@ import pytest
 
 from oracles import mp_quadratic_poles
 from resokit import bound, cli
+from resokit.errors import InvalidInput, NoBoundState, NumericalFailure, ParseError
 from resokit.species import load_species
 from resokit.units import classify_resonance
 from resokit.verify import SYNTHETIC_SPECIES_CSV, CheckResult
@@ -405,6 +406,16 @@ class TestConfig:
         _, rows = parse_csv(out)
         assert float(rows[0][0]) == 1.0
 
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        # an editor's UTF-8 byte-order mark gave "unknown key '\\ufeffa'"
+        text = "a = 2.0\nrstar = 0.5\nk = 1.0\n"
+        outputs = []
+        for name, mark in (("plain.conf", ""), ("bom.conf", "\ufeff")):
+            cfg = tmp_path / name
+            cfg.write_text(mark + text, encoding="utf-8")
+            outputs.append(run_cli(capsys, "--config", str(cfg), "amplitude"))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
         cfg.write_text("a = 2.0\nk = 1.0\n")
@@ -683,6 +694,21 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InvalidInput("bad"), 2, "input error"),
+    (ParseError("bad", line=3), 2, "input error"),
+    (NumericalFailure("bad"), 3, "numerical failure"),
+    (NoBoundState("bad"), 3, "numerical failure"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_class_maps_to_its_exit_code(capsys, monkeypatch, error, code, prefix):
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_amplitude", handler)
+    assert run_cli(capsys, "amplitude", "--a", "1", "--k", "1") == \
+        (code, "", f"resokit: {prefix}: {error}\n")
 
 
 @pytest.mark.parametrize(

@@ -33,3 +33,17 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(resokit, name)
     assert not hasattr(resokit, name)
+
+
+def test_one_error_class_per_kind_of_failure():
+    from resokit import errors
+
+    classes = {name: obj.__bases__ for name, obj in vars(errors).items() if inspect.isclass(obj)}
+    assert classes == {
+        "ResokitError": (Exception,),
+        "InvalidInput": (errors.ResokitError, ValueError),
+        "ParseError": (errors.InvalidInput,),
+        "NumericalFailure": (errors.ResokitError,),
+        "NoBoundState": (errors.NumericalFailure,),
+        "RootAtGridBoundary": (UserWarning,),
+    }

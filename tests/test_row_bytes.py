@@ -162,7 +162,8 @@ def test_two_channel_sweep_bytes(capsys, a, rstar, mass, lo, hi, steps, log):
             "--steps", str(steps)] + ["--log"] * log
     header = ["eps", "a_eps", "rstar_eps", "E_bound", "beta2", "A2_tail", "res_identity"]
     assert_bytes(capsys, argv, header, rows, "two-channel sweep",
-                 {"a": a, "rstar": rstar, "mass": mass})
+                 {"a": a, "rstar": rstar, "mass": mass,
+                  "min": lo, "max": hi, "steps": steps, "log": log})
 
 
 @pytest.mark.parametrize("units", ["natural", "si", "atomic"])

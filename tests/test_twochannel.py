@@ -22,11 +22,7 @@ from oracles import (
 from resokit import twochannel as tc
 from resokit.bound import find_bound_states
 from resokit.contact import PhaseShiftModel
-from resokit.errors import (
-    InvalidInput,
-    NoBoundState,
-    ParameterMismatch,
-)
+from resokit.errors import InvalidInput, NoBoundState
 from resokit.verify import (
     BETA2_LIMIT,
     E_REFERENCE,
@@ -1006,5 +1002,5 @@ class TestProductIdentity:
         p2 = reference_params(eps=0.2)
         s1 = tc.bound_state(p1)
         s2 = tc.bound_state(p2)
-        with pytest.raises(ParameterMismatch):
+        with pytest.raises(InvalidInput, match="states must share"):
             tc.product_identity_check(p1, s1, s2)

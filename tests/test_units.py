@@ -1,6 +1,7 @@
 """Unit systems and the magnetic-resonance parameter layer."""
 
 import copy
+import math
 import pickle
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import constants as const
 
-from resokit.errors import DegenerateResonance, InvalidInput, PoleAtResonance
+from resokit.errors import InvalidInput
 from resokit.species import SPECIES_COLUMNS, parse_species
 from resokit.units import (
     ATOMIC_MASS_SI,
@@ -30,6 +31,10 @@ from resokit.units import (
 
 
 SPECIES_HEADER = ",".join(SPECIES_COLUMNS)
+
+# The InvalidInput messages of a field at B0 and of a zero resonance width.
+POLE = "^scattering length diverges at B = B0$"
+WIDTH = "^resonance width delta_b must be nonzero$"
 
 
 def natural_res(**overrides):
@@ -66,6 +71,24 @@ class TestScatteringLengthOfField:
         )
         assert scattering_length_of_field(res, 1.7e308) == pytest.approx(res.a_bg, rel=1e-15)
 
+    @pytest.mark.parametrize("b0, delta_b", [(-1e308, 1.0), (0.0, -1e308), (-1e308, 1e308),
+                                             (1.7e308, 1e308)],
+                             ids=["both-differences", "B-B0-dB", "B-B0", "B0+dB"])
+    def test_differences_that_overflow(self, b0, delta_b):
+        # B - B0, B - (B0 + dB) or B0 + dB leaves the float range although
+        # a(B) is finite: it gave nan or raised
+        res = natural_res(a_bg=98.98, delta_b=delta_b, b0=b0)
+        fields = [1e308, 1.35e308, 1.75e308]
+        with mp.workdps(60):
+            b0, delta_b = mp.mpf(b0), mp.mpf(delta_b)
+            expected = [float(98.98 * (mp.mpf(b) - b0 - delta_b) / (mp.mpf(b) - b0))
+                        for b in fields]
+        for got in ([scattering_length_of_field(res, b) for b in fields],
+                    scattering_length_of_field(res, fields),
+                    scattering_length_of_field(res, np.array(fields)).tolist()):
+            for g, e in zip(got, expected):
+                assert abs(g - e) <= 4 * math.ulp(e), (got, expected)
+
     def test_overflowing_scattering_length_raises(self):
         # a_bg (B - B0 - dB) = -1e300 and (B - B0 - dB)/(B - B0) = -1e300: both
         # orders of evaluation overflow at B = 1e-300
@@ -78,14 +101,14 @@ class TestScatteringLengthOfField:
 
     def test_pole_raises(self):
         res = natural_res(b0=1.25)
-        with pytest.raises(PoleAtResonance):
+        with pytest.raises(InvalidInput, match=POLE):
             scattering_length_of_field(res, 1.25)
 
     @pytest.mark.parametrize("kind", [list, np.array])
     def test_pole_precedes_overflow(self, kind):
         # B = 1e-300 overflows, and a later field is B0
         res = natural_res(a_bg=1e300, delta_b=1.0, b0=0.0)
-        with pytest.raises(PoleAtResonance):
+        with pytest.raises(InvalidInput, match=POLE):
             scattering_length_of_field(res, kind([2.0, 1e-300, 0.0]))
         with pytest.raises(InvalidInput, match=r"float range at B = 3e-300$"):
             scattering_length_of_field(res, kind([2.0, 3e-300, 1e-300]))
@@ -101,7 +124,7 @@ class TestScatteringLengthOfField:
         for kind in kinds:
             with pytest.raises(InvalidInput, match="field must be finite"):
                 scattering_length_of_field(res, kind([2.0, field]))
-            with pytest.raises(PoleAtResonance):  # a field at B0 still goes first
+            with pytest.raises(InvalidInput, match=POLE):  # a field at B0 still goes first
                 scattering_length_of_field(res, kind([2.0, field, res.b0]))
 
     @pytest.mark.parametrize("kind", [list, tuple, np.array])
@@ -174,7 +197,7 @@ class TestWidthRadius:
 
     def test_degenerate_raises(self):
         for field in ("a_bg", "dmu"):
-            with pytest.raises(DegenerateResonance):
+            with pytest.raises(InvalidInput, match=r"a_bg \* dmu \* delta_b must be nonzero"):
                 width_radius(natural_res(**{field: 0.0}))
 
     def test_underflowing_product_is_out_of_range_not_degenerate(self):
@@ -318,13 +341,13 @@ class TestUnitSystem:
 
 
 def test_resonance_requires_nonzero_width():
-    with pytest.raises(DegenerateResonance):
+    with pytest.raises(InvalidInput, match=WIDTH):
         natural_res(delta_b=0.0)
 
 
 def test_resonance_checks_in_order():
     # the width first, then the mass, then c6
-    with pytest.raises(DegenerateResonance):
+    with pytest.raises(InvalidInput, match=WIDTH):
         natural_res(delta_b=0.0, mass=-1.0, c6=-1.0)
     with pytest.raises(InvalidInput, match="mass"):
         natural_res(mass=float("nan"), c6=-1.0)
